@@ -12,7 +12,11 @@ Monitored shared variables are the :class:`~repro.core.channel_state.
 ChannelKernel` instances (every mutator is a *write*, ``unconsumed_min``
 and friends are *reads* — wired in by :func:`~repro.analysis.sanitizer.
 guard_kernel`) plus any state a test registers explicitly via
-:func:`on_read`/:func:`on_write`.  An access unordered with a previous
+:func:`on_read`/:func:`on_write`.  (``unconsumed_min`` is monitored as a read
+because it never changes what the channel holds, but it is not a pure one: it
+repairs the kernel's watermark index, so it too belongs under the channel lock
+— where every caller has it, and where an unlocked call shows up as STM304
+against the next write.)  An access unordered with a previous
 access of the same variable is a race:
 
 * write/write unordered → **STM305** (the kernel's sequential state

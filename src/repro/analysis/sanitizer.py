@@ -270,7 +270,9 @@ def san_lock(name: str) -> Any:
 # ---------------------------------------------------------------------------
 
 
-#: kernel methods monitored as *reads* by the race detector (STM304).
+#: kernel methods monitored as *reads* by the race detector (STM304);
+#: ``unconsumed_min`` repairs the watermark index but leaves the channel's
+#: observable state alone, and its callers hold the channel lock.
 KERNEL_READERS = ("unconsumed_min", "timestamps", "oldest", "latest")
 
 

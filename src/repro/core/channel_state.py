@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Any
 
 from repro.core.flags import GetWildcard, UNKNOWN_REFCOUNT
 from repro.core.item import InputConnState, ItemRecord, ItemState
-from repro.core.time import INFINITY, VirtualTime, validate_timestamp, vt_min
+from repro.core.time import INFINITY, VirtualTime, validate_timestamp
 from repro.errors import (
     AlreadyConsumedError,
     ChannelDestroyedError,
@@ -133,8 +134,17 @@ class ChannelKernel:
         self.bytes_got = 0
         #: running sum of stored item sizes (keeps stored_bytes() O(1)).
         self._stored_bytes = 0
-        #: item visits made by unconsumed-min recomputation scans; stays flat
-        #: across GC epochs while the per-connection min caches are warm.
+        #: stored items with a declared refcount; while zero, consumes have
+        #: nothing to reclaim and skip the per-item walk.
+        self._refcounted = 0
+        #: the watermark index behind unconsumed_min(): a min-heap holding one
+        #: ``(mark, view.seq, view)`` per live input connection with ``mark <=
+        #: view.consumed_below``.  Watermarks only rise, so consumes never
+        #: touch it; a query repairs the entries it meets.
+        self._marks: list[tuple[int, int, InputConnState]] = []
+        #: ``(version, result)`` of the last out-of-order fallback scan (an
+        #: idle channel rescans nothing) and the item visits those scans made.
+        self._scan_memo: tuple[int, VirtualTime] = (-1, INFINITY)
         self.min_scan_steps = 0
 
     # ------------------------------------------------------------------
@@ -151,16 +161,22 @@ class ChannelKernel:
         self._check_alive()
         if conn_id in self.inputs or conn_id in self.outputs:
             raise ValueError(f"connection id {conn_id} already attached")
-        state = InputConnState(conn_id=conn_id)
         if isinstance(visibility, int):
-            state.consumed_below = max(visibility, self.gc_horizon)
+            watermark = max(visibility, self.gc_horizon)
         else:  # INFINITY visibility: everything currently conceivable is consumed
             latest = self.items.max_key()
-            state.consumed_below = (latest + 1) if latest is not None else self.gc_horizon
+            watermark = (latest + 1) if latest is not None else self.gc_horizon
         # Refcount accounting: the implicit consumption does NOT decrement
         # refcounts — declared counts refer to the consumers the producer
         # planned for, and an attach that skips items is not one of them.
-        self.inputs[conn_id] = state
+        # ``version`` moves on every attach, so it serves as the view's seq.
+        state = self.inputs[conn_id] = InputConnState(conn_id, watermark, self.version)
+        marks = self._marks
+        heappush(marks, (watermark, state.seq, state))
+        if len(marks) > 2 * len(self.inputs) + 64:
+            # detach leaves its entry behind: rebuild once the dead outnumber the live
+            marks[:] = [(v.consumed_below, v.seq, v) for v in self.inputs.values()]
+            heapify(marks)
         self.version += 1
 
     def attach_output(self, conn_id: int) -> None:
@@ -240,38 +256,18 @@ class ChannelKernel:
             )
         if self.capacity is not None and len(self.items) >= self.capacity:
             return PutResult(Status.BLOCKED, BlockReason.CHANNEL_FULL)
-        record = ItemRecord(
-            timestamp=timestamp,
-            payload=payload,
-            size=size,
-            refcount=refcount,
-            producer_conn=conn_id,
-        )
-        # A refcounted item with zero declared consumers is dead on arrival —
-        # but putting it must still be legal (a producer may publish an item
-        # purely for *future* connections when refcount is unknown; with a
-        # declared count of 0 it is immediately collectable).
-        if refcount == 0:
-            self.total_puts += 1
-            self.bytes_put += size
-            self.total_refcount_collected += 1
-            self.total_collected += 1
-            self.version += 1
-            return PutResult(Status.OK)
-        self.items[timestamp] = record
         self.total_puts += 1
         self.bytes_put += size
-        self._stored_bytes += size
-        # A new item can only *lower* a connection's unconsumed minimum, so
-        # the caches update in place — no invalidation, no rescan.
-        for view in self.inputs.values():
-            cache = view.min_cache
-            if (
-                cache is not None
-                and (cache is INFINITY or timestamp < cache)
-                and view.is_unconsumed(timestamp)
-            ):
-                view.min_cache = timestamp
+        if refcount == 0:
+            # Zero declared consumers: legal to put (a producer may publish
+            # purely for connections it did not plan for) but dead on arrival.
+            self.total_refcount_collected += 1
+            self.total_collected += 1
+        else:
+            self.items[timestamp] = ItemRecord(timestamp, payload, size, refcount, conn_id)
+            self._stored_bytes += size
+            if refcount != UNKNOWN_REFCOUNT:
+                self._refcounted += 1
         self.version += 1
         return PutResult(Status.OK)
 
@@ -379,6 +375,10 @@ class ChannelKernel:
         self._check_alive()
         view = self._input(conn_id)
         validate_timestamp(timestamp)
+        if view.consumed_below < self.gc_horizon:
+            # Fold the GC horizon into the watermark (attach_input's rule), so
+            # a frame-skipping consumer's explicit entries do not pile up.
+            view.consume_upto(self.gc_horizon - 1)
         state = view.state_of(timestamp)
         if state is ItemState.CONSUMED:
             return  # idempotent
@@ -388,8 +388,6 @@ class ChannelKernel:
                 f"connection {conn_id} (strict consume)"
             )
         view.consume_one(timestamp)
-        if view.min_cache == timestamp:
-            view.min_cache = None  # the minimum advanced; recompute lazily
         self.total_consumes += 1
         self._after_consume([timestamp])
 
@@ -402,39 +400,34 @@ class ChannelKernel:
         view = self._input(conn_id)
         validate_timestamp(timestamp)
         bound = timestamp + 1
-        affected = [
-            ts
-            for ts in self.items.keys_below(bound)
-            if view.is_unconsumed(ts) or ts in view.open_ts
-        ]
+        # Newly consumed: stored items from this connection's own watermark
+        # up to the bound, minus its out-of-order consumes.  Counted exactly,
+        # so batched consumes don't under-report; listed only when needed.
+        low, explicit = view.consumed_below, view.consumed_explicit
+        if explicit or self._refcounted:
+            affected = [ts for ts in self.items.keys_between(low, bound) if ts not in explicit]
+            self.total_consumes += len(affected)
+        else:
+            affected = []
+            self.total_consumes += self.items.count_between(low, bound)
         view.consume_upto(timestamp)
-        cache = view.min_cache
-        if cache is not None and cache is not INFINITY and cache < bound:
-            view.min_cache = None  # the cached minimum was just consumed
-        # One consume_until may retire many timestamps; count what it
-        # actually consumed so batched consumes don't under-report.
-        self.total_consumes += len(affected)
         self._after_consume(affected)
 
     def _after_consume(self, timestamps: list[int]) -> None:
         """Eagerly reclaim refcounted items whose count reached zero (§6)."""
-        for ts in timestamps:
-            record = self.items.get(ts)
-            if record is None:
-                continue
-            if record.dec_refcount():
-                # Only reclaim when no connection still has it open or unseen
-                # *and* wants it — the declared count reaching zero is the
-                # producer's signal that all planned consumers are done.
-                del self.items[ts]
-                self._stored_bytes -= record.size
-                self.total_collected += 1
-                self.total_refcount_collected += 1
-                for view in self.inputs.values():
-                    if view.min_cache == ts:
-                        view.min_cache = None  # cached minimum reclaimed
-                if _reclaim_hook is not None:
-                    _reclaim_hook(self, ts, record)
+        if self._refcounted:
+            for ts in timestamps:
+                record = self.items.get(ts)
+                if record is not None and record.dec_refcount():
+                    # The declared count reaching zero is the producer's
+                    # signal that all planned consumers are done.
+                    del self.items[ts]
+                    self._stored_bytes -= record.size
+                    self._refcounted -= 1
+                    self.total_collected += 1
+                    self.total_refcount_collected += 1
+                    if _reclaim_hook is not None:
+                        _reclaim_hook(self, ts, record)
         self.version += 1
 
     # ------------------------------------------------------------------
@@ -450,29 +443,45 @@ class ChannelKernel:
         paper's rule prescribes (a future connection can only reach items >=
         its creating thread's visibility).
 
-        Each connection's minimum is cached on its view and invalidated by
-        exactly the operations that can move it (consume of the minimum,
-        reclaim of the minimum, collection below it), so the steady-state
-        cost is a dict-min over the inputs — the per-epoch skip-scan over
-        items only runs for views whose cache was invalidated.
+        A connection without out-of-order consumes owes the first stored
+        item at or above its watermark, which is monotone in the watermark:
+        the answer is ``items.ceil_key`` of the smallest watermark, read off
+        the repaired top of the index.  Only connections that hold explicit
+        consumes *and* sit below the answer are skip-scanned, and set aside
+        while the search looks past them.  Not a pure read: callers hold the
+        channel lock, as for every mutator.
         """
-        mins: list[VirtualTime] = []
-        for view in self.inputs.values():
-            cached = view.min_cache
-            if cached is None:
-                cached = view.min_cache = self._recompute_min(view)
-            if cached is not INFINITY:
-                mins.append(cached)
-        return vt_min(mins)
-
-    def _recompute_min(self, view) -> VirtualTime:
-        """Skip-scan for a view's smallest stored-and-unconsumed timestamp."""
-        key = self.items.ceil_key(view.consumed_below)
-        self.min_scan_steps += 1
-        while key is not None and view.is_consumed(key):
-            key = self.items.higher_key(key)
-            self.min_scan_steps += 1
-        return key if key is not None else INFINITY
+        marks, inputs, items = self._marks, self.inputs, self.items
+        best: int | None = None
+        shelved = []
+        while marks:
+            mark, seq, view = marks[0]
+            if inputs.get(view.conn_id) is not view:
+                heappop(marks)  # detached: lazy deletion
+            elif mark < view.consumed_below:
+                heapreplace(marks, (view.consumed_below, seq, view))  # stale lower bound
+            else:
+                key = items.ceil_key(mark)
+                if key is None or (best is not None and key >= best):
+                    break  # every other connection's watermark is higher still
+                if not view.consumed_explicit:
+                    best = key
+                    break
+                if not shelved and self._scan_memo[0] == self.version:
+                    return self._scan_memo[1]
+                self.min_scan_steps += 1
+                while key is not None and view.is_consumed(key):
+                    key = items.higher_key(key)
+                    self.min_scan_steps += 1
+                if key is not None and (best is None or key < best):
+                    best = key
+                shelved.append(heappop(marks))
+        result = INFINITY if best is None else best
+        if shelved:
+            for entry in shelved:
+                heappush(marks, entry)
+            self._scan_memo = (self.version, result)
+        return result
 
     def collect_below(self, horizon: VirtualTime) -> list[int]:
         """Reclaim every item with timestamp < ``horizon``; return their ts.
@@ -485,22 +494,19 @@ class ChannelKernel:
             bound = (self.items.max_key() or 0) + 1 if len(self.items) else self.gc_horizon
         else:
             bound = int(horizon)
-        if bound <= self.gc_horizon and not self.items.keys_below(bound):
-            self.gc_horizon = max(self.gc_horizon, bound)
+        self.gc_horizon = max(self.gc_horizon, bound)
+        oldest = self.items.min_key()
+        if oldest is None or oldest >= bound:
             return []
         dead = self.items.pop_below(bound)
-        self.gc_horizon = max(self.gc_horizon, bound)
-        if dead:
-            self.total_collected += len(dead)
-            self._stored_bytes -= sum(rec.size for _, rec in dead)
-            for view in self.inputs.values():
-                cache = view.min_cache
-                if cache is not None and cache is not INFINITY and cache < bound:
-                    view.min_cache = None  # cached minimum was collected
-            if _reclaim_hook is not None:
-                for ts, rec in dead:
-                    _reclaim_hook(self, ts, rec)
-            self.version += 1
+        self.total_collected += len(dead)
+        self._stored_bytes -= sum(rec.size for _, rec in dead)
+        if self._refcounted:
+            self._refcounted -= sum(1 for _, rec in dead if rec.refcounted)
+        if _reclaim_hook is not None:
+            for ts, rec in dead:
+                _reclaim_hook(self, ts, rec)
+        self.version += 1
         return [ts for ts, _ in dead]
 
     # ------------------------------------------------------------------
@@ -536,5 +542,6 @@ class ChannelKernel:
         self.items = SortedIntMap()
         self.inputs.clear()
         self.outputs.clear()
-        self._stored_bytes = 0
+        self._marks.clear()
+        self._stored_bytes = self._refcounted = 0
         self.version += 1

@@ -95,12 +95,15 @@ class InputConnState:
     watermark captures the (usually huge) implicitly-consumed prefix, and an
     explicit set records out-of-order consumes above the watermark.  This is
     what lets ``consume_until`` and attach-time implicit consumption run in
-    O(1) amortized instead of touching every item.
+    O(1) amortized instead of touching every item.  The watermark only
+    rises: the kernel's GC-minimum index relies on it.
     """
 
     conn_id: int
     #: every timestamp < consumed_below is CONSUMED on this connection.
     consumed_below: int = 0
+    #: attach order; breaks watermark ties in the kernel's index.
+    seq: int = 0
     #: timestamps >= consumed_below that were consumed individually.
     consumed_explicit: set[int] = field(default_factory=set)
     #: timestamps currently in the OPEN state (gotten, not yet consumed).
@@ -108,11 +111,6 @@ class InputConnState:
     #: greatest timestamp ever returned by a get on this connection, used to
     #: resolve the LATEST_UNSEEN wildcard; None before the first get.
     last_gotten: int | None = None
-    #: cached smallest stored-and-unconsumed timestamp for this connection
-    #: (INFINITY when fully consumed), or None when it must be recomputed.
-    #: Maintained by the channel kernel so the per-epoch GC minimum is a
-    #: dict-min instead of a skip-scan over the items.
-    min_cache: Any = None
 
     def state_of(self, ts: int) -> ItemState:
         """State of timestamp ``ts`` relative to this connection."""
@@ -147,9 +145,11 @@ class InputConnState:
         if bound <= self.consumed_below:
             return
         self.consumed_below = bound
-        self.consumed_explicit = {t for t in self.consumed_explicit if t >= bound}
-        self.open_ts = {t for t in self.open_ts if t >= bound}
-        self._compact()
+        if self.consumed_explicit:
+            self.consumed_explicit = {t for t in self.consumed_explicit if t >= bound}
+            self._compact()
+        if self.open_ts:
+            self.open_ts = {t for t in self.open_ts if t >= bound}
 
     def _compact(self) -> None:
         """Fold a contiguous run of explicit consumes into the watermark.

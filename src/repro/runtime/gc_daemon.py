@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.gc_state import merge_summaries
@@ -55,7 +56,8 @@ class GcStats:
     epochs: int = 0
     last_horizon: VirtualTime = 0
     total_collected: int = 0
-    horizons: list[VirtualTime] = field(default_factory=list)
+    #: the most recent horizons (one per epoch, 20/s by default: bounded).
+    horizons: deque[VirtualTime] = field(default_factory=lambda: deque(maxlen=1024))
 
 
 class GcDaemon:

@@ -132,6 +132,14 @@ class SortedIntMap:
         """All keys >= ``bound`` (ascending)."""
         return self._keys[bisect_left(self._keys, bound) :]
 
+    def keys_between(self, lo: int, hi: int) -> list[int]:
+        """All keys in ``[lo, hi)`` (ascending); empty when ``hi <= lo``."""
+        return self._keys[bisect_left(self._keys, lo) : bisect_left(self._keys, hi)]
+
+    def count_between(self, lo: int, hi: int) -> int:
+        """Number of keys in ``[lo, hi)``, without building the list."""
+        return max(0, bisect_left(self._keys, hi) - bisect_left(self._keys, lo))
+
     def pop_below(self, bound: int) -> list[tuple[int, Any]]:
         """Remove and return all ``(key, value)`` pairs with key < ``bound``.
 

@@ -6,7 +6,7 @@ from repro.core.channel_state import ChannelKernel
 from repro.core.flags import STM_OLDEST
 from repro.core.item import ItemState
 from repro.core.time import INFINITY
-from repro.errors import NotOpenError
+from repro.errors import ItemGarbageCollectedError, NotOpenError
 
 OUT, A, B = 1, 2, 3
 
@@ -151,6 +151,39 @@ class TestCollectBelow:
         chan.consume_until(A, 4)
         chan.collect_below(5)
         assert chan.total_collected == 5
+
+
+class TestSparseTimestamps:
+    """A frame-skipping consumer: one-by-one consumes at non-contiguous
+    timestamps never fold into the watermark on their own (nothing fills the
+    gaps), so the GC horizon has to."""
+
+    def test_explicit_consumes_stay_bounded_by_resident_items(self, chan):
+        view = chan.inputs[A]
+        for cycle in range(2000):
+            ts = cycle * 10
+            chan.put(OUT, ts, b"x", 1)
+            chan.get(A, ts)
+            chan.consume(A, ts)
+            assert len(view.consumed_explicit) <= len(chan)
+            if cycle % 50 == 49:
+                assert chan.unconsumed_min() is INFINITY
+                chan.collect_below(ts - 9)  # the newest item stays resident
+        assert chan.gc_horizon == 19_981
+        assert view.consumed_below == 19_481  # the horizon before the last: folded at a consume
+        assert chan.total_consumes == 2000
+
+    def test_collected_timestamps_read_as_consumed(self, chan):
+        chan.put(OUT, 10, b"x", 1)
+        chan.consume(A, 10)
+        chan.collect_below(15)
+        # get below the horizon fails first, whatever the connection consumed
+        with pytest.raises(ItemGarbageCollectedError):
+            chan.get(A, 3)
+        chan.consume(A, 3)  # legal and silent: nothing left to mark
+        assert chan.total_consumes == 1
+        assert chan.inputs[A].consumed_below == 15
+        assert chan.inputs[A].consumed_explicit == set()
 
 
 class TestRefcountGC:

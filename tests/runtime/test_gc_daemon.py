@@ -135,6 +135,20 @@ class TestDaemonThread:
         me.set_virtual_time(17)
         assert cluster.gc_once() == 17
 
+    def test_horizon_history_is_bounded(self, cluster, me):
+        # one entry per epoch, 20/s with the default daemon: only the most
+        # recent ones are kept
+        from repro.runtime import GcDaemon
+
+        daemon = GcDaemon(cluster, period=1.0)  # driven by hand, never started
+        stats = daemon.stats
+        keep = stats.horizons.maxlen
+        for epoch in range(keep + 6):
+            me.set_virtual_time(epoch)
+            daemon.run_once()
+        assert stats.epochs == keep + 6
+        assert list(stats.horizons) == list(range(6, keep + 6))
+
 
 class TestGcUnblocksBoundedPuts:
     def test_blocked_put_proceeds_after_collection(self, cluster, me):
