@@ -25,6 +25,7 @@ from repro.analysis.modelcheck.scheduler import InvariantViolation
 from repro.core.channel_state import ChannelKernel, Status
 from repro.core.time import INFINITY
 from repro.runtime.cluster import Cluster
+from repro.runtime.messages import ClockProbeReq, RpcReply
 from repro.runtime.sync import make_event, make_lock
 from repro.runtime.threads import StampedeThread
 
@@ -336,6 +337,67 @@ class GcHorizonMonotonic(Scenario):
         )
 
 
+class LateReplyVsNextCall(Scenario):
+    """A late reply to a timed-out RPC racing the same thread's next call.
+
+    ``AddressSpace.call`` reuses one completion slot per calling thread, so
+    the slot call N used is re-armed for call N+1 the moment N ends.  The
+    reply to N may land at *any* point — before N is registered, while it
+    waits, after it timed out, after N+1 took the slot over — and must never
+    be delivered as N+1's result.  Model time has no clocks, so the timed-out
+    call is driven through the same begin/end halves ``call`` is made of
+    (begin, then end without a reply); N+1 is a plain ``call``.  No
+    dispatcher runs: the replies are injected straight into
+    ``_complete_call``, the reply to N+1 only once its request is on the
+    wire.
+    """
+
+    name = "late-reply-vs-next-call"
+    description = "late reply to a timed-out RPC racing the thread's next call"
+
+    def build(self):
+        cluster = Cluster(n_spaces=2, gc_period=None, dispatchers=False)
+        space = cluster.space(0)
+        ctx = SimpleNamespace(cluster=cluster, space=space, results=[])
+        # call ids are striped per space: 0, 2, ... on space 0 of 2
+        ctx.stale_id, ctx.fresh_id = 0, 2
+        ctx.fresh_sent = make_event()
+        endpoint_send = space.endpoint.send
+
+        def send(dst, data):
+            endpoint_send(dst, data)
+            if space._calls.get(ctx.fresh_id) is not None:
+                ctx.fresh_sent.set()
+
+        space.endpoint.send = send
+        return ctx
+
+    def threads(self, ctx):
+        def caller(ctx):
+            space = ctx.space
+            timed_out = space._call_slot()
+            space._begin_call(timed_out, 1, ClockProbeReq())
+            space._end_call(timed_out)  # the wait timed out: no reply yet
+            ctx.results.append(space.call(1, ClockProbeReq()))
+
+        def late_reply(ctx):
+            ctx.space._complete_call(RpcReply(ctx.stale_id, value="stale"))
+
+        def server(ctx):
+            ctx.fresh_sent.wait()
+            ctx.space._complete_call(RpcReply(ctx.fresh_id, value="fresh"))
+
+        return [("caller", caller), ("late-reply", late_reply), ("server", server)]
+
+    def final_invariant(self, ctx):
+        _require(
+            ctx.results == ["fresh"],
+            f"call N+1 returned {ctx.results!r}: the late reply to call N "
+            f"completed the reused slot",
+        )
+        _require(not ctx.space._calls, "a call is still registered")
+
+
 # ---------------------------------------------------------------------------
 # seeded-bug scenarios (expect_violation=True)
 # ---------------------------------------------------------------------------
@@ -475,6 +537,7 @@ SCENARIOS: dict[str, Scenario] = {
         DetachVsReclaim(),
         BoundedPutVsGet(),
         GcHorizonMonotonic(),
+        LateReplyVsNextCall(),
         SeededAtomicityBreak(),
         SeededGcReclaimsLive(),
         SeededLostWakeup(),

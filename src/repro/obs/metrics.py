@@ -400,6 +400,9 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: dict[tuple, Counter | Gauge | Histogram] = {}
         self._lock = threading.Lock()
+        #: bumped by :meth:`reset`; a caller that keeps a metric handle
+        #: across calls re-resolves it when the epoch it saw has passed.
+        self.epoch = 0
 
     @staticmethod
     def _key(name: str, labels: dict) -> tuple:
@@ -456,6 +459,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._metrics.clear()
+            self.epoch += 1
 
     def dump(self) -> dict:
         """Mergeable dump: name -> list of {labels, kind, ...full state}.

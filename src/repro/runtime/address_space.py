@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 from repro.analysis.sanitizer import guard_kernel
@@ -48,6 +48,7 @@ from repro.errors import (
     NameInUseError,
     NoSuchChannelError,
     StampedeError,
+    TransportClosedError,
 )
 from repro.obs import events as _obs
 from repro.runtime.messages import (
@@ -236,14 +237,26 @@ class LocalChannel:
         return f"<LocalChannel {self.handle.channel_id} items={len(self.kernel)}>"
 
 
-@dataclass
 class _Call:
-    """Client-side state of an outstanding RPC."""
+    """Client-side state of an outstanding RPC: the slot its reply lands in.
 
-    event: threading.Event = field(default_factory=threading.Event)
-    value: Any = None
-    error: BaseException | None = None
-    done: bool = False
+    :meth:`AddressSpace.call_async` makes one per request.  The synchronous
+    :meth:`AddressSpace.call` keeps one *per calling thread* and re-arms it
+    for every call — a blocked thread has exactly one call outstanding, so
+    the event, the result fields and the object itself can be reused.
+    ``call_id`` names the call the slot currently stands for (None while
+    idle); it changes only under ``_calls_lock``, which is also where a reply
+    is matched against it and delivered.
+    """
+
+    __slots__ = ("event", "value", "error", "done", "call_id")
+
+    def __init__(self) -> None:
+        self.event = make_event()
+        self.value: Any = None
+        self.error: BaseException | None = None
+        self.done = False
+        self.call_id: int | None = None
 
 
 @dataclass
@@ -271,6 +284,8 @@ class AddressSpace:
         self._thread_seq = IdAllocator(0, 1)
         self._calls: dict[int, _Call] = {}
         self._calls_lock = make_lock("AddressSpace.calls")
+        #: ``.slot``: the calling thread's reusable :class:`_Call`.
+        self._thread_call = threading.local()
         self._parked_index: dict[int, LocalChannel] = {}  # call_id -> channel
         # The parked index is touched by the dispatcher (_serve_cancel) and
         # by whatever thread drains a waiter, under *different* channel
@@ -330,16 +345,22 @@ class AddressSpace:
     # dispatcher
     # ==================================================================
     def _dispatch_loop(self) -> None:
-        from repro.errors import TransportClosedError
-
         while self._running:
             try:
                 src, data = self.endpoint.recv()
+                msg = decode_message(data)
             except TransportClosedError:
                 break
-            try:
-                msg = decode_message(data)
-            except Exception:  # corrupt message: drop, keep serving
+            except Exception as exc:  # noqa: BLE001 - corrupt traffic
+                # A packet that fails its checks or a message that does not
+                # decode is dropped and the space keeps serving.  If it was
+                # a request, its caller learns only through its own timeout,
+                # so the drop is counted where an operator can see it.
+                self.endpoint.stats.decode_errors += 1
+                rec = _obs.recorder
+                if rec is not None:
+                    rec.instant("clf", "clf.decode_error", self.space_id,
+                                error=type(exc).__name__, detail=str(exc))
                 continue
             if isinstance(msg, RpcReply):
                 self._complete_call(msg)
@@ -417,6 +438,9 @@ class AddressSpace:
     # ==================================================================
     # RPC client
     # ==================================================================
+    #: how long a timed-out call waits for its cancel to be answered.
+    _CANCEL_GRACE_S = 5.0
+
     def call(self, dst_space: int, body: Any, timeout: float | None = None) -> Any:
         """Synchronous RPC to another address space."""
         if dst_space == self.space_id:
@@ -424,32 +448,68 @@ class AddressSpace:
             # but still run the exact handler code.
             result = self._handle_blocking_locally(body, timeout)
             return result
-        call_id = self._call_ids.next()
-        call = _Call()
-        with self._calls_lock:
-            self._calls[call_id] = call
-        self.endpoint.send(
-            dst_space, encode_message_sg(RpcRequest(call_id, self.space_id, body))
-        )
-        if not call.event.wait(timeout):
-            # Ask the server to abandon the parked request, then give the
-            # reply (cancelled or real) a grace period to land.
-            self.endpoint.send(dst_space, encode_message_sg(RpcCancel(call_id)))
-            call.event.wait(5.0)
-            if not call.done:
-                with self._calls_lock:
-                    self._calls.pop(call_id, None)
-                raise TimeoutError(
-                    f"RPC to space {dst_space} timed out after {timeout}s "
-                    f"and the cancel was not acknowledged"
+        call = self._call_slot()
+        self._begin_call(call, dst_space, body)
+        try:
+            if not call.event.wait(timeout):
+                # Ask the server to abandon the parked request, then give
+                # the reply (cancelled or real) a grace period to land.
+                self.endpoint.send(
+                    dst_space, encode_message_sg(RpcCancel(call.call_id))
                 )
-        with self._calls_lock:
-            self._calls.pop(call_id, None)
-        if call.error is not None:
-            raise call.error
-        return call.value
+                call.event.wait(self._CANCEL_GRACE_S)
+        finally:
+            self._end_call(call)
+        # Unregistered: no reply can reach the slot any more, so its fields
+        # are this thread's to read and to clear for the next call.
+        done, value, error = call.done, call.value, call.error
+        call.value = call.error = None
+        if not done:
+            raise TimeoutError(
+                f"RPC to space {dst_space} timed out after {timeout}s "
+                f"and the cancel was not acknowledged"
+            )
+        if error is not None:
+            raise error
+        return value
 
-    def call_async(self, dst_space: int, body: Any) -> tuple[int | None, _Call]:
+    def _call_slot(self) -> _Call:
+        """The calling thread's reusable completion slot."""
+        tls = self._thread_call
+        try:
+            call = tls.slot
+        except AttributeError:
+            call = tls.slot = _Call()
+        if call.call_id is not None:
+            # re-entered between begin and end (a finalizer or signal
+            # handler calling out): the slot is taken, use a fresh one
+            return _Call()
+        return call
+
+    def _begin_call(self, call: _Call, dst_space: int, body: Any) -> None:
+        """Arm ``call`` under a fresh call id, register it, send the request."""
+        call_id = self._call_ids.next()
+        with self._calls_lock:
+            call.call_id = call_id
+            call.done = False
+            call.event.clear()
+            self._calls[call_id] = call
+        try:
+            self.endpoint.send(
+                dst_space,
+                encode_message_sg(RpcRequest(call_id, self.space_id, body)),
+            )
+        except BaseException:
+            self._end_call(call)
+            raise
+
+    def _end_call(self, call: _Call) -> None:
+        """Unregister ``call``: from here on a reply to it is a late reply."""
+        with self._calls_lock:
+            self._calls.pop(call.call_id, None)
+            call.call_id = None
+
+    def call_async(self, dst_space: int, body: Any) -> _Call:
         """Fire an RPC without waiting; pair with :meth:`gather`.
 
         Lets a coordinator scatter a request to every space and then wait
@@ -465,19 +525,12 @@ class AddressSpace:
                 call.error = exc
             call.done = True
             call.event.set()
-            return (None, call)
-        call_id = self._call_ids.next()
-        with self._calls_lock:
-            self._calls[call_id] = call
-        self.endpoint.send(
-            dst_space, encode_message_sg(RpcRequest(call_id, self.space_id, body))
-        )
-        return (call_id, call)
+        else:
+            self._begin_call(call, dst_space, body)
+        return call
 
     def gather(
-        self,
-        pending: list[tuple[int | None, _Call]],
-        timeout: float | None = None,
+        self, pending: list[_Call], timeout: float | None = None
     ) -> list[Any]:
         """Collect :meth:`call_async` results, in scatter order.
 
@@ -488,14 +541,13 @@ class AddressSpace:
         deadline = (time.monotonic() + timeout) if timeout is not None else None
         results: list[Any] = []
         error: BaseException | None = None
-        for call_id, call in pending:
+        for call in pending:
             remaining = None
             if deadline is not None:
                 remaining = max(0.0, deadline - time.monotonic())
             done = call.event.wait(remaining)
-            if call_id is not None:
-                with self._calls_lock:
-                    self._calls.pop(call_id, None)
+            if call.call_id is not None:
+                self._end_call(call)
             if error is not None:
                 continue  # keep unregistering the rest
             if not done:
@@ -511,14 +563,18 @@ class AddressSpace:
         return results
 
     def _complete_call(self, reply: RpcReply) -> None:
+        # Matched and delivered in one critical section: a thread's slot is
+        # re-armed for its next call the moment the previous one ends, so a
+        # reply looked up here and delivered after the lock was dropped
+        # could land in the *next* call.
         with self._calls_lock:
             call = self._calls.get(reply.call_id)
-        if call is None or call.done:
-            return  # late reply after cancel: drop
-        call.value = reply.value
-        call.error = reply.error
-        call.done = True
-        call.event.set()
+            if call is None or call.done or call.call_id != reply.call_id:
+                return  # late reply after cancel: drop
+            call.value = reply.value
+            call.error = reply.error
+            call.done = True
+            call.event.set()
 
     # ==================================================================
     # request handlers (run on the dispatcher thread, or inline for

@@ -13,6 +13,11 @@ round-trip communications".
 Requests travel wrapped in :class:`RpcRequest`; replies in :class:`RpcReply`
 carrying either a value or a pickled exception that is re-raised at the
 caller.  One-way messages (GC horizon broadcast, shutdown) skip the reply.
+
+Every class here is registered with a wire tag (envelopes and one-way
+messages 1-15, RPC bodies from 16), so it crosses the wire as a flat tuple
+of its field values — see :mod:`repro.transport.serialization`.  Field order
+is therefore wire format: append new fields, with defaults, at the end.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ __all__ = [
 ]
 
 
-@register_message(1)
+@register_message(1, envelope=True)
 @dataclass
 class RpcRequest:
     """Envelope for a request expecting a reply."""
@@ -82,6 +87,7 @@ class RpcCancel:
     call_id: int
 
 
+@register_message(16)
 @dataclass
 class CreateChannelReq:
     """Create a channel homed at the receiving space.
@@ -98,11 +104,13 @@ class CreateChannelReq:
     push: bool = False
 
 
+@register_message(17)
 @dataclass
 class DestroyChannelReq:
     channel_id: int
 
 
+@register_message(18)
 @dataclass
 class AttachReq:
     """Attach a connection for a thread with the given current visibility.
@@ -117,12 +125,14 @@ class AttachReq:
     visibility: VirtualTime = None
 
 
+@register_message(19)
 @dataclass
 class DetachReq:
     channel_id: int
     conn_id: int
 
 
+@register_message(20)
 @dataclass
 class PutReq:
     """Insert ``payload`` (already copy-in encoded) at ``timestamp``."""
@@ -136,6 +146,7 @@ class PutReq:
     block: bool = True
 
 
+@register_message(21)
 @dataclass
 class GetReq:
     """Get by timestamp or wildcard; server parks the request when blocking.
@@ -153,6 +164,7 @@ class GetReq:
     cache_ok: bool = False
 
 
+@register_message(22)
 @dataclass
 class ConsumeReq:
     """Consume one timestamp, or everything up to it when ``until`` is set."""
@@ -163,6 +175,7 @@ class ConsumeReq:
     until: bool = False
 
 
+@register_message(23)
 @dataclass
 class RegisterNameReq:
     """Bind ``name`` to a full channel handle in the cluster registry.
@@ -175,6 +188,7 @@ class RegisterNameReq:
     handle: Any  # ChannelHandle (kept Any to avoid a circular import)
 
 
+@register_message(24)
 @dataclass
 class LookupNameReq:
     name: str
@@ -183,6 +197,7 @@ class LookupNameReq:
     wait: bool = False
 
 
+@register_message(25)
 @dataclass
 class SpawnReq:
     """Create a Stampede thread on the receiving space.
@@ -199,6 +214,7 @@ class SpawnReq:
     virtual_time: VirtualTime = None
 
 
+@register_message(26)
 @dataclass
 class GcSummaryReq:
     """Coordinator asks a space for its LocalGCSummary for ``epoch``."""
@@ -206,6 +222,7 @@ class GcSummaryReq:
     epoch: int
 
 
+@register_message(27)
 @dataclass
 class GcApplyReq:
     """Synchronous horizon application (the daemon's RPC broadcast).
@@ -219,6 +236,7 @@ class GcApplyReq:
     horizon: VirtualTime
 
 
+@register_message(28)
 @dataclass
 class EndpointStatsReq:
     """Fetch a space's transport-level counters (benchmarks, diagnostics).
@@ -233,6 +251,7 @@ class EndpointStatsReq:
     reset_frames: bool = False
 
 
+@register_message(29)
 @dataclass
 class TelemetryHarvestReq:
     """Drain a space's telemetry: recorder rings + metrics registry.
@@ -249,6 +268,7 @@ class TelemetryHarvestReq:
     disarm: bool = False
 
 
+@register_message(30)
 @dataclass
 class ClockProbeReq:
     """Read a space's monotonic clock (``time.perf_counter_ns``).
@@ -295,5 +315,5 @@ class CachePushMsg:
 
 
 #: LocalGCSummary crosses the wire inside RpcReply values; nothing to do —
-#: dataclasses pickle by value.  This assertion documents the dependency.
+#: reply values pickle by value.  This assertion documents the dependency.
 assert LocalGCSummary is not None

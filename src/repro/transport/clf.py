@@ -33,12 +33,7 @@ from repro.analysis.sanitizer import san_lock
 from repro.errors import TransportClosedError, TransportError
 from repro.obs import events as _obs
 from repro.transport.media import CLF_MTU, MEMORY_CHANNEL, Medium, SHARED_MEMORY
-from repro.transport.packets import (
-    Reassembler,
-    fragment,
-    fragment_sg,
-    max_payload,
-)
+from repro.transport.packets import HEADER_BYTES, Reassembler, fragment_sg
 
 __all__ = ["ClusterTopology", "ClfStats", "ClfEndpoint", "ClfNetwork"]
 
@@ -90,6 +85,9 @@ class ClfStats:
     packets_received: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
+    #: received traffic the space's dispatcher dropped: a packet that failed
+    #: its checks or a message that did not decode (counted by the dispatcher).
+    decode_errors: int = 0
     per_peer_sent: dict[int, int] = field(default_factory=dict)
     per_peer_recv: dict[int, int] = field(default_factory=dict)
 
@@ -101,6 +99,7 @@ class ClfStats:
             "packets_received": self.packets_received,
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
+            "decode_errors": self.decode_errors,
         }
 
 
@@ -135,17 +134,15 @@ class ClfEndpoint:
         """
         if self._closed:
             raise TransportClosedError(f"endpoint {self.space} is closed")
-        target = self._network._endpoint(dst)
+        network = self._network
+        target = network._endpoint(dst)
         msgid = next(self._msgid)
-        if isinstance(data, (bytes, bytearray)):
-            nbytes = len(data)
-            packets = fragment(msgid, data, self._network.mtu)
-        else:
-            segments = [data] if isinstance(data, memoryview) else data
-            nbytes = sum(memoryview(seg).nbytes for seg in segments)
-            packets = fragment_sg(msgid, segments, self._network.mtu)
+        if isinstance(data, (bytes, bytearray, memoryview)):
+            data = (data,)
+        packets = fragment_sg(msgid, data, network.mtu)
         rec = _obs.recorder
         if rec is not None:
+            packets = list(packets)
             # ``flow`` is the causal stitch: the receiver's clf.recv instant
             # carries the same id (msgids are globally unique — the counter
             # strides by n_spaces from ``space``), so the trace exporter can
@@ -154,21 +151,26 @@ class ClfEndpoint:
             # the receiving thread can stamp its clf.recv the moment the
             # last packet lands, so an instant taken afterward may postdate
             # the receive and make the flow arrow point backward in time.
-            expected = max(1, -(-nbytes // max_payload(self._network.mtu)))
-            rec.instant("clf", "clf.send", self.space,
-                        dst=dst, bytes=nbytes, packets=expected, flow=msgid)
-        npackets = 0
-        with self._network._order_locks[(self.space, dst)]:
+            rec.instant("clf", "clf.send", self.space, dst=dst,
+                        bytes=sum(map(len, packets)) - HEADER_BYTES * len(packets),
+                        packets=len(packets), flow=msgid)
+        src = self.space
+        put = target._inbox.put
+        npackets = nbytes = 0
+        with network._order_locks[(src, dst)]:
             # The per-(src,dst) lock keeps packets of concurrent sends from
             # interleaving: CLF's ordering guarantee is per point-to-point
             # stream, not per thread.
             for packet in packets:
-                target._inbox.put((self.space, packet))
+                put((src, packet))
                 npackets += 1
-        self.stats.messages_sent += 1
-        self.stats.packets_sent += npackets
-        self.stats.bytes_sent += nbytes
-        self.stats.per_peer_sent[dst] = self.stats.per_peer_sent.get(dst, 0) + 1
+                nbytes += len(packet)
+        nbytes -= HEADER_BYTES * npackets
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.packets_sent += npackets
+        stats.bytes_sent += nbytes
+        stats.per_peer_sent[dst] = stats.per_peer_sent.get(dst, 0) + 1
 
     # -- receiving ------------------------------------------------------------
     def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
@@ -251,7 +253,7 @@ class ClfNetwork:
             return ep
 
     def _endpoint(self, space: int) -> ClfEndpoint:
-        ep = self.endpoint(space)
+        ep = self._endpoints.get(space) or self.endpoint(space)
         if ep.closed:
             raise TransportError(f"destination endpoint {space} is closed")
         return ep

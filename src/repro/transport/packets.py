@@ -33,6 +33,8 @@ __all__ = ["HEADER_BYTES", "max_payload", "fragment", "fragment_sg", "Reassemble
 _HEADER = struct.Struct("<QQQII")
 #: bytes of header per packet.
 HEADER_BYTES: int = _HEADER.size  # 8+8+8+4+4 = 32
+_HEADER_PAD = bytes(HEADER_BYTES)  # joined first, then packed over in place
+_NO_BYTES = bytearray()
 
 
 def max_payload(mtu: int = CLF_MTU) -> int:
@@ -42,22 +44,17 @@ def max_payload(mtu: int = CLF_MTU) -> int:
     return mtu - HEADER_BYTES
 
 
-def fragment(msgid: int, data: bytes, mtu: int = CLF_MTU) -> Iterator[bytes]:
-    """Split ``data`` into wire packets of at most ``mtu`` bytes.
+def fragment(msgid: int, data, mtu: int = CLF_MTU) -> Iterator[bytearray]:
+    """Split one contiguous ``data`` into wire packets of at most ``mtu`` bytes.
 
     A zero-length message still produces one (header-only) packet so the
     receiver observes it.
     """
-    chunk = max_payload(mtu)
-    count = max(1, -(-len(data) // chunk))  # ceil division
-    for index in range(count):
-        payload = data[index * chunk : (index + 1) * chunk]
-        header = _HEADER.pack(msgid, index, count, len(payload), zlib.crc32(payload))
-        yield header + payload
+    yield from fragment_sg(msgid, (data,), mtu)
 
 
-def fragment_sg(msgid: int, segments, mtu: int = CLF_MTU) -> Iterator[bytearray]:
-    """Packetize a scatter/gather list of bytes-like segments.
+def fragment_sg(msgid: int, segments, mtu: int = CLF_MTU) -> list[bytearray]:
+    """Packetize a scatter/gather sequence of bytes-like segments.
 
     The message on the wire is the concatenation of ``segments``, but the
     segments are gathered *directly into the packets*: each message byte is
@@ -65,11 +62,23 @@ def fragment_sg(msgid: int, segments, mtu: int = CLF_MTU) -> Iterator[bytearray]
     buffer — this is what makes out-of-band payload framing one-memcpy on
     the send side.  Packets come out as bytearrays; receivers treat them as
     read-only.
+
+    A message that fits one packet — every payload-free RPC and reply — is
+    one header plus one join: no per-fragment bookkeeping.  The only thing
+    that picks the path is the message's own size against ``mtu``.
     """
     chunk = max_payload(mtu)
+    total = 0
+    for seg in segments:
+        total += len(seg) if seg.__class__ is bytes else memoryview(seg).nbytes
+    if total <= chunk:
+        packet = _NO_BYTES.join((_HEADER_PAD, *segments))
+        crc = zlib.crc32(memoryview(packet)[HEADER_BYTES:])
+        _HEADER.pack_into(packet, 0, msgid, 0, 1, total, crc)
+        return [packet]
     views = [memoryview(seg).cast("B") for seg in segments]
-    total = sum(v.nbytes for v in views)
-    count = max(1, -(-total // chunk))  # ceil division
+    count = -(-total // chunk)  # ceil division
+    packets = []
     seg_i = 0
     offset = 0
     for index in range(count):
@@ -87,7 +96,8 @@ def fragment_sg(msgid: int, segments, mtu: int = CLF_MTU) -> Iterator[bytearray]
                 offset = 0
         crc = zlib.crc32(memoryview(packet)[HEADER_BYTES:])
         _HEADER.pack_into(packet, 0, msgid, index, count, paylen, crc)
-        yield packet
+        packets.append(packet)
+    return packets
 
 
 def parse(packet, mtu: int = CLF_MTU) -> tuple[int, int, int, memoryview]:
@@ -134,10 +144,17 @@ class Reassembler:
         #: so this is what lets the tracer pair a send with its receive.
         self.last_msgid: int | None = None
 
-    def feed(self, packet) -> bytes | None:
-        """Consume one packet; return the completed message or None."""
+    def feed(self, packet) -> bytes | memoryview | None:
+        """Consume one packet; return the completed message or None.
+
+        A single-packet message comes back as a view of ``packet`` itself
+        (no join, no copy); a fragmented one as the joined bytes.
+        """
         msgid, index, count, payload = parse(packet, self.mtu)
         if self._msgid is None:
+            if count == 1 and index == 0:
+                self.last_msgid = msgid
+                return payload
             if index != 0:
                 raise TransportError(
                     f"message {msgid} began at fragment {index}, expected 0 "

@@ -140,15 +140,25 @@ class ShmRing:
         buf = self._buf
         if buf is None:
             raise TransportError("shm ring closed")
+        capacity = self.capacity
         for seg in segments:
-            view = memoryview(seg).cast("B")
-            off = 0
-            while off < view.nbytes:
-                take = min(view.nbytes - off, self.capacity - pos)
-                start = RING_HEADER_BYTES + pos
-                buf[start:start + take] = view[off:off + take]
-                off += take
-                pos = (pos + take) % self.capacity
+            # bytes and flat byte views (what the codec emits) are assigned
+            # as they are; anything else is cast to one first
+            kind = seg.__class__
+            if kind is not bytes and not (
+                kind is memoryview and seg.format == "B" and seg.ndim == 1
+            ):
+                seg = memoryview(seg).cast("B")
+            size = len(seg)
+            start = RING_HEADER_BYTES + pos
+            first = capacity - pos
+            if size <= first:  # no wrap: one slice assignment
+                buf[start:start + size] = seg
+            else:
+                view = memoryview(seg)
+                buf[start:start + first] = view[:first]
+                buf[RING_HEADER_BYTES:RING_HEADER_BYTES + size - first] = view[first:]
+            pos = (pos + size) % capacity
         self._written += nbytes
         _COUNTER.pack_into(buf, _WRITTEN_OFF, self._written)
 
@@ -165,17 +175,17 @@ class ShmRing:
             raise TransportError(
                 f"doorbell claims {nbytes} B, ring capacity {self.capacity}"
             )
-        out = bytearray(nbytes)
         pos = self._read % self.capacity
         buf = self._buf
         if buf is None:
             raise TransportError("shm ring closed")
         first = min(nbytes, self.capacity - pos)
         start = RING_HEADER_BYTES + pos
-        out[:first] = buf[start:start + first]
+        # built from the ring slice, so the buffer is written exactly once
+        # (bytearray(nbytes) would zero-fill it first)
+        out = bytearray(buf[start:start + first])
         if first < nbytes:
-            rest = nbytes - first
-            out[first:] = buf[RING_HEADER_BYTES:RING_HEADER_BYTES + rest]
+            out += buf[RING_HEADER_BYTES:RING_HEADER_BYTES + nbytes - first]
         self._read += nbytes
         _COUNTER.pack_into(buf, _READ_OFF, self._read)
         return out

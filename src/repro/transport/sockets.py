@@ -37,7 +37,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Callable
+from typing import Any, Callable
 
 from repro.errors import TransportClosedError, TransportError
 from repro.obs import events as _obs
@@ -62,27 +62,29 @@ def ring_name(session: str, src: int, dst: int) -> str:
     return f"stm-{session}-r{src}-{dst}"
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytearray:
-    buf = bytearray(nbytes)
-    view = memoryview(buf)
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    """Fill ``view`` from the socket (blocking until it is full)."""
     got = 0
-    while got < nbytes:
-        n = sock.recv_into(view[got:], nbytes - got)
+    while got < view.nbytes:
+        n = sock.recv_into(view[got:] if got else view)
         if n == 0:
             raise ConnectionError("peer closed the connection")
         got += n
+
+
+def _recv_exact(sock: socket.socket, nbytes: int) -> bytearray:
+    buf = bytearray(nbytes)
+    _recv_into(sock, memoryview(buf))
     return buf
 
 
-def _sendall_sg(sock: socket.socket, segments: list) -> None:
-    """sendmsg the scatter/gather list without joining it first."""
+def _sendall_sg(sock: socket.socket, segments: list, nbytes: int) -> None:
+    """sendmsg the scatter/gather list (``nbytes`` in all) without joining it."""
+    sent = sock.sendmsg(segments)
+    if sent == nbytes:
+        return  # everything went out in one call
     views = [memoryview(seg).cast("B") for seg in segments]
-    while views:
-        sent = sock.sendmsg(views)
-        # Fast path: everything went out in one call.
-        remaining = sum(v.nbytes for v in views) - sent
-        if remaining == 0:
-            return
+    while True:
         # Partial send: drop fully-sent views, slice the straddler.
         rebuilt: list[memoryview] = []
         for view in views:
@@ -92,6 +94,9 @@ def _sendall_sg(sock: socket.socket, segments: list) -> None:
             rebuilt.append(view[sent:] if sent else view)
             sent = 0
         views = rebuilt
+        if not views:
+            return
+        sent = sock.sendmsg(views)
 
 
 class _Peer:
@@ -137,6 +142,8 @@ class SocketEndpoint:
         self._send_locks: dict[int, threading.Lock] = {}
         self._send_rings: dict[int, ShmRing] = {}
         self._recv_rings: dict[int, ShmRing] = {}
+        #: (registry epoch, medium, direction) -> clf_wire_bytes_total handle
+        self._wire_counters: dict[tuple, Any] = {}
         self._mesh_ready = threading.Event()
         self._lock = threading.Lock()
         self._closed = False
@@ -260,16 +267,13 @@ class SocketEndpoint:
                 f"endpoint {self.space} is closed"
                 + (f" ({self.failure})" if self.failure else "")
             )
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            segments: list = [data]
-        else:
-            segments = list(data)
-        nbytes = sum(memoryview(seg).nbytes for seg in segments)
+        segments = [data] if isinstance(data, (bytes, bytearray, memoryview)) else data
+        nbytes = 0
+        for seg in segments:
+            nbytes += len(seg) if seg.__class__ is bytes else memoryview(seg).nbytes
         if dst == self.space:
             # Loopback: no medium in the paper's sense; deliver directly.
-            joined = segments[0] if len(segments) == 1 else b"".join(
-                bytes(memoryview(seg)) for seg in segments
-            )
+            joined = segments[0] if len(segments) == 1 else b"".join(segments)
             self._inbox.put((self.space, joined))
             return
         peer = self._peers.get(dst)
@@ -308,18 +312,29 @@ class SocketEndpoint:
                     _sendall_sg(
                         peer.sock,
                         [FRAME_HEADER.pack(_DATA, nbytes), *segments],
+                        FRAME_HEADER.size + nbytes,
                     )
         except (OSError, ValueError) as exc:
             raise TransportClosedError(
                 f"send from space {self.space} to space {dst} failed: {exc}"
             ) from exc
-        self.stats.messages_sent += 1
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += nbytes
-        REGISTRY.counter(
-            "clf_wire_bytes_total", space=self.space, medium=medium,
-            direction="tx",
-        ).inc(nbytes)
+        stats = self.stats
+        stats.messages_sent += 1
+        stats.packets_sent += 1
+        stats.bytes_sent += nbytes
+        self._wire_counter(medium, "tx").inc(nbytes)
+
+    def _wire_counter(self, medium: str, direction: str):
+        """This space's ``clf_wire_bytes_total`` counter for one medium and
+        direction: resolved once, and again after ``REGISTRY.reset()``."""
+        key = (REGISTRY.epoch, medium, direction)
+        counter = self._wire_counters.get(key)
+        if counter is None:
+            counter = self._wire_counters[key] = REGISTRY.counter(
+                "clf_wire_bytes_total", space=self.space, medium=medium,
+                direction=direction,
+            )
+        return counter
 
     def recv(self, timeout: float | None = None):
         """Block for the next complete message; return ``(src, message)``."""
@@ -334,10 +349,12 @@ class SocketEndpoint:
     def _reader_loop(self, peer: _Peer) -> None:
         sock = peer.sock
         src = peer.space
+        stats = self.stats
+        header = memoryview(bytearray(FRAME_HEADER.size))  # reused per frame
         try:
             while True:
-                header = _recv_exact(sock, FRAME_HEADER.size)
-                kind, length = FRAME_HEADER.unpack(bytes(header))
+                _recv_into(sock, header)
+                kind, length = FRAME_HEADER.unpack_from(header)
                 if kind == _HBT:
                     self.last_heartbeat[src] = time.monotonic()
                     continue
@@ -365,15 +382,12 @@ class SocketEndpoint:
                 # Mirror of the sender's flow numbering: this reader is the
                 # only consumer of the (src -> self) stream, so counting
                 # completed messages here reproduces the sender's seq.
-                seq = self.stats.per_peer_recv.get(src, 0)
-                self.stats.per_peer_recv[src] = seq + 1
-                self.stats.messages_received += 1
-                self.stats.packets_received += 1
-                self.stats.bytes_received += length
-                REGISTRY.counter(
-                    "clf_wire_bytes_total", space=self.space, medium=medium,
-                    direction="rx",
-                ).inc(length)
+                seq = stats.per_peer_recv.get(src, 0)
+                stats.per_peer_recv[src] = seq + 1
+                stats.messages_received += 1
+                stats.packets_received += 1
+                stats.bytes_received += length
+                self._wire_counter(medium, "rx").inc(length)
                 rec = _obs.recorder
                 if rec is not None:
                     rec.instant("clf", "clf.recv", self.space,

@@ -152,6 +152,32 @@ def test_detach_vs_reclaim_tree_is_exhausted():
     assert result.runs < 500
 
 
+def test_late_reply_scenario_is_exhausted_and_has_teeth(monkeypatch):
+    """Every interleaving of a late reply with the reused call slot is
+    covered, and the scenario does catch the bug it exists for: a completion
+    that looks the slot up under the lock but delivers after dropping it."""
+    from repro.runtime.address_space import AddressSpace
+
+    scenario = SCENARIOS["late-reply-vs-next-call"]
+    result = explore(scenario, budget=5000)
+    assert result.clean and result.exhausted, result.finding
+
+    def check_then_deliver(self, reply):
+        with self._calls_lock:
+            call = self._calls.get(reply.call_id)
+        if call is None or call.done:
+            return
+        call.value, call.error, call.done = reply.value, reply.error, True
+        call.event.set()
+
+    monkeypatch.setattr(AddressSpace, "_complete_call", check_then_deliver)
+    result = explore(scenario, budget=5000)
+    assert result.finding is not None
+    _name, schedule = decode_seed(
+        result.finding.message.split("[seed ")[1].rstrip("]"))
+    assert replay(scenario, schedule) is not None
+
+
 @pytest.mark.parametrize("name", SEEDED)
 def test_seeded_bugs_are_found(name):
     scenario = SCENARIOS[name]

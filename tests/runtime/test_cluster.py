@@ -14,7 +14,16 @@ from repro.errors import (
     NoSuchChannelError,
 )
 from repro.runtime import Cluster
-from repro.runtime.messages import GetReq, PutReq
+from repro.runtime.address_space import AddressSpace
+from repro.runtime.messages import (
+    ClockProbeReq,
+    GetReq,
+    PutReq,
+    RpcCancel,
+    RpcReply,
+    RpcRequest,
+)
+from repro.transport.serialization import decode_message
 
 
 @pytest.fixture
@@ -249,3 +258,84 @@ class TestShutdown:
         cluster.shutdown()
         thread.join(timeout=10)
         assert failures  # the blocked call surfaced an error, not a hang
+
+
+class TestReusedCallSlot:
+    """``call`` keeps one completion slot per calling thread."""
+
+    def test_late_reply_to_a_timed_out_call_cannot_complete_the_next_call(
+        self, monkeypatch
+    ):
+        """Call N times out; the same thread issues N+1; the reply to N
+        lands after N+1 took the slot over — N+1 still gets its own value."""
+        monkeypatch.setattr(AddressSpace, "_CANCEL_GRACE_S", 0.05)
+        # no dispatchers: this test is the server, and the reply pump
+        with Cluster(n_spaces=2, gc_period=None, dispatchers=False) as cluster:
+            space, server = cluster.space(0), cluster.space(1).endpoint
+            outcome = {}
+
+            def caller():
+                try:
+                    space.call(1, ClockProbeReq(), timeout=0.05)
+                except TimeoutError as exc:
+                    outcome["first"] = exc
+                outcome["slot"] = space._call_slot()
+                outcome["second"] = space.call(1, ClockProbeReq(), timeout=10)
+
+            thread = threading.Thread(target=caller, daemon=True)
+            thread.start()
+            received = [decode_message(server.recv(timeout=5)[1]) for _ in range(3)]
+            first, cancel, second = received
+            assert isinstance(first, RpcRequest) and isinstance(second, RpcRequest)
+            assert isinstance(cancel, RpcCancel) and cancel.call_id == first.call_id
+            # N+1 is registered (its request is here) on the slot N used
+            slot = space._calls[second.call_id]
+            assert slot.call_id == second.call_id
+            space._complete_call(RpcReply(first.call_id, value="stale"))
+            assert not slot.done and not slot.event.is_set()
+            space._complete_call(RpcReply(second.call_id, value="fresh"))
+            thread.join(timeout=5)
+            assert isinstance(outcome["first"], TimeoutError)
+            assert outcome["second"] == "fresh"
+            assert outcome["slot"] is slot  # one slot, reused
+            assert not space._calls
+
+    def test_concurrent_callers_each_get_their_own_reply(self):
+        """More callers than cores, a short switch interval: every reply
+        lands in the slot of the thread that asked, and async calls keep a
+        slot of their own per request."""
+        import sys
+
+        from repro.runtime.messages import LookupNameReq
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Cluster(n_spaces=2, gc_period=None, registry_space=1) as cluster:
+                space = cluster.space(0)
+                names = [f"slot-{i}" for i in range(6)]
+                for name in names:
+                    space.create_channel(name)
+                slots, wrong = [], []
+
+                def worker(name):
+                    for _ in range(50):
+                        handle = space.call(1, LookupNameReq(name), timeout=10)
+                        if handle.name != name:
+                            wrong.append((name, handle.name))
+                    slots.append(space._call_slot())
+
+                workers = [threading.Thread(target=worker, args=(n,)) for n in names]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=30)
+                assert not any(w.is_alive() for w in workers)
+                assert wrong == [] and len({id(s) for s in slots}) == len(names)
+                pending = [space.call_async(1, LookupNameReq(n)) for n in names]
+                assert len({id(c) for c in pending}) == len(names)
+                got = space.gather(pending, timeout=10)
+                assert [h.name for h in got] == names
+                assert not space._calls
+        finally:
+            sys.setswitchinterval(interval)

@@ -116,3 +116,61 @@ class TestDispatcherResilience:
             out.put(0, b"still alive")
             assert inp.get_consume(0).value == b"still alive"
             me.exit()
+
+    def test_corrupted_request_is_counted_and_its_caller_times_out(
+        self, monkeypatch
+    ):
+        """One bit-flipped request: the server cannot know whose it was, so
+        the caller learns through its own timeout — and the drop is counted
+        (it used to vanish), while the dispatcher goes on serving."""
+        import threading
+        import time
+
+        from repro.obs import events as obs_events
+        from repro.runtime import Cluster
+        from repro.runtime.address_space import AddressSpace
+        from repro.runtime.messages import EndpointStatsReq
+
+        monkeypatch.setattr(AddressSpace, "_CANCEL_GRACE_S", 0.2)
+        with Cluster(n_spaces=2, gc_period=None) as cluster:
+            space = cluster.space(0)
+            me = space.adopt_current_thread(virtual_time=0)
+            handle = space.create_channel("lossy", home=1)
+            conn = space.attach(handle, is_input=True, thread=me)
+            stats = lambda: space.call(1, EndpointStatsReq())["clf"]  # noqa: E731
+            assert stats()["decode_errors"] == 0
+
+            with FaultyNetwork(cluster.network) as faulty, obs_events.trace() as rec:
+                faulty.fault_link(0, 1, FaultPlan(corrupt=1.0, seed=1))
+
+                def heal():  # exactly one packet is damaged: the request
+                    while faulty.injected["corrupted"] < 1:
+                        time.sleep(0.001)
+                    faulty.uninstall()
+
+                healer = threading.Thread(target=heal, daemon=True)
+                healer.start()
+                with pytest.raises(TimeoutError, match="timed out"):
+                    space.call(1, EndpointStatsReq(), timeout=0.3)
+                healer.join(timeout=5)
+            assert faulty.injected["corrupted"] == 1
+
+            assert stats()["decode_errors"] == 1
+            dropped = [ev for ev in rec.events() if ev[2] == "clf.decode_error"]
+            assert len(dropped) == 1
+            assert dropped[0][5] == 1 and dropped[0][6]["error"] == "TransportError"
+            # still serving: a real operation on the channel homed there
+            space.consume(handle, conn, 1)
+            space.detach(handle, conn)
+            me.exit()
+
+    def test_undecodable_message_is_counted(self):
+        from repro.runtime import Cluster
+        from repro.runtime.messages import EndpointStatsReq
+
+        with Cluster(n_spaces=2, gc_period=None) as cluster:
+            space = cluster.space(0)
+            space.endpoint.send(1, b"\xff\xffnot-a-message")  # unknown tag
+            space.endpoint.send(1, b"\x01\x00not-a-pickle")   # RpcRequest tag
+            snap = space.call(1, EndpointStatsReq())["clf"]
+            assert snap["decode_errors"] == 2

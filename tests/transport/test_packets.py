@@ -10,6 +10,7 @@ from repro.transport.packets import (
     HEADER_BYTES,
     Reassembler,
     fragment,
+    fragment_sg,
     max_payload,
     parse,
 )
@@ -117,6 +118,74 @@ class TestReassembler:
     def test_oversize_packet_detected(self):
         with pytest.raises(PacketTooLargeError):
             Reassembler().feed(bytes(CLF_MTU + 1))
+
+
+def _reassemble(packets, mtu=CLF_MTU):
+    r = Reassembler(mtu)
+    results = [r.feed(packet) for packet in packets]
+    assert all(result is None for result in results[:-1])
+    assert not r.mid_message
+    return results[-1]
+
+
+class TestSinglePacketPath:
+    """The size switch: one packet is one join and comes back as a view of
+    that packet; one byte more takes the fragmenting path.  Same bytes, same
+    checks, either side of the boundary."""
+
+    @pytest.mark.parametrize("mtu", [CLF_MTU, 256])
+    def test_both_sides_of_the_boundary_reassemble_identically(self, mtu):
+        chunk = max_payload(mtu)
+        body = bytes(i * 7 % 251 for i in range(chunk + 1))
+        for size, npackets in ((chunk, 1), (chunk + 1, 2)):
+            # the same message as one segment and as an uneven gather list
+            whole = fragment_sg(9, [body[:size]], mtu)
+            parts = fragment_sg(
+                9, [body[:3], memoryview(body)[3:size - 5], body[size - 5:size]], mtu
+            )
+            assert [bytes(p) for p in whole] == [bytes(p) for p in parts]
+            assert len(whole) == npackets
+            assert all(len(p) <= mtu for p in whole)
+            assert _reassemble(whole, mtu) == body[:size]
+
+    def test_single_packet_message_is_a_view_of_its_packet(self):
+        (packet,) = fragment_sg(3, [b"head", b"tail"])
+        out = Reassembler().feed(packet)
+        assert isinstance(out, memoryview) and out.obj is packet
+        assert out == b"headtail"
+        # a fragmented message is joined into bytes of its own
+        assert isinstance(_reassemble(fragment_sg(4, [bytes(20_000)])), bytes)
+
+    def test_zero_length_message_is_one_header_only_packet(self):
+        for segments in ([], [b""], [b"", b""]):
+            (packet,) = fragment_sg(5, segments)
+            assert len(packet) == HEADER_BYTES
+            assert parse(packet) == (5, 0, 1, b"")
+            assert Reassembler().feed(packet) == b""
+
+    def test_flipped_bit_in_single_packet_message_fails_crc(self):
+        (packet,) = fragment_sg(1, [b"payload-free request"])
+        for position in (HEADER_BYTES, len(packet) - 1):
+            damaged = bytearray(packet)
+            damaged[position] ^= 0x01
+            with pytest.raises(TransportError, match="CRC"):
+                Reassembler().feed(damaged)
+
+    def test_single_packet_message_inside_a_fragmented_one_is_a_violation(self):
+        r = Reassembler()
+        long = fragment_sg(1, [bytes(20_000)])
+        (short,) = fragment_sg(2, [b"interloper"])
+        assert r.feed(long[0]) is None
+        with pytest.raises(TransportError, match="violation"):
+            r.feed(short)
+
+    def test_last_msgid_tracks_single_packet_messages(self):
+        r = Reassembler()
+        r.feed(fragment_sg(41, [b"a"])[0])
+        assert r.last_msgid == 41
+        for packet in fragment_sg(42, [bytes(20_000)]):
+            r.feed(packet)
+        assert r.last_msgid == 42
 
 
 @given(st.binary(max_size=60_000), st.integers(0, 2**40))

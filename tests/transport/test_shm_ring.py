@@ -39,6 +39,31 @@ class TestBasics:
             ring.write([chunk], 100)
             assert bytes(ring.read(100)) == chunk
 
+    def test_segments_of_any_buffer_type_across_the_ring_end(self, ring):
+        """bytes and flat byte views are assigned as they are, everything
+        else through a cast; a segment that straddles the end of the ring is
+        split, whichever kind it is."""
+        import array
+
+        words = array.array("i", range(10))  # 40 bytes, format "i"
+        segments = [
+            b"\x01" * 40, bytearray(b"\x02" * 40), memoryview(b"\x03" * 40), words,
+            memoryview(words),
+        ]
+        expected = b"".join(bytes(memoryview(s).cast("B")) for s in segments)
+        assert len(expected) == 200
+        # from each start the end of the ring falls inside a different segment
+        for start in (0, 70, 110, 150, 190, 230):
+            if start:
+                ring.write([bytes(start)], start)
+                ring.read(start)
+            ring.write(segments, len(expected))
+            assert bytes(ring.read(len(expected))) == expected
+            rest = (256 - (start + len(expected)) % 256) % 256
+            if rest:  # realign the ring for the next round
+                ring.write([bytes(rest)], rest)
+                ring.read(rest)
+
     def test_attach_sees_creator_writes(self, ring):
         other = ShmRing.attach("stm-test-ring")
         try:

@@ -2,7 +2,7 @@
 
 The process runtime (:mod:`repro.runtime.procs`) uses the ``spawn`` start
 method, so everything that crosses an address-space boundary — every
-``@register_message`` envelope, every RPC body it can carry, the
+``@register_message`` envelope, every registered RPC body it can carry, the
 :class:`~repro.transport.serialization.Frame` zero-copy wrapper, and the
 :data:`~repro.core.INFINITY` virtual-time sentinel — must pickle under a
 *fresh* interpreter with none of the parent's incidental module state.
@@ -17,6 +17,7 @@ from repro.core import INFINITY, STM_LATEST_UNSEEN
 from repro.runtime.messages import (
     AttachReq,
     CachePushMsg,
+    ClockProbeReq,
     ConsumeReq,
     CreateChannelReq,
     DestroyChannelReq,
@@ -34,6 +35,7 @@ from repro.runtime.messages import (
     RpcRequest,
     ShutdownMsg,
     SpawnReq,
+    TelemetryHarvestReq,
 )
 from repro.transport.serialization import (
     Frame,
@@ -63,6 +65,8 @@ def _sample_bodies() -> list:
         GcSummaryReq(epoch=3),
         GcApplyReq(epoch=3, horizon=INFINITY),
         EndpointStatsReq(reset_frames=True),
+        TelemetryHarvestReq(disarm=True),
+        ClockProbeReq(),
     ]
 
 
@@ -124,7 +128,10 @@ def _roundtrip_all(samples: list) -> list:
 
 class TestSpawnSafety:
     def test_every_registered_tag_is_covered(self):
-        tags = {type(m) for m in _sample_messages()}
+        # bodies are registered too: they count when an envelope carries them
+        samples = _sample_messages()
+        tags = {type(m) for m in samples}
+        tags |= {type(m.body) for m in samples if isinstance(m, RpcRequest)}
         assert set(message_types().values()) <= tags
 
     def test_roundtrip_through_spawned_child(self):
@@ -135,6 +142,10 @@ class TestSpawnSafety:
         for msg in echoed:
             by_type.setdefault(type(msg), []).append(msg)
         assert set(by_type) == {type(m) for m in samples}
+        # every body came back as its own class, in the order sent
+        assert [type(m.body) for m in echoed if isinstance(m, RpcRequest)] == [
+            type(body) for body in _sample_bodies()
+        ]
 
         # Load-bearing fields survive, including the INFINITY singleton.
         requests = by_type[RpcRequest]
