@@ -23,11 +23,13 @@ from typing import Callable
 
 from repro.analysis.modelcheck.scheduler import InvariantViolation
 from repro.core.channel_state import ChannelKernel, Status
-from repro.core.time import INFINITY
+from repro.core.time import INFINITY, vt_min
+from repro.errors import ChannelDestroyedError, NoSuchChannelError
 from repro.runtime.cluster import Cluster
 from repro.runtime.messages import ClockProbeReq, RpcReply
 from repro.runtime.sync import make_event, make_lock
 from repro.runtime.threads import StampedeThread
+from repro.stm.api import STM
 
 __all__ = ["Scenario", "SCENARIOS"]
 
@@ -398,6 +400,159 @@ class LateReplyVsNextCall(Scenario):
         _require(not ctx.space._calls, "a call is still registered")
 
 
+class GcSummaryVsOpenItem(Scenario):
+    """A GC epoch at every point of put -> get -> inherited put -> consume.
+
+    Through the ``stm.api`` facade one thread puts item 5 at its virtual
+    time, raises the virtual time to INFINITY, gets the item back, puts the
+    inherited timestamp into a sink channel and consumes.  Its virtual-time
+    state is single-writer and unlocked: the collector reads one published
+    attribute.  Under test is what replaces the lock — the owner's program
+    order (a put lands before virtual time rises, a consume is applied
+    before the open item is closed) and ``gc_summary`` reading thread
+    visibilities before channel minima — so no epoch may collect at or above
+    a timestamp the thread still holds open or may still put at, nor the
+    inherited item before its reader saw it.
+
+    The source channel is created, and therefore scanned, before the sink:
+    a summary is not an atomic snapshot, and scanned against the flow an
+    item can leave the unread source for the already-read sink (DESIGN.md
+    section 5d records this limit of the protocol; ``sink_first`` shows it).
+    """
+
+    name = "gc-summary-vs-open-item"
+    description = "GC epoch racing put -> get -> inherited put -> consume"
+    budget = 1000  # the reduced tree has 841 schedules
+    sink_first = False
+
+    def build(self):
+        ctx = _cluster_ctx()
+        other = ctx.space.create_channel()
+        ctx.source, ctx.sink = (
+            (other, ctx.handle) if self.sink_first else (ctx.handle, other)
+        )
+        stm = STM(ctx.space)
+        ctx.worker_t = _register_thread(ctx, "worker", 5)
+        reader = _register_thread(ctx, "reader", INFINITY)
+        ctx.feed = stm.channel(ctx.source).attach_output(ctx.worker_t)
+        ctx.inp = stm.channel(ctx.source).attach_input(ctx.worker_t)
+        ctx.out = stm.channel(ctx.sink).attach_output(ctx.worker_t)
+        stm.channel(ctx.sink).attach_input(reader)  # never consumes
+        ctx.fed = ctx.put_done = ctx.consumed = False
+        return ctx
+
+    def threads(self, ctx):
+        def worker(ctx):
+            ctx.feed.put(5, "frame")
+            ctx.fed = True
+            ctx.worker_t.set_virtual_time(INFINITY)
+            item = ctx.inp.get(5)
+            ctx.out.put(item.timestamp, item.value)
+            ctx.put_done = True
+            ctx.inp.consume(5)
+            ctx.consumed = True
+
+        def gc(ctx):
+            summary = ctx.space.gc_summary()
+            ctx.space.apply_gc_horizon(summary.local_min())
+
+        return [("worker", worker), ("gc", gc)]
+
+    def step_invariant(self, ctx):
+        kernels = {
+            name: ctx.space._channels[handle.channel_id].kernel
+            for name, handle in (("source", ctx.source), ("sink", ctx.sink))
+        }
+        worker = ctx.worker_t
+        held = vt_min([worker.virtual_time, *(ts for _, _, ts in worker.open_items())])
+        _require(
+            worker.visibility() == held,
+            f"published visibility {worker.visibility()!r} is not "
+            f"min(virtual time, open items) = {held!r}",
+        )
+        for name, kernel in kernels.items():
+            _require(
+                kernel.gc_horizon <= held,
+                f"{name} channel collected up to {kernel.gc_horizon}, above "
+                f"the worker's visibility {held!r}",
+            )
+        _require(
+            not ctx.fed or ctx.consumed or 5 in kernels["source"].items,
+            "GC reclaimed the item the worker had not consumed yet",
+        )
+        _require(
+            not ctx.put_done or 5 in kernels["sink"].items,
+            "GC reclaimed the inherited item before its reader saw it",
+        )
+
+    def final_invariant(self, ctx):
+        _require(ctx.consumed, "worker did not finish")
+
+
+class DestroyVsLocalOp(Scenario):
+    """Channel destruction racing local operations on that channel.
+
+    The channel table is copy-on-write and read without a lock, so a put
+    or get can resolve the channel from the snapshot that still lists it
+    and reach the channel lock only after the destroy.  Every operation
+    must end as a success on the live kernel, ``ChannelDestroyedError``
+    (resolved or parked before the destroy) or ``NoSuchChannelError``
+    (table already replaced) — never a success on the dead kernel, never a
+    getter left parked (that is a deadlock, which the scheduler reports).
+    """
+
+    name = "destroy-vs-local-op"
+    description = "destroy racing a local put and a blocking get"
+    budget = 1000  # the reduced tree has 842 schedules
+
+    def build(self):
+        ctx = _cluster_ctx()
+        producer = _register_thread(ctx, "producer", 0)
+        consumer = _register_thread(ctx, "consumer", 0)
+        ctx.out = ctx.space.attach(ctx.handle, is_input=False, thread=producer)
+        ctx.inp = ctx.space.attach(ctx.handle, is_input=True, thread=consumer)
+        ctx.kernel = _kernel(ctx)
+        ctx.outcome = {}
+        return ctx
+
+    def threads(self, ctx):
+        def attempt(name, op):
+            try:
+                op()
+                ctx.outcome[name] = "ok"
+            except (ChannelDestroyedError, NoSuchChannelError) as exc:
+                ctx.outcome[name] = type(exc).__name__
+
+        def putter(ctx):
+            attempt("put", lambda: ctx.space.put(ctx.handle, ctx.out, 0, b"a", 1))
+
+        def getter(ctx):
+            attempt("get", lambda: ctx.space.get(ctx.handle, ctx.inp, 0))
+
+        def destroyer(ctx):
+            ctx.space.destroy_channel(ctx.handle)
+
+        return [("putter", putter), ("getter", getter), ("destroyer", destroyer)]
+
+    def final_invariant(self, ctx):
+        _require(
+            set(ctx.outcome) == {"put", "get"},
+            f"an operation ended outside the allowed outcomes: {ctx.outcome!r}",
+        )
+        _require(
+            ctx.outcome["get"] != "ok" or ctx.outcome["put"] == "ok",
+            "get returned an item nobody put",
+        )
+        _require(
+            ctx.kernel.destroyed and len(ctx.kernel) == 0,
+            "an operation succeeded on the destroyed kernel",
+        )
+        _require(
+            ctx.handle.channel_id not in ctx.space._channels,
+            "destroyed channel still listed in the table",
+        )
+
+
 # ---------------------------------------------------------------------------
 # seeded-bug scenarios (expect_violation=True)
 # ---------------------------------------------------------------------------
@@ -455,7 +610,7 @@ class SeededGcReclaimsLive(Scenario):
     description = "stale-horizon GC reclaims a live item"
     expect_violation = True
     # The violating interleaving needs three context switches (snapshot /
-    # put / apply / get); deepest-first DFS reaches it around run ~230.
+    # put / apply / get); deepest-first DFS reaches it around run ~64.
     budget = 600
 
     def build(self):
@@ -538,6 +693,8 @@ SCENARIOS: dict[str, Scenario] = {
         BoundedPutVsGet(),
         GcHorizonMonotonic(),
         LateReplyVsNextCall(),
+        GcSummaryVsOpenItem(),
+        DestroyVsLocalOp(),
         SeededAtomicityBreak(),
         SeededGcReclaimsLive(),
         SeededLostWakeup(),

@@ -12,9 +12,11 @@ paper runs one per SMP).  It owns:
   registry operations (on the registry space).
 
 Location transparency (§4): a thread operating on a channel homed in its own
-space takes a direct, lock-protected fast path ("CLF exploits shared memory
-within an SMP"); operations on remote channels become synchronous RPCs over
-CLF.  Both paths run the *same* kernel code, so semantics cannot diverge.
+space runs the operation directly under the channel lock — the one lock a
+local put, get or consume takes ("CLF exploits shared memory within an
+SMP"); operations on remote channels become synchronous RPCs over CLF, served
+at the home by the *same* start functions (``_put_start`` / ``_get_start`` /
+``_consume_apply``), so semantics cannot diverge.
 
 Blocking — targeted wakeups: every blocked operation (local or remote) is
 parked at the channel in one of two wait sets keyed by its
@@ -116,7 +118,7 @@ class _Waiter:
     retries anything itself.
     """
 
-    body: Any  # PutReq | GetReq
+    body: Any  # PutReq | GetReq, built at park time: the drains replay it
     # remote waiters:
     call_id: int | None = None
     src_space: int | None = None
@@ -277,6 +279,8 @@ class AddressSpace:
         self._channel_ids = IdAllocator(space_id, n)
         self._conn_ids = IdAllocator(space_id, n)
         self._call_ids = IdAllocator(space_id, n)
+        #: copy-on-write: create/destroy *replace* the dict under
+        #: ``_channels_lock``; readers use whatever snapshot is current.
         self._channels: dict[int, LocalChannel] = {}
         self._channels_lock = make_lock("AddressSpace.channels")
         self._threads: dict[str, StampedeThread] = {}
@@ -286,7 +290,8 @@ class AddressSpace:
         self._calls_lock = make_lock("AddressSpace.calls")
         #: ``.slot``: the calling thread's reusable :class:`_Call`.
         self._thread_call = threading.local()
-        self._parked_index: dict[int, LocalChannel] = {}  # call_id -> channel
+        #: call_id -> (channel, waiter) of every parked remote operation.
+        self._parked_index: dict[int, tuple[LocalChannel, _Waiter]] = {}
         # The parked index is touched by the dispatcher (_serve_cancel) and
         # by whatever thread drains a waiter, under *different* channel
         # locks — it needs its own lock (found by repro.analysis.modelcheck).
@@ -414,20 +419,16 @@ class AddressSpace:
 
     def _serve_cancel(self, msg: RpcCancel) -> None:
         with self._parked_lock:
-            channel = self._parked_index.pop(msg.call_id, None)
+            channel, waiter = self._parked_index.pop(msg.call_id, (None, None))
         if channel is None:
             return  # already completed; the reply won the race
         with channel.lock:
-            for waiters in (channel.put_waiters, channel.get_waiters):
-                for waiter in list(waiters):
-                    if waiter.call_id == msg.call_id:
-                        waiters.remove(waiter)
-                        self._reply_error(
-                            waiter.src_space,
-                            waiter.call_id,
-                            TimeoutError("operation cancelled by caller timeout"),
-                        )
-                        return
+            if self._unpark(channel, waiter):
+                self._reply_error(
+                    waiter.src_space,
+                    waiter.call_id,
+                    TimeoutError("operation cancelled by caller timeout"),
+                )
 
     def _reply_value(self, dst: int, call_id: int, value: Any) -> None:
         self.endpoint.send(dst, encode_message_sg(RpcReply(call_id, value=value)))
@@ -589,13 +590,9 @@ class AddressSpace:
     def _handle_blocking_locally(self, body: Any, timeout: float | None) -> Any:
         """Execute a request for a thread of this very space.
 
-        Blocking puts/gets wait on the channel condition variable instead of
-        being parked (there is no reply to defer).
+        Channel operations never come this way — :meth:`put`, :meth:`get`
+        and :meth:`consume` run their start function directly.
         """
-        if isinstance(body, PutReq):
-            return self._local_put(body, timeout)
-        if isinstance(body, GetReq):
-            return self._local_get(body, timeout)
         if isinstance(body, (LookupNameReq,)) and body.wait:
             return self._local_lookup_wait(body, timeout)
         if isinstance(body, JoinReq):
@@ -617,7 +614,9 @@ class AddressSpace:
         )
         kernel = ChannelKernel(channel_id, capacity=body.capacity)
         with self._channels_lock:
-            self._channels[channel_id] = LocalChannel(kernel, handle)
+            self._channels = {
+                **self._channels, channel_id: LocalChannel(kernel, handle),
+            }
         return handle
 
     def _h_destroy_channel(self, body: DestroyChannelReq, src: int, cid) -> None:
@@ -636,8 +635,13 @@ class AddressSpace:
             channel.put_waiters.clear()
             channel.get_waiters.clear()
             channel.kernel.destroy()
+        # An operation that resolved ``channel`` from an older snapshot takes
+        # its lock after this and fails on ``kernel.destroyed``.
         with self._channels_lock:
-            self._channels.pop(body.channel_id, None)
+            self._channels = {
+                cid: ch for cid, ch in self._channels.items()
+                if cid != body.channel_id
+            }
 
     def _h_attach(self, body: AttachReq, src: int, cid) -> None:
         channel = self._channel(body.channel_id)
@@ -659,71 +663,131 @@ class AddressSpace:
             self._drain_locked(channel, puts=True, gets=True)
 
     # -- puts/gets/consumes --------------------------------------------------
-    def _h_put(self, body: PutReq, src: int, call_id) -> Any:
-        channel = self._channel(body.channel_id)
-        if isinstance(body.payload, Frame):
-            # Out-of-band framed payload: store the raw bytes.  Mutating the
-            # body keeps drain retries (which replay it) unwrapped too.
-            body.payload = body.payload.data
+    #
+    # One start function per operation: the kernel call under the channel
+    # lock, then the drain it can enable, ending completed, failed fast or
+    # parked.  Local callers (:meth:`put`/:meth:`get`/:meth:`consume` and
+    # their ``a*`` twins in :mod:`repro.runtime.aio`) and the handlers that
+    # serve other spaces' RPCs all run these; ``call_id`` is what tells a
+    # parked remote operation (replied to later) from a local one (its
+    # caller sleeps on the waiter's event).
+    def _put_start(self, channel: LocalChannel, conn_id: int, timestamp: int,
+                   payload: Any, size: int, refcount: int, block: bool,
+                   src: int | None = None,
+                   call_id: int | None = None) -> _Waiter | None:
+        """Kernel put; ``None`` means completed, a waiter means parked."""
         with channel.lock:
-            result = channel.kernel.put(
-                body.conn_id, body.timestamp, body.payload, body.size, body.refcount
-            )
+            result = channel.kernel.put(conn_id, timestamp, payload, size, refcount)
             if result.status is Status.OK:
-                self._maybe_push(channel, body.timestamp)
+                if channel.handle.push:
+                    self._push(channel, timestamp)
                 # A put only adds an item: it can satisfy blocked gets (and
                 # only those parked on this timestamp or a wildcard), never
                 # unblock another put.
-                self._drain_locked(channel, puts=False, gets=True,
-                                   put_ts=body.timestamp)
+                if channel.get_waiters:
+                    self._drain_locked(channel, puts=False, gets=True,
+                                       put_ts=timestamp)
                 return None
-            if not body.block:
+            if not block:
                 raise ChannelFullError(
-                    f"channel {body.channel_id} is full "
+                    f"channel {channel.kernel.channel_id} is full "
                     f"(capacity {channel.kernel.capacity})"
                 )
-            self._park(channel, _Waiter(body, call_id=call_id, src_space=src),
-                       result.reason)
-            return _PARKED
+            body = PutReq(channel.kernel.channel_id, conn_id, timestamp,
+                          payload, size, refcount, block)
+            return self._park(channel, body, result.reason, src, call_id)
 
-    def _h_get(self, body: GetReq, src: int, call_id) -> Any:
-        channel = self._channel(body.channel_id)
+    def _get_start(self, channel: LocalChannel, conn_id: int,
+                   request: int | GetWildcard, block: bool,
+                   cache_ok: bool = False, src: int | None = None,
+                   call_id: int | None = None) -> tuple | _Waiter:
+        """Kernel get; the reply tuple of :meth:`_get_reply`, or the waiter."""
         with channel.lock:
-            result = channel.kernel.get(body.conn_id, body.request)
+            result = channel.kernel.get(conn_id, request)
             if result.status is Status.OK:
                 # A get changes no state another operation waits on: nothing
                 # to drain, nobody to wake.
-                return self._get_reply(channel, body, result, src)
-            if not body.block:
-                raise ChannelEmptyError(
-                    f"no item matching {body.request!r} in channel "
-                    f"{body.channel_id}; neighbours {result.timestamp_range}"
+                return self._get_reply(
+                    channel, cache_ok, result,
+                    self.space_id if src is None else src,
                 )
-            self._park(channel, _Waiter(body, call_id=call_id, src_space=src),
-                       result.reason)
-            return _PARKED
+            if not block:
+                raise ChannelEmptyError(
+                    f"no item matching {request!r} in channel "
+                    f"{channel.kernel.channel_id}; neighbours "
+                    f"{result.timestamp_range}"
+                )
+            body = GetReq(channel.kernel.channel_id, conn_id, request, block,
+                          cache_ok)
+            return self._park(channel, body, result.reason, src, call_id)
 
-    def _h_consume(self, body: ConsumeReq, src: int, cid) -> None:
-        channel = self._channel(body.channel_id)
+    def _consume_apply(self, channel: LocalChannel, conn_id: int,
+                       timestamp: int, until: bool) -> None:
         with channel.lock:
-            if body.until:
-                channel.kernel.consume_until(body.conn_id, body.timestamp)
+            if until:
+                channel.kernel.consume_until(conn_id, timestamp)
             else:
-                channel.kernel.consume(body.conn_id, body.timestamp)
+                channel.kernel.consume(conn_id, timestamp)
             # A consume can only reclaim space: it unblocks puts (and, via a
             # completed put, transitively gets — _drain_locked cascades).
-            self._drain_locked(channel, puts=True, gets=False)
+            if channel.put_waiters:
+                self._drain_locked(channel, puts=True, gets=False)
 
-    def _park(self, channel: LocalChannel, waiter: _Waiter,
-              reason: BlockReason | None) -> None:
+    def _h_put(self, body: PutReq, src: int, call_id) -> Any:
+        payload = body.payload
+        if isinstance(payload, Frame):
+            payload = payload.data  # out-of-band framed: store the raw bytes
+        waiter = self._put_start(
+            self._channel(body.channel_id), body.conn_id, body.timestamp,
+            payload, body.size, body.refcount, body.block, src, call_id,
+        )
+        return None if waiter is None else _PARKED
+
+    def _h_get(self, body: GetReq, src: int, call_id) -> Any:
+        reply = self._get_start(
+            self._channel(body.channel_id), body.conn_id, body.request,
+            body.block, body.cache_ok, src, call_id,
+        )
+        return _PARKED if reply.__class__ is _Waiter else reply
+
+    def _h_consume(self, body: ConsumeReq, src: int, cid) -> None:
+        self._consume_apply(
+            self._channel(body.channel_id), body.conn_id, body.timestamp,
+            body.until,
+        )
+
+    def _park(self, channel: LocalChannel, body: Any,
+              reason: BlockReason | None, src: int | None,
+              call_id: int | None) -> _Waiter:
         """File a blocked operation in the wait set its BlockReason selects."""
+        if call_id is None:
+            waiter = _Waiter(body, event=self._make_event())
+        else:
+            waiter = _Waiter(body, call_id=call_id, src_space=src)
+            with self._parked_lock:
+                self._parked_index[call_id] = (channel, waiter)
         if reason is BlockReason.CHANNEL_FULL:
             channel.put_waiters.append(waiter)
         else:  # NO_MATCHING_ITEM
             channel.get_waiters.append(waiter)
-        if waiter.call_id is not None:
-            with self._parked_lock:
-                self._parked_index[waiter.call_id] = channel
+        return waiter
+
+    @staticmethod
+    def _unpark(channel: LocalChannel, waiter: _Waiter) -> bool:
+        """Take a waiter out of its wait set, by identity (lock held).
+
+        False means it is no longer parked: a drain completed it first, and
+        that completion stands.
+        """
+        waiters = (
+            channel.put_waiters if isinstance(waiter.body, PutReq)
+            else channel.get_waiters
+        )
+        try:
+            waiters.remove(waiter)
+        except ValueError:
+            return False
+        return True
 
     def _drain_locked(self, channel: LocalChannel, *,
                       puts: bool, gets: bool,
@@ -778,7 +842,8 @@ class AddressSpace:
                 self._fail_waiter(channel, waiter, exc)
                 continue
             if result.status is Status.OK:
-                self._maybe_push(channel, body.timestamp)
+                if channel.handle.push:
+                    self._push(channel, body.timestamp)
                 self._complete_waiter(channel, waiter, None)
                 landed.append(body.timestamp)
             else:
@@ -799,7 +864,7 @@ class AddressSpace:
                     waiter.src_space if waiter.src_space is not None
                     else self.space_id
                 )
-                reply = self._get_reply(channel, body, result, requester)
+                reply = self._get_reply(channel, body.cache_ok, result, requester)
             except BaseException as exc:  # noqa: BLE001 - forwarded
                 channel.get_waiters.remove(waiter)
                 self._fail_waiter(channel, waiter, exc)
@@ -845,14 +910,12 @@ class AddressSpace:
                 self._parked_index.pop(waiter.call_id, None)
             self._reply_error(waiter.src_space, waiter.call_id, error)
 
-    def _maybe_push(self, channel: LocalChannel, timestamp: int) -> None:
+    def _push(self, channel: LocalChannel, timestamp: int) -> None:
         """Eagerly forward a fresh item to consumer spaces (§9; lock held).
 
         CLF's per-link FIFO guarantees the push lands at each space before
         any later get reply that omits the payload.
         """
-        if not channel.handle.push:
-            return
         record = channel.kernel.items.get(timestamp)
         if record is None:
             return  # reclaimed already (e.g. refcount 0)
@@ -876,28 +939,27 @@ class AddressSpace:
             self.endpoint.send(space, msg)
             record.pushed_to.add(space)
 
-    def _get_reply(self, channel: LocalChannel, body: GetReq, result,
+    def _get_reply(self, channel: LocalChannel, cache_ok: bool, result,
                    requester: int) -> tuple:
         """Build a get reply: ``(payload, ts, size, from_cache)``.
 
         The payload is omitted when the requester declared cache capability
         and this item was pushed to its space.
         """
-        record = channel.kernel.items.get(result.timestamp)
-        if (
-            body.cache_ok
-            and record is not None
-            and record.pushed_to is not None
-            and requester in record.pushed_to
-        ):
-            return (None, result.timestamp, result.size, True)
         payload = result.payload
-        if (
-            requester != self.space_id
-            and channel.handle.copy_policy is CopyPolicy.SERIALIZE
-            and isinstance(payload, (bytes, bytearray, memoryview))
-        ):
-            payload = Frame(payload)
+        if requester != self.space_id:
+            if cache_ok:
+                record = channel.kernel.items.get(result.timestamp)
+                if (
+                    record is not None
+                    and record.pushed_to is not None
+                    and requester in record.pushed_to
+                ):
+                    return (None, result.timestamp, result.size, True)
+            if channel.handle.copy_policy is CopyPolicy.SERIALIZE and isinstance(
+                payload, (bytes, bytearray, memoryview)
+            ):
+                payload = Frame(payload)
         return (payload, result.timestamp, result.size, False)
 
     def _make_event(self) -> Any:
@@ -911,99 +973,29 @@ class AddressSpace:
         """
         return make_event()
 
-    # -- local blocking fast paths ------------------------------------------
+    # -- sleeping on a parked local operation -------------------------------
     #
-    # Each path is split into a *start* phase (run the kernel op under the
-    # channel lock; complete, fail fast, or park a waiter) and an *await*
-    # phase (sleep on the waiter's event).  The split is the seam the
-    # asyncio runtime (:mod:`repro.runtime.aio`) builds on: it reuses the
-    # start phase verbatim and substitutes a coroutine await for the
-    # blocking event wait, so the kernel/parking code cannot diverge
-    # between the thread and coroutine drivers.
-    def _local_put_start(self, body: PutReq) -> tuple[LocalChannel, _Waiter | None]:
-        """Kernel put under the lock; ``waiter is None`` means completed."""
-        channel = self._channel(body.channel_id)
-        with channel.lock:
-            result = channel.kernel.put(
-                body.conn_id, body.timestamp, body.payload, body.size, body.refcount
-            )
-            if result.status is Status.OK:
-                self._maybe_push(channel, body.timestamp)
-                self._drain_locked(channel, puts=False, gets=True,
-                                   put_ts=body.timestamp)
-                return channel, None
-            if not body.block:
-                raise ChannelFullError(
-                    f"channel {body.channel_id} is full "
-                    f"(capacity {channel.kernel.capacity})"
-                )
-            waiter = _Waiter(body, event=self._make_event())
-            self._park(channel, waiter, result.reason)
-        return channel, waiter
-
-    def _local_get_start(
-        self, body: GetReq
-    ) -> tuple[LocalChannel, _Waiter | None, Any]:
-        """Kernel get under the lock; completed result in the third slot."""
-        channel = self._channel(body.channel_id)
-        with channel.lock:
-            result = channel.kernel.get(body.conn_id, body.request)
-            if result.status is Status.OK:
-                return (
-                    channel,
-                    None,
-                    (result.payload, result.timestamp, result.size, False),
-                )
-            if not body.block:
-                raise ChannelEmptyError(
-                    f"no item matching {body.request!r} in channel "
-                    f"{body.channel_id}; neighbours {result.timestamp_range}"
-                )
-            waiter = _Waiter(body, event=self._make_event())
-            self._park(channel, waiter, result.reason)
-        return channel, waiter, None
-
-    def _local_put(self, body: PutReq, timeout: float | None) -> None:
-        channel, waiter = self._local_put_start(body)
-        if waiter is None:
-            return None
-        return self._await_local(channel, waiter, timeout, "put")
-
-    def _local_get(self, body: GetReq, timeout: float | None):
-        channel, waiter, done = self._local_get_start(body)
-        if waiter is None:
-            return done
-        return self._await_local(channel, waiter, timeout, "get")
-
-    @staticmethod
-    def _withdraw_local_waiter(channel: LocalChannel, waiter: _Waiter,
-                               op: str) -> None:
-        """Remove a timed-out waiter under the lock, raising TimeoutError.
-
-        Finding the waiter already gone means a completion won the race and
-        must be honoured (the caller then reads the result/error slots).
-        """
-        with channel.lock:
-            for waiters in (channel.put_waiters, channel.get_waiters):
-                for parked in waiters:
-                    if parked is waiter:
-                        waiters.remove(parked)
-                        raise TimeoutError(f"blocking {op} timed out")
-
-    @staticmethod
-    def _await_local(channel: LocalChannel, waiter: _Waiter,
+    # A start function that parked hands back the waiter; the caller sleeps
+    # on its event — blocking here, awaiting in :mod:`repro.runtime.aio` —
+    # and then reads what the operation came to.
+    def _await_local(self, channel: LocalChannel, waiter: _Waiter,
                      timeout: float | None, op: str) -> Any:
-        """Sleep until a drain completes this thread's parked operation.
-
-        The draining thread removes the waiter from its wait set, fills the
-        result/error slot and sets the event — all under the channel lock —
-        so once the event fires the outcome is final.  On timeout, the
-        waiter is withdrawn under the lock; finding it already gone means a
-        completion won the race and must be honoured.
-        """
+        """Sleep until a drain completes this thread's parked operation."""
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
         woke = waiter.event.wait(timeout)
+        return self._parked_outcome(channel, waiter, op, woke, rec, t0)
+
+    def _parked_outcome(self, channel: LocalChannel, waiter: _Waiter, op: str,
+                        woke: bool, rec: Any, t0: int) -> Any:
+        """The result of a parked local operation whose sleep has ended.
+
+        The draining thread removes the waiter from its wait set, fills the
+        result/error slot and sets the event — all under the channel lock —
+        so once the event fires the outcome is final.  On timeout the waiter
+        is withdrawn under the lock; finding it already gone means a
+        completion won the race and must be honoured.
+        """
         if rec is not None:
             rec.complete(
                 "stm", f"block({op})", t0, channel.handle.home_space,
@@ -1011,7 +1003,9 @@ class AddressSpace:
                 woke=woke,
             )
         if not woke:
-            AddressSpace._withdraw_local_waiter(channel, waiter, op)
+            with channel.lock:
+                if self._unpark(channel, waiter):
+                    raise TimeoutError(f"blocking {op} timed out")
         if waiter.error is not None:
             raise waiter.error
         return waiter.result
@@ -1371,10 +1365,15 @@ class AddressSpace:
         block: bool = True,
         timeout: float | None = None,
     ) -> None:
-        if (
-            handle.home_space != self.space_id
-            and handle.copy_policy is CopyPolicy.SERIALIZE
-            and isinstance(payload, (bytes, bytearray, memoryview))
+        if handle.home_space == self.space_id:
+            channel = self._channel(handle.channel_id)
+            waiter = self._put_start(channel, conn_id, timestamp, payload,
+                                     size, refcount, block)
+            if waiter is not None:
+                self._await_local(channel, waiter, timeout, "put")
+            return
+        if handle.copy_policy is CopyPolicy.SERIALIZE and isinstance(
+            payload, (bytes, bytearray, memoryview)
         ):
             # Ship encoded payloads out-of-band: one memcpy each way.
             payload = Frame(payload)
@@ -1393,10 +1392,15 @@ class AddressSpace:
         block: bool = True,
         timeout: float | None = None,
     ) -> tuple[Any, int, int]:
-        cache_ok = handle.push and handle.home_space != self.space_id
+        if handle.home_space == self.space_id:
+            channel = self._channel(handle.channel_id)
+            reply = self._get_start(channel, conn_id, request, block)
+            if reply.__class__ is _Waiter:
+                reply = self._await_local(channel, reply, timeout, "get")
+            return reply[:3]
         payload, ts, size, cached = self.call(
             handle.home_space,
-            GetReq(handle.channel_id, conn_id, request, block, cache_ok),
+            GetReq(handle.channel_id, conn_id, request, block, handle.push),
             timeout=timeout,
         )
         if cached:
@@ -1418,14 +1422,18 @@ class AddressSpace:
     def consume(
         self, handle: ChannelHandle, conn_id: int, timestamp: int, until: bool = False
     ) -> None:
-        self.call(
-            handle.home_space,
-            ConsumeReq(handle.channel_id, conn_id, timestamp, until),
-        )
+        if handle.home_space == self.space_id:
+            self._consume_apply(
+                self._channel(handle.channel_id), conn_id, timestamp, until
+            )
+        else:
+            self.call(
+                handle.home_space,
+                ConsumeReq(handle.channel_id, conn_id, timestamp, until),
+            )
 
     def _channel(self, channel_id: int) -> LocalChannel:
-        with self._channels_lock:
-            channel = self._channels.get(channel_id)
+        channel = self._channels.get(channel_id)
         if channel is None:
             raise NoSuchChannelError(
                 f"channel {channel_id} is not homed in space {self.space_id}"
@@ -1433,8 +1441,7 @@ class AddressSpace:
         return channel
 
     def local_channels(self) -> list[LocalChannel]:
-        with self._channels_lock:
-            return list(self._channels.values())
+        return list(self._channels.values())
 
     # -- garbage collection -------------------------------------------------
     def gc_summary(self, epoch: int = 0) -> LocalGCSummary:

@@ -20,11 +20,11 @@ driver:
 Design notes
 ------------
 
-**Exactly one kernel.**  The async paths reuse the thread runtime's
-start/park phases (``_local_put_start``/``_local_get_start``) verbatim and
-substitute an ``await`` for the blocking event wait.  Put/get/consume
-semantics — §4.2 visibility rules, wildcards, GC horizons — cannot diverge
-between drivers because there is no second implementation.
+**Exactly one kernel.**  The async paths run the thread runtime's start
+functions (``_put_start``/``_get_start``/``_consume_apply``) and substitute
+an ``await`` for the blocking event wait.  Put/get/consume semantics — §4.2
+visibility rules, wildcards, GC horizons — cannot diverge between drivers
+because there is no second implementation.
 
 **Locks stay real.**  Runtime-internal locks (channel lock, registry lock,
 ...) are held only across short critical sections and never across an
@@ -38,9 +38,10 @@ per-OS-thread StampedeThread binding would collide; tasks bind through a
 ``contextvars.ContextVar`` instead (see :func:`repro.runtime.threads
 .current_thread`).
 
-**Remote operations.**  Cross-space RPCs ride the default executor (the
-dispatcher reply path is unchanged); the expected asyncio regime — many
-sparse connections, one space — never leaves the local fast path.
+**Remote operations.**  An operation on a channel homed elsewhere runs the
+synchronous entry point on the default executor (the dispatcher reply path
+is unchanged); the expected asyncio regime — many sparse connections, one
+space — never leaves the local path.
 """
 
 from __future__ import annotations
@@ -63,14 +64,9 @@ from repro.runtime.address_space import (
     _Waiter,
 )
 from repro.runtime.cluster import Cluster
-from repro.runtime.messages import (
-    GetReq,
-    LookupNameReq,
-    PutReq,
-)
+from repro.runtime.messages import LookupNameReq
 from repro.runtime.sync import factories_installed, make_event
 from repro.runtime.threads import StampedeThread, current_thread
-from repro.transport.serialization import Frame
 
 __all__ = ["AioEvent", "AioAddressSpace", "AioCluster"]
 
@@ -166,21 +162,7 @@ class AioAddressSpace(AddressSpace):
     async def _ahandle_blocking_locally(
         self, body: Any, timeout: float | None
     ) -> Any:
-        """Awaitable twin of ``_handle_blocking_locally``.
-
-        Start phases (kernel op + park under the channel lock) are shared
-        with the thread runtime; only the sleep differs.
-        """
-        if isinstance(body, PutReq):
-            channel, waiter = self._local_put_start(body)
-            if waiter is None:
-                return None
-            return await self._await_local_async(channel, waiter, timeout, "put")
-        if isinstance(body, GetReq):
-            channel, waiter, done = self._local_get_start(body)
-            if waiter is None:
-                return done
-            return await self._await_local_async(channel, waiter, timeout, "get")
+        """Awaitable twin of ``_handle_blocking_locally``."""
         if isinstance(body, LookupNameReq) and body.wait:
             return await self._alocal_lookup_wait(body, timeout)
         if isinstance(body, JoinReq):
@@ -205,17 +187,7 @@ class AioAddressSpace(AddressSpace):
             woke = await wait_async(timeout)
         else:  # model-checker factories: plain event, wait off-loop
             woke = await self._in_executor(waiter.event.wait, timeout)
-        if rec is not None:
-            rec.complete(
-                "stm", f"block({op})", t0, channel.handle.home_space,
-                channel=channel.handle.name or f"#{channel.kernel.channel_id}",
-                woke=woke,
-            )
-        if not woke:
-            self._withdraw_local_waiter(channel, waiter, op)
-        if waiter.error is not None:
-            raise waiter.error
-        return waiter.result
+        return self._parked_outcome(channel, waiter, op, woke, rec, t0)
 
     async def _alocal_lookup_wait(
         self, body: LookupNameReq, timeout: float | None
@@ -273,20 +245,16 @@ class AioAddressSpace(AddressSpace):
         timeout: float | None = None,
     ) -> None:
         """Awaitable twin of :meth:`AddressSpace.put`."""
-        from repro.core.payload import CopyPolicy
-
-        if (
-            handle.home_space != self.space_id
-            and handle.copy_policy is CopyPolicy.SERIALIZE
-            and isinstance(payload, (bytes, bytearray, memoryview))
-        ):
-            payload = Frame(payload)
-        await self.acall(
-            handle.home_space,
-            PutReq(handle.channel_id, conn_id, timestamp, payload, size,
-                   refcount, block),
-            timeout=timeout,
-        )
+        if handle.home_space != self.space_id:
+            return await self._in_executor(
+                self.put, handle, conn_id, timestamp, payload, size, refcount,
+                block, timeout,
+            )
+        channel = self._channel(handle.channel_id)
+        waiter = self._put_start(channel, conn_id, timestamp, payload, size,
+                                 refcount, block)
+        if waiter is not None:
+            await self._await_local_async(channel, waiter, timeout, "put")
 
     async def aget(
         self,
@@ -297,25 +265,15 @@ class AioAddressSpace(AddressSpace):
         timeout: float | None = None,
     ) -> tuple[Any, int, int]:
         """Awaitable twin of :meth:`AddressSpace.get`."""
-        cache_ok = handle.push and handle.home_space != self.space_id
-        payload, ts, size, cached = await self.acall(
-            handle.home_space,
-            GetReq(handle.channel_id, conn_id, request, block, cache_ok),
-            timeout=timeout,
-        )
-        if cached:
-            with self._push_cache_lock:
-                entry = self._push_cache.get((handle.channel_id, ts))
-            if entry is not None:
-                return (entry[0], ts, size)
-            payload, ts, size, _ = await self.acall(
-                handle.home_space,
-                GetReq(handle.channel_id, conn_id, ts, block, False),
-                timeout=timeout,
+        if handle.home_space != self.space_id:
+            return await self._in_executor(
+                self.get, handle, conn_id, request, block, timeout
             )
-        if isinstance(payload, Frame):
-            payload = payload.data
-        return (payload, ts, size)
+        channel = self._channel(handle.channel_id)
+        reply = self._get_start(channel, conn_id, request, block)
+        if reply.__class__ is _Waiter:
+            reply = await self._await_local_async(channel, reply, timeout, "get")
+        return reply[:3]
 
     async def aconsume(
         self,
@@ -324,11 +282,13 @@ class AioAddressSpace(AddressSpace):
         timestamp: int,
         until: bool = False,
     ) -> None:
-        from repro.runtime.messages import ConsumeReq
-
-        await self.acall(
-            handle.home_space,
-            ConsumeReq(handle.channel_id, conn_id, timestamp, until),
+        """Awaitable twin of :meth:`AddressSpace.consume`."""
+        if handle.home_space != self.space_id:
+            return await self._in_executor(
+                self.consume, handle, conn_id, timestamp, until
+            )
+        self._consume_apply(
+            self._channel(handle.channel_id), conn_id, timestamp, until
         )
 
     async def aattach(

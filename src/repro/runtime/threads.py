@@ -29,7 +29,6 @@ from repro.core.time import INFINITY, VirtualTime, vt_lt, vt_min
 from repro.errors import StampedeError, VirtualTimeError, VisibilityError
 from repro.obs import events as _obs
 from repro.obs.metrics import REGISTRY
-from repro.runtime.sync import make_lock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.address_space import AddressSpace
@@ -74,6 +73,22 @@ class StampedeThread:
     a new OS thread) or :meth:`AddressSpace.adopt_current_thread` (which
     binds STM state to an existing OS thread, e.g. the interpreter's main
     thread in the examples).
+
+    Concurrency contract — single writer, one published value (DESIGN.md
+    §5d).  The virtual time and the open set are written only by the owner,
+    the OS thread or asyncio task that runs this Stampede thread
+    (``set_virtual_time``; ``note_open`` / ``note_closed`` /
+    ``note_conn_closed`` from the connection layer), so no lock guards them.
+    After every change the owner publishes ``min(virtual time, open
+    timestamps)`` as one attribute, ``_visibility``, which
+    :meth:`visibility`, :meth:`check_put_timestamp` and the one foreign
+    reader, :meth:`AddressSpace.gc_summary`, load: a value the owner held at
+    some instant, never a half-updated set.  GC safety rests on order, not
+    on a lock (none was ever held together with a channel lock): the
+    published value rises only after the owner's consume was applied at the
+    channel, drops only in ``note_open`` while the gotten item is still
+    unconsumed on its connection, and the collector reads thread
+    visibilities before channel minima.
     """
 
     def __init__(
@@ -90,10 +105,11 @@ class StampedeThread:
             )
         self.space = space
         self.name = name
-        self._lock = make_lock("StampedeThread.lock")
         self._virtual_time: VirtualTime = virtual_time
         #: (channel_id, conn_id, timestamp) triples currently open.
         self._open: set[tuple[int, int, int]] = set()
+        #: published ``min(virtual time, open timestamps)``.
+        self._visibility: VirtualTime = virtual_time
         self._alive = True
         self.os_thread: threading.Thread | None = None
         #: lazily fetched stm_virtual_time gauge — the labels are fixed for
@@ -106,15 +122,17 @@ class StampedeThread:
     # ------------------------------------------------------------------
     @property
     def virtual_time(self) -> VirtualTime:
-        with self._lock:
-            return self._virtual_time
+        return self._virtual_time
 
     def visibility(self) -> VirtualTime:
         """min(virtual time, timestamps of currently open items)."""
-        with self._lock:
-            return vt_min(
-                [self._virtual_time, *(ts for (_, _, ts) in self._open)]
-            )
+        return self._visibility
+
+    def _publish(self) -> None:
+        """Recompute the published visibility (owner only)."""
+        self._visibility = vt_min(
+            [self._virtual_time, *(ts for (_, _, ts) in self._open)]
+        )
 
     def set_virtual_time(self, value: VirtualTime) -> None:
         """Set the thread's virtual time (the paper's explicit VT call).
@@ -123,14 +141,13 @@ class StampedeThread:
         below the current virtual time, as long as an open item already
         holds the visibility down that far.
         """
-        with self._lock:
-            vis = vt_min([self._virtual_time, *(ts for (_, _, ts) in self._open)])
-            if vt_lt(value, vis):
-                raise VirtualTimeError(
-                    f"cannot set virtual time to {value!r}: below current "
-                    f"visibility {vis!r}"
-                )
-            self._virtual_time = value
+        if vt_lt(value, self._visibility):
+            raise VirtualTimeError(
+                f"cannot set virtual time to {value!r}: below current "
+                f"visibility {self._visibility!r}"
+            )
+        self._virtual_time = value
+        self._publish()
         rec = _obs.recorder
         if rec is not None:
             if value is INFINITY:
@@ -161,28 +178,27 @@ class StampedeThread:
     # open-item tracking (called by the connection layer)
     # ------------------------------------------------------------------
     def note_open(self, channel_id: int, conn_id: int, timestamp: int) -> None:
-        with self._lock:
-            self._open.add((channel_id, conn_id, timestamp))
+        self._open.add((channel_id, conn_id, timestamp))
+        if timestamp < self._visibility:
+            self._visibility = timestamp
 
     def note_closed(self, channel_id: int, conn_id: int, timestamp: int) -> None:
-        with self._lock:
-            self._open.discard((channel_id, conn_id, timestamp))
+        self._open.discard((channel_id, conn_id, timestamp))
+        if timestamp == self._visibility:  # it may have been the minimum
+            self._publish()
 
     def note_conn_closed(self, channel_id: int, conn_id: int) -> None:
         """Drop all open entries of a detached connection."""
-        with self._lock:
-            self._open = {
-                entry for entry in self._open if entry[1] != conn_id
-            }
+        self._open = {entry for entry in self._open if entry[1] != conn_id}
+        self._publish()
 
     def open_items(self) -> set[tuple[int, int, int]]:
-        with self._lock:
-            return set(self._open)
+        return set(self._open)
 
     def check_put_timestamp(self, timestamp: int) -> None:
         """Enforce the §4.2 production rule: put timestamp >= visibility."""
-        vis = self.visibility()
-        if vt_lt(timestamp, vis):
+        vis = self._visibility
+        if timestamp < vis:
             raise VisibilityError(
                 f"thread {self.name!r} cannot put timestamp {timestamp}: "
                 f"below its visibility {vis!r} (virtual time "

@@ -29,7 +29,7 @@ REGRESSION_SEEDS = {
         "STM401",
     ),
     "seeded-gc-reclaims-live": (
-        "seeded-gc-reclaims-live:0.0.0.1.1.1.1.1.1.1.1.1.0.0.0.0.1.1.0.0",
+        "seeded-gc-reclaims-live:0.1.1.1.1.1.1.1.0.0.1.1.0.0",
         "STM403",
     ),
     "seeded-lost-wakeup": (
@@ -176,6 +176,62 @@ def test_late_reply_scenario_is_exhausted_and_has_teeth(monkeypatch):
     _name, schedule = decode_seed(
         result.finding.message.split("[seed ")[1].rstrip("]"))
     assert replay(scenario, schedule) is not None
+
+
+def test_gc_summary_scenario_is_exhausted_and_has_teeth(monkeypatch):
+    """Every interleaving of a GC epoch with put -> get -> inherited put ->
+    consume is covered, and the scenario catches a summary that reads
+    channel minima before thread visibilities (the order the unlocked
+    thread state relies on)."""
+    from repro.core.gc_state import LocalGCSummary
+    from repro.runtime.address_space import AddressSpace
+
+    scenario = SCENARIOS["gc-summary-vs-open-item"]
+    result = explore(scenario, budget=scenario.budget)
+    assert result.clean and result.exhausted, result.finding
+
+    def channels_first(self, epoch=0):
+        mins = {}
+        for channel in self.local_channels():
+            with channel.lock:
+                mins[channel.kernel.channel_id] = channel.kernel.unconsumed_min()
+        visibilities = [t.visibility() for t in self.threads()]
+        return LocalGCSummary(self.space_id, visibilities, mins, epoch)
+
+    monkeypatch.setattr(AddressSpace, "gc_summary", channels_first)
+    result = explore(scenario, budget=scenario.budget)
+    assert result.finding is not None and result.finding.rule_id == "STM401"
+
+
+def test_gc_scan_against_the_flow_is_a_known_gap():
+    """A summary is not an atomic snapshot.  Scanned sink-before-source, an
+    item can leave the unread source for the already-read sink while the
+    worker's visibility was read before its get: the epoch then collects it
+    unseen.  Present before and after the thread lock went (the lock never
+    covered it); DESIGN.md section 5d and ROADMAP item 6 carry it.  When the
+    protocol closes the gap this test flips to ``result.clean``."""
+    from repro.analysis.modelcheck.scenarios import GcSummaryVsOpenItem
+
+    class SinkScannedFirst(GcSummaryVsOpenItem):
+        sink_first = True
+
+    result = explore(SinkScannedFirst(), budget=1000)
+    assert result.finding is not None and result.finding.rule_id == "STM401"
+    assert "inherited item" in result.finding.message
+
+
+def test_destroy_scenario_is_exhausted_and_has_teeth(monkeypatch):
+    """Destroy against operations that already resolved the channel from the
+    lock-free table: all interleavings end in an allowed outcome, and the
+    scenario notices a kernel that stops refusing work once destroyed."""
+    from repro.core.channel_state import ChannelKernel
+
+    scenario = SCENARIOS["destroy-vs-local-op"]
+    result = explore(scenario, budget=scenario.budget)
+    assert result.clean and result.exhausted, result.finding
+
+    monkeypatch.setattr(ChannelKernel, "_check_alive", lambda self: None)
+    assert explore(scenario, budget=scenario.budget).finding is not None
 
 
 @pytest.mark.parametrize("name", SEEDED)

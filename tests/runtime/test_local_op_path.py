@@ -1,0 +1,218 @@
+"""The local operation path: one lock per op, lock-free channel lookup.
+
+A local put, get or consume is one kernel call under the channel lock and
+nothing else: the channel table is a copy-on-write snapshot read without a
+lock and the calling thread's virtual-time state is single-writer.  The
+spine counts the acquisitions too (``runtime.space.lock_acquires_per_cycle``)
+but runs outside tier-1; the budget test here keeps the count from rotting.
+"""
+
+import asyncio
+import threading
+import time
+
+import pytest
+
+from repro.errors import ChannelDestroyedError, NoSuchChannelError
+from repro.runtime import Cluster, sync
+from repro.runtime.aio import AioCluster
+from repro.stm import STM
+from repro.stm.aio import AioSTM
+
+
+class _CountingLock:
+    """A ``make_lock`` product that logs the name of every acquisition."""
+
+    log: list[str] = []
+
+    def __init__(self, name: str):
+        self.name = name
+        self._lock = threading.Lock()
+
+    def acquire(self, *args, **kwargs):
+        _CountingLock.log.append(self.name)
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self._lock.release()
+
+    def locked(self):
+        return self._lock.locked()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+@pytest.fixture
+def counting_locks():
+    sync.install_factories(_CountingLock, None)
+    try:
+        yield _CountingLock.log
+    finally:
+        sync.clear_factories()
+        _CountingLock.log.clear()
+
+
+class TestLockBudget:
+    """Exactly three acquisitions per warm local cycle, all the channel's."""
+
+    def test_sync_facade_cycle_takes_three_channel_locks(self, counting_locks):
+        with Cluster(n_spaces=1, gc_period=None) as cluster:
+            me = cluster.space(0).adopt_current_thread(virtual_time=0)
+            try:
+                chan = STM(cluster.space(0)).create_channel("budget")
+                with chan.attach_output() as out, chan.attach_input() as inp:
+                    out.put(0, b"warm", refcount=1)
+                    inp.get(0)
+                    inp.consume(0)
+                    counting_locks.clear()
+                    out.put(1, b"x", refcount=1)
+                    assert inp.get(1).value == b"x"
+                    inp.consume(1)
+                    assert counting_locks == ["LocalChannel.lock"] * 3
+            finally:
+                me.exit()
+
+    def test_aio_facade_cycle_takes_three_channel_locks(self, counting_locks):
+        async def main() -> list[str]:
+            async with AioCluster(n_spaces=1, gc_period=None) as cluster:
+                space = cluster.space(0)
+                space.adopt_current_task(virtual_time=0)
+                chan = await AioSTM(space).create_channel("abudget")
+                async with chan.attach_output() as out, \
+                        chan.attach_input() as inp:
+                    await out.put(0, b"warm", refcount=1)
+                    await inp.get(0)
+                    await inp.consume(0)
+                    counting_locks.clear()
+                    await out.put(1, b"x", refcount=1)
+                    assert (await inp.get(1)).value == b"x"
+                    await inp.consume(1)
+                    return list(counting_locks)
+
+        assert asyncio.run(main()) == ["LocalChannel.lock"] * 3
+
+
+@pytest.fixture
+def space():
+    with Cluster(n_spaces=1, gc_period=None) as cluster:
+        yield cluster.space(0)
+
+
+@pytest.fixture
+def me(space):
+    thread = space.adopt_current_thread(virtual_time=0)
+    yield thread
+    if thread.alive:
+        thread.exit()
+
+
+class TestChannelTable:
+    def test_table_is_replaced_not_mutated(self, space, me):
+        before = space._channels
+        handle = space.create_channel("cow")
+        created = space._channels
+        assert created is not before and handle.channel_id not in before
+        space.destroy_channel(handle)
+        assert space._channels is not created
+        assert handle.channel_id in created  # an old snapshot is never edited
+        assert handle.channel_id not in space._channels
+
+    def test_op_on_a_stale_snapshot_fails_inside_the_channel_lock(self, space, me):
+        """The channel was resolved, then destroyed: the kernel refuses."""
+        handle = space.create_channel("doomed")
+        out = space.attach(handle, is_input=False, thread=me)
+        inp = space.attach(handle, is_input=True, thread=me)
+        channel = space._channel(handle.channel_id)  # what a racing op holds
+        space.destroy_channel(handle)
+        with pytest.raises(ChannelDestroyedError):
+            space._put_start(channel, out, 0, b"x", 1, 1, True)
+        with pytest.raises(ChannelDestroyedError):
+            space._get_start(channel, inp, 0, True)
+        with pytest.raises(ChannelDestroyedError):
+            space._consume_apply(channel, inp, 0, False)
+        assert not channel.put_waiters and not channel.get_waiters
+        with pytest.raises(NoSuchChannelError):
+            space.put(handle, out, 0, b"x", 1)
+
+    def test_creates_and_destroys_race_lookups(self, space, me):
+        """Readers of the lock-free table never see a torn dict."""
+        keep = space.create_channel("keep")
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def churn() -> None:
+            try:
+                while not stop.is_set():
+                    space.destroy_channel(space.create_channel())
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        churners = [threading.Thread(target=churn) for _ in range(3)]
+        for t in churners:
+            t.start()
+        try:
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline:
+                assert space._channel(keep.channel_id).handle.name == "keep"
+                assert keep.channel_id in {
+                    ch.kernel.channel_id for ch in space.local_channels()
+                }
+        finally:
+            stop.set()
+            for t in churners:
+                t.join(timeout=10.0)
+        assert not errors and not any(t.is_alive() for t in churners)
+        assert [ch.handle.name for ch in space.local_channels()] == ["keep"]
+
+
+class TestWithdrawIsConstantTime:
+    """A timed-out get leaves by identity, whatever is parked beside it."""
+
+    @staticmethod
+    def _timeout_cost(space, me, parked: int) -> float:
+        handle = space.create_channel()
+        inp = space.attach(handle, is_input=True, thread=me)
+        channel = space._channel(handle.channel_id)
+        for ts in range(parked):  # parks without blocking the caller
+            space._get_start(channel, inp, ts, True)
+        assert len(channel.get_waiters) == parked
+        best = float("inf")
+        for _ in range(30):
+            t0 = time.perf_counter()
+            with pytest.raises(TimeoutError):
+                space.get(handle, inp, parked, timeout=0)
+            best = min(best, time.perf_counter() - t0)
+        assert len(channel.get_waiters) == parked
+        space.destroy_channel(handle)
+        return best
+
+    def test_timeout_at_10k_parked_getters_costs_like_one_at_10(self, space, me):
+        self._timeout_cost(space, me, 10)  # warm-up
+        small = self._timeout_cost(space, me, 10)
+        large = self._timeout_cost(space, me, 10_000)
+        assert large <= 5 * small, (
+            f"timeout with 10k parked getters {large * 1e6:.1f} us vs "
+            f"{small * 1e6:.1f} us with 10"
+        )
+
+    def test_remote_cancel_removes_only_its_waiter(self):
+        with Cluster(n_spaces=2, gc_period=None) as cluster:
+            client = cluster.space(0)
+            me = client.adopt_current_thread(virtual_time=0)
+            try:
+                handle = client.create_channel("far", home=1)
+                inp = client.attach(handle, is_input=True, thread=me)
+                channel = cluster.space(1)._channel(handle.channel_id)
+                for ts in range(100):
+                    cluster.space(1)._get_start(channel, inp, ts, True)
+                with pytest.raises(TimeoutError):
+                    client.get(handle, inp, 100, timeout=0.05)
+                assert len(channel.get_waiters) == 100
+                assert not cluster.space(1)._parked_index
+            finally:
+                me.exit()

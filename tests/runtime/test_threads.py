@@ -1,11 +1,17 @@
 """Unit tests for Stampede thread virtual-time state (paper §4.2)."""
 
-import pytest
+import sys
+import threading
 
-from repro.core.time import INFINITY
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.time import INFINITY, vt_lt, vt_min
 from repro.errors import StampedeError, VirtualTimeError, VisibilityError
 from repro.runtime import Cluster, current_thread
-from repro.runtime.threads import require_current_thread
+from repro.runtime.threads import StampedeThread, require_current_thread
+from repro.stm import STM
 
 
 @pytest.fixture
@@ -178,3 +184,97 @@ class TestBinding:
         finally:
             release.set()
             h.join(5)
+
+
+# The owner publishes min(virtual time, open timestamps) as one attribute
+# after every change instead of computing it under a lock on every read.
+_TS = st.integers(min_value=0, max_value=6)
+_CONN = st.integers(min_value=1, max_value=2)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("vt"), st.one_of(_TS, st.just(INFINITY))),
+        st.tuples(st.just("open"), _CONN, _TS),
+        st.tuples(st.just("close"), _CONN, _TS),
+        st.tuples(st.just("conn_closed"), _CONN),
+    ),
+    max_size=40,
+)
+
+
+class TestPublishedVisibility:
+    @given(initial=st.one_of(_TS, st.just(INFINITY)), steps=_STEPS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_brute_force_minimum_after_every_step(self, initial, steps):
+        """Random set_virtual_time / note_open / note_closed /
+        note_conn_closed sequences: few timestamps and two connections, so
+        duplicates across connections, closing a non-minimum item, closing
+        one never opened and INFINITY all come up."""
+        thread = StampedeThread(None, "oracle", initial)
+        vt, opened = initial, set()
+        for step in steps:
+            if step[0] == "vt":
+                legal = not vt_lt(step[1], vt_min([vt, *(ts for _, ts in opened)]))
+                try:
+                    thread.set_virtual_time(step[1])
+                    assert legal
+                    vt = step[1]
+                except VirtualTimeError:
+                    assert not legal
+            elif step[0] == "open":
+                thread.note_open(7, step[1], step[2])
+                opened.add((step[1], step[2]))
+            elif step[0] == "close":
+                thread.note_closed(7, step[1], step[2])
+                opened.discard((step[1], step[2]))
+            else:
+                thread.note_conn_closed(7, step[1])
+                opened = {(conn, ts) for conn, ts in opened if conn != step[1]}
+            assert thread.virtual_time == vt
+            assert thread.open_items() == {(7, conn, ts) for conn, ts in opened}
+            assert thread.visibility() == vt_min([vt, *(ts for _, ts in opened)])
+
+    def test_gc_summary_samples_only_values_the_owner_held(self, cluster):
+        """An owner cycling put/get/consume while other OS threads hammer
+        gc_summary: no exception, and every sampled visibility is a value the
+        owner published at some point.  Virtual time steps in tens and the
+        open item sits at +5, so a value in between would be a torn one."""
+        space = cluster.space(0)
+        held, sampled, errors = {0}, set(), []
+        stop = threading.Event()
+
+        def owner() -> None:
+            me = require_current_thread()
+            chan = STM(space).create_channel("cycle")
+            with chan.attach_output() as out, chan.attach_input() as inp:
+                for vt in range(0, 20_000, 10):
+                    out.put(vt + 5, b"x", refcount=1)
+                    inp.get(vt + 5)  # visibility stays vt
+                    me.set_virtual_time(vt + 10)  # the open item holds vt + 5
+                    held.add(me.visibility())
+                    inp.consume(vt + 5)  # visibility rises to vt + 10
+                    held.add(me.visibility())
+
+        def collector() -> None:
+            try:
+                while not stop.is_set():
+                    sampled.update(space.gc_summary().thread_visibilities)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            collectors = [threading.Thread(target=collector) for _ in range(3)]
+            for t in collectors:
+                t.start()
+            try:
+                space.spawn(owner, virtual_time=0).join(timeout=60.0)
+            finally:
+                stop.set()
+                for t in collectors:
+                    t.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors and not any(t.is_alive() for t in collectors)
+        assert held == {0, *range(5, 20_001, 5)}, "the owner did not finish"
+        assert len(sampled) > 1 and sampled <= held

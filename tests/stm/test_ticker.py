@@ -51,10 +51,13 @@ class TestTicker:
         def source():
             from repro.runtime import current_thread
 
-            me_inner = current_thread()  # VT stays at INFINITY throughout
-            me_inner.set_virtual_time(INFINITY)
+            me_inner = current_thread()
+            # Attach while visibility is still 0: the 1 ms ticker may have
+            # produced tick 0 already, and attaching at INFINITY would
+            # implicitly consume it (§4.2).
             ticks = ticker.channel.attach_input()
             out = output.attach_output()
+            me_inner.set_virtual_time(INFINITY)  # ...where VT stays throughout
             while True:
                 tick = ticks.get(STM_OLDEST_UNSEEN)
                 if tick.value is None:
