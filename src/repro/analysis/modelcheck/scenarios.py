@@ -417,20 +417,16 @@ class GcSummaryVsOpenItem(Scenario):
     The source channel is created, and therefore scanned, before the sink:
     a summary is not an atomic snapshot, and scanned against the flow an
     item can leave the unread source for the already-read sink (DESIGN.md
-    section 5d records this limit of the protocol; ``sink_first`` shows it).
+    section 5d records this limit of the protocol).
     """
 
     name = "gc-summary-vs-open-item"
     description = "GC epoch racing put -> get -> inherited put -> consume"
     budget = 1000  # the reduced tree has 841 schedules
-    sink_first = False
 
     def build(self):
         ctx = _cluster_ctx()
-        other = ctx.space.create_channel()
-        ctx.source, ctx.sink = (
-            (other, ctx.handle) if self.sink_first else (ctx.handle, other)
-        )
+        ctx.source, ctx.sink = ctx.handle, ctx.space.create_channel()
         stm = STM(ctx.space)
         ctx.worker_t = _register_thread(ctx, "worker", 5)
         reader = _register_thread(ctx, "reader", INFINITY)

@@ -118,7 +118,8 @@ class _Waiter:
     retries anything itself.
     """
 
-    body: Any  # PutReq | GetReq, built at park time: the drains replay it
+    body: Any  # PutReq | GetReq: the drains replay it
+    channel: "LocalChannel"  # where it is parked
     # remote waiters:
     call_id: int | None = None
     src_space: int | None = None
@@ -126,6 +127,10 @@ class _Waiter:
     event: threading.Event | None = None
     result: Any = None
     error: BaseException | None = None
+
+    @property
+    def op(self) -> str:
+        return "put" if isinstance(self.body, PutReq) else "get"
 
 
 class _GetWaitSet:
@@ -290,8 +295,8 @@ class AddressSpace:
         self._calls_lock = make_lock("AddressSpace.calls")
         #: ``.slot``: the calling thread's reusable :class:`_Call`.
         self._thread_call = threading.local()
-        #: call_id -> (channel, waiter) of every parked remote operation.
-        self._parked_index: dict[int, tuple[LocalChannel, _Waiter]] = {}
+        #: call_id -> waiter of every parked remote operation.
+        self._parked_index: dict[int, _Waiter] = {}
         # The parked index is touched by the dispatcher (_serve_cancel) and
         # by whatever thread drains a waiter, under *different* channel
         # locks — it needs its own lock (found by repro.analysis.modelcheck).
@@ -413,17 +418,17 @@ class AddressSpace:
         except BaseException as exc:  # noqa: BLE001 - forwarded to caller
             self._reply_error(req.src_space, req.call_id, exc)
             return
-        if result is _PARKED:
+        if result is _PARKED or result.__class__ is _Waiter:
             return  # reply comes later, from a drain
         self._reply_value(req.src_space, req.call_id, result)
 
     def _serve_cancel(self, msg: RpcCancel) -> None:
         with self._parked_lock:
-            channel, waiter = self._parked_index.pop(msg.call_id, (None, None))
-        if channel is None:
+            waiter = self._parked_index.pop(msg.call_id, None)
+        if waiter is None:
             return  # already completed; the reply won the race
-        with channel.lock:
-            if self._unpark(channel, waiter):
+        with waiter.channel.lock:
+            if self._unpark(waiter):
                 self._reply_error(
                     waiter.src_space,
                     waiter.call_id,
@@ -590,16 +595,18 @@ class AddressSpace:
     def _handle_blocking_locally(self, body: Any, timeout: float | None) -> Any:
         """Execute a request for a thread of this very space.
 
-        Channel operations never come this way — :meth:`put`, :meth:`get`
-        and :meth:`consume` run their start function directly.
+        :meth:`put`, :meth:`get` and :meth:`consume` do not come this way —
+        they run their start function directly; a channel request handed to
+        :meth:`call` is served by its handler like anyone else's, and if it
+        parks, the caller sleeps on the waiter here.
         """
         if isinstance(body, (LookupNameReq,)) and body.wait:
             return self._local_lookup_wait(body, timeout)
         if isinstance(body, JoinReq):
             return self._local_join(body, timeout)
         result = self._handle(body, self.space_id, None)
-        if result is _PARKED:  # pragma: no cover - defensive
-            raise AddressSpaceError("local request parked unexpectedly")
+        if result.__class__ is _Waiter:
+            return self._await_local(result, timeout)
         return result
 
     # -- channel management ------------------------------------------------
@@ -668,13 +675,14 @@ class AddressSpace:
     # lock, then the drain it can enable, ending completed, failed fast or
     # parked.  Local callers (:meth:`put`/:meth:`get`/:meth:`consume` and
     # their ``a*`` twins in :mod:`repro.runtime.aio`) and the handlers that
-    # serve other spaces' RPCs all run these; ``call_id`` is what tells a
-    # parked remote operation (replied to later) from a local one (its
-    # caller sleeps on the waiter's event).
+    # serve requests all run these.  A handler passes ``served``, its
+    # ``(body, src, call_id)``: the request is parked as it came and, when it
+    # came from another space (``call_id`` set), answered by an RPC reply; a
+    # local caller's request is built only if it parks, and it sleeps on the
+    # waiter's event.
     def _put_start(self, channel: LocalChannel, conn_id: int, timestamp: int,
                    payload: Any, size: int, refcount: int, block: bool,
-                   src: int | None = None,
-                   call_id: int | None = None) -> _Waiter | None:
+                   served: tuple | None = None) -> _Waiter | None:
         """Kernel put; ``None`` means completed, a waiter means parked."""
         with channel.lock:
             result = channel.kernel.put(conn_id, timestamp, payload, size, refcount)
@@ -693,14 +701,16 @@ class AddressSpace:
                     f"channel {channel.kernel.channel_id} is full "
                     f"(capacity {channel.kernel.capacity})"
                 )
-            body = PutReq(channel.kernel.channel_id, conn_id, timestamp,
-                          payload, size, refcount, block)
-            return self._park(channel, body, result.reason, src, call_id)
+            if served is not None:
+                return self._park(channel, result.reason, *served)
+            return self._park(channel, result.reason, PutReq(
+                channel.kernel.channel_id, conn_id, timestamp, payload, size,
+                refcount, block))
 
     def _get_start(self, channel: LocalChannel, conn_id: int,
                    request: int | GetWildcard, block: bool,
-                   cache_ok: bool = False, src: int | None = None,
-                   call_id: int | None = None) -> tuple | _Waiter:
+                   cache_ok: bool = False,
+                   served: tuple | None = None) -> tuple | _Waiter:
         """Kernel get; the reply tuple of :meth:`_get_reply`, or the waiter."""
         with channel.lock:
             result = channel.kernel.get(conn_id, request)
@@ -709,7 +719,7 @@ class AddressSpace:
                 # to drain, nobody to wake.
                 return self._get_reply(
                     channel, cache_ok, result,
-                    self.space_id if src is None else src,
+                    self.space_id if served is None else served[1],
                 )
             if not block:
                 raise ChannelEmptyError(
@@ -717,9 +727,10 @@ class AddressSpace:
                     f"{channel.kernel.channel_id}; neighbours "
                     f"{result.timestamp_range}"
                 )
-            body = GetReq(channel.kernel.channel_id, conn_id, request, block,
-                          cache_ok)
-            return self._park(channel, body, result.reason, src, call_id)
+            if served is not None:
+                return self._park(channel, result.reason, *served)
+            return self._park(channel, result.reason, GetReq(
+                channel.kernel.channel_id, conn_id, request, block, cache_ok))
 
     def _consume_apply(self, channel: LocalChannel, conn_id: int,
                        timestamp: int, until: bool) -> None:
@@ -733,22 +744,22 @@ class AddressSpace:
             if channel.put_waiters:
                 self._drain_locked(channel, puts=True, gets=False)
 
-    def _h_put(self, body: PutReq, src: int, call_id) -> Any:
-        payload = body.payload
-        if isinstance(payload, Frame):
-            payload = payload.data  # out-of-band framed: store the raw bytes
-        waiter = self._put_start(
+    def _h_put(self, body: PutReq, src: int, call_id) -> _Waiter | None:
+        if isinstance(body.payload, Frame):
+            # Out-of-band framed payload: store the raw bytes.  Mutating the
+            # body keeps drain retries (which replay it) unwrapped too.
+            body.payload = body.payload.data
+        return self._put_start(
             self._channel(body.channel_id), body.conn_id, body.timestamp,
-            payload, body.size, body.refcount, body.block, src, call_id,
+            body.payload, body.size, body.refcount, body.block,
+            (body, src, call_id),
         )
-        return None if waiter is None else _PARKED
 
-    def _h_get(self, body: GetReq, src: int, call_id) -> Any:
-        reply = self._get_start(
+    def _h_get(self, body: GetReq, src: int, call_id) -> tuple | _Waiter:
+        return self._get_start(
             self._channel(body.channel_id), body.conn_id, body.request,
-            body.block, body.cache_ok, src, call_id,
+            body.block, body.cache_ok, (body, src, call_id),
         )
-        return _PARKED if reply.__class__ is _Waiter else reply
 
     def _h_consume(self, body: ConsumeReq, src: int, cid) -> None:
         self._consume_apply(
@@ -756,16 +767,16 @@ class AddressSpace:
             body.until,
         )
 
-    def _park(self, channel: LocalChannel, body: Any,
-              reason: BlockReason | None, src: int | None,
-              call_id: int | None) -> _Waiter:
+    def _park(self, channel: LocalChannel, reason: BlockReason | None,
+              body: Any, src: int | None = None,
+              call_id: int | None = None) -> _Waiter:
         """File a blocked operation in the wait set its BlockReason selects."""
         if call_id is None:
-            waiter = _Waiter(body, event=self._make_event())
+            waiter = _Waiter(body, channel, event=self._make_event())
         else:
-            waiter = _Waiter(body, call_id=call_id, src_space=src)
+            waiter = _Waiter(body, channel, call_id=call_id, src_space=src)
             with self._parked_lock:
-                self._parked_index[call_id] = (channel, waiter)
+                self._parked_index[call_id] = waiter
         if reason is BlockReason.CHANNEL_FULL:
             channel.put_waiters.append(waiter)
         else:  # NO_MATCHING_ITEM
@@ -773,16 +784,14 @@ class AddressSpace:
         return waiter
 
     @staticmethod
-    def _unpark(channel: LocalChannel, waiter: _Waiter) -> bool:
+    def _unpark(waiter: _Waiter) -> bool:
         """Take a waiter out of its wait set, by identity (lock held).
 
         False means it is no longer parked: a drain completed it first, and
         that completion stands.
         """
-        waiters = (
-            channel.put_waiters if isinstance(waiter.body, PutReq)
-            else channel.get_waiters
-        )
+        channel = waiter.channel
+        waiters = channel.put_waiters if waiter.op == "put" else channel.get_waiters
         try:
             waiters.remove(waiter)
         except ValueError:
@@ -978,34 +987,34 @@ class AddressSpace:
     # A start function that parked hands back the waiter; the caller sleeps
     # on its event — blocking here, awaiting in :mod:`repro.runtime.aio` —
     # and then reads what the operation came to.
-    def _await_local(self, channel: LocalChannel, waiter: _Waiter,
-                     timeout: float | None, op: str) -> Any:
+    def _await_local(self, waiter: _Waiter, timeout: float | None) -> Any:
         """Sleep until a drain completes this thread's parked operation."""
         rec = _obs.recorder
-        t0 = rec.now() if rec is not None else 0
-        woke = waiter.event.wait(timeout)
-        return self._parked_outcome(channel, waiter, op, woke, rec, t0)
+        t0 = rec.now() if rec is not None else None
+        return self._parked_outcome(waiter, waiter.event.wait(timeout), t0)
 
-    def _parked_outcome(self, channel: LocalChannel, waiter: _Waiter, op: str,
-                        woke: bool, rec: Any, t0: int) -> Any:
+    def _parked_outcome(self, waiter: _Waiter, woke: bool,
+                        t0: int | None) -> Any:
         """The result of a parked local operation whose sleep has ended.
 
         The draining thread removes the waiter from its wait set, fills the
         result/error slot and sets the event — all under the channel lock —
         so once the event fires the outcome is final.  On timeout the waiter
         is withdrawn under the lock; finding it already gone means a
-        completion won the race and must be honoured.
+        completion won the race and must be honoured.  ``t0`` is when the
+        sleep began on the obs clock (``None``: not recording).
         """
-        if rec is not None:
+        channel = waiter.channel
+        if t0 is not None and (rec := _obs.recorder) is not None:
             rec.complete(
-                "stm", f"block({op})", t0, channel.handle.home_space,
+                "stm", f"block({waiter.op})", t0, channel.handle.home_space,
                 channel=channel.handle.name or f"#{channel.kernel.channel_id}",
                 woke=woke,
             )
         if not woke:
             with channel.lock:
-                if self._unpark(channel, waiter):
-                    raise TimeoutError(f"blocking {op} timed out")
+                if self._unpark(waiter):
+                    raise TimeoutError(f"blocking {waiter.op} timed out")
         if waiter.error is not None:
             raise waiter.error
         return waiter.result
@@ -1366,11 +1375,10 @@ class AddressSpace:
         timeout: float | None = None,
     ) -> None:
         if handle.home_space == self.space_id:
-            channel = self._channel(handle.channel_id)
-            waiter = self._put_start(channel, conn_id, timestamp, payload,
-                                     size, refcount, block)
+            waiter = self._put_start(self._channel(handle.channel_id), conn_id,
+                                     timestamp, payload, size, refcount, block)
             if waiter is not None:
-                self._await_local(channel, waiter, timeout, "put")
+                self._await_local(waiter, timeout)
             return
         if handle.copy_policy is CopyPolicy.SERIALIZE and isinstance(
             payload, (bytes, bytearray, memoryview)
@@ -1393,10 +1401,10 @@ class AddressSpace:
         timeout: float | None = None,
     ) -> tuple[Any, int, int]:
         if handle.home_space == self.space_id:
-            channel = self._channel(handle.channel_id)
-            reply = self._get_start(channel, conn_id, request, block)
+            reply = self._get_start(self._channel(handle.channel_id), conn_id,
+                                    request, block)
             if reply.__class__ is _Waiter:
-                reply = self._await_local(channel, reply, timeout, "get")
+                reply = self._await_local(reply, timeout)
             return reply[:3]
         payload, ts, size, cached = self.call(
             handle.home_space,

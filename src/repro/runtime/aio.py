@@ -53,14 +53,12 @@ from typing import Any, Callable, Coroutine
 
 from repro.core.flags import GetWildcard, UNKNOWN_REFCOUNT
 from repro.core.time import VirtualTime
-from repro.errors import AddressSpaceError, StampedeError
+from repro.errors import StampedeError
 from repro.obs import events as _obs
 from repro.runtime.address_space import (
-    _PARKED,
     AddressSpace,
     ChannelHandle,
     JoinReq,
-    LocalChannel,
     _Waiter,
 )
 from repro.runtime.cluster import Cluster
@@ -168,26 +166,22 @@ class AioAddressSpace(AddressSpace):
         if isinstance(body, JoinReq):
             return await self._in_executor(self._local_join, body, timeout)
         result = self._handle(body, self.space_id, None)
-        if result is _PARKED:  # pragma: no cover - defensive
-            raise AddressSpaceError("local request parked unexpectedly")
+        if result.__class__ is _Waiter:
+            return await self._await_local_async(result, timeout)
         return result
 
     async def _await_local_async(
-        self,
-        channel: LocalChannel,
-        waiter: _Waiter,
-        timeout: float | None,
-        op: str,
+        self, waiter: _Waiter, timeout: float | None
     ) -> Any:
         """Awaitable twin of ``_await_local`` (same completion contract)."""
         rec = _obs.recorder
-        t0 = rec.now() if rec is not None else 0
+        t0 = rec.now() if rec is not None else None
         wait_async = getattr(waiter.event, "wait_async", None)
         if wait_async is not None:
             woke = await wait_async(timeout)
         else:  # model-checker factories: plain event, wait off-loop
             woke = await self._in_executor(waiter.event.wait, timeout)
-        return self._parked_outcome(channel, waiter, op, woke, rec, t0)
+        return self._parked_outcome(waiter, woke, t0)
 
     async def _alocal_lookup_wait(
         self, body: LookupNameReq, timeout: float | None
@@ -250,11 +244,10 @@ class AioAddressSpace(AddressSpace):
                 self.put, handle, conn_id, timestamp, payload, size, refcount,
                 block, timeout,
             )
-        channel = self._channel(handle.channel_id)
-        waiter = self._put_start(channel, conn_id, timestamp, payload, size,
-                                 refcount, block)
+        waiter = self._put_start(self._channel(handle.channel_id), conn_id,
+                                 timestamp, payload, size, refcount, block)
         if waiter is not None:
-            await self._await_local_async(channel, waiter, timeout, "put")
+            await self._await_local_async(waiter, timeout)
 
     async def aget(
         self,
@@ -269,10 +262,10 @@ class AioAddressSpace(AddressSpace):
             return await self._in_executor(
                 self.get, handle, conn_id, request, block, timeout
             )
-        channel = self._channel(handle.channel_id)
-        reply = self._get_start(channel, conn_id, request, block)
+        reply = self._get_start(self._channel(handle.channel_id), conn_id,
+                                request, block)
         if reply.__class__ is _Waiter:
-            reply = await self._await_local_async(channel, reply, timeout, "get")
+            reply = await self._await_local_async(reply, timeout)
         return reply[:3]
 
     async def aconsume(

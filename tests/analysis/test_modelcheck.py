@@ -203,23 +203,6 @@ def test_gc_summary_scenario_is_exhausted_and_has_teeth(monkeypatch):
     assert result.finding is not None and result.finding.rule_id == "STM401"
 
 
-def test_gc_scan_against_the_flow_is_a_known_gap():
-    """A summary is not an atomic snapshot.  Scanned sink-before-source, an
-    item can leave the unread source for the already-read sink while the
-    worker's visibility was read before its get: the epoch then collects it
-    unseen.  Present before and after the thread lock went (the lock never
-    covered it); DESIGN.md section 5d and ROADMAP item 6 carry it.  When the
-    protocol closes the gap this test flips to ``result.clean``."""
-    from repro.analysis.modelcheck.scenarios import GcSummaryVsOpenItem
-
-    class SinkScannedFirst(GcSummaryVsOpenItem):
-        sink_first = True
-
-    result = explore(SinkScannedFirst(), budget=1000)
-    assert result.finding is not None and result.finding.rule_id == "STM401"
-    assert "inherited item" in result.finding.message
-
-
 def test_destroy_scenario_is_exhausted_and_has_teeth(monkeypatch):
     """Destroy against operations that already resolved the channel from the
     lock-free table: all interleavings end in an allowed outcome, and the

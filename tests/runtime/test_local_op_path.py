@@ -16,6 +16,7 @@ import pytest
 from repro.errors import ChannelDestroyedError, NoSuchChannelError
 from repro.runtime import Cluster, sync
 from repro.runtime.aio import AioCluster
+from repro.runtime.messages import GetReq, PutReq
 from repro.stm import STM
 from repro.stm.aio import AioSTM
 
@@ -168,6 +169,48 @@ class TestChannelTable:
                 t.join(timeout=10.0)
         assert not errors and not any(t.is_alive() for t in churners)
         assert [ch.handle.name for ch in space.local_channels()] == ["keep"]
+
+
+class TestChannelRequestThroughCall:
+    """``call``/``acall`` on one's own space with a put or get that blocks."""
+
+    def test_blocking_get_sleeps_until_the_put_then_times_out_clean(self, space, me):
+        handle = space.create_channel("viacall")
+        out = space.attach(handle, is_input=False, thread=me)
+        inp = space.attach(handle, is_input=True, thread=me)
+        channel = space._channel(handle.channel_id)
+        putter = threading.Timer(
+            0.05, space.call,
+            (space.space_id, PutReq(handle.channel_id, out, 3, b"x", 1, 1)),
+        )
+        putter.start()
+        reply = space.call(space.space_id, GetReq(handle.channel_id, inp, 3))
+        putter.join()
+        assert reply == (b"x", 3, 1, False)
+        with pytest.raises(TimeoutError):
+            space.call(space.space_id, GetReq(handle.channel_id, inp, 4),
+                       timeout=0.01)
+        assert not channel.get_waiters  # withdrawn, not orphaned
+
+    def test_acall_blocking_put_completes_on_the_consume(self):
+        async def main() -> None:
+            async with AioCluster(n_spaces=1, gc_period=None) as cluster:
+                space = cluster.space(0)
+                me = space.adopt_current_task(virtual_time=0)
+                handle = space.create_channel("aviacall", capacity=1)
+                out = space.attach(handle, is_input=False, thread=me)
+                inp = space.attach(handle, is_input=True, thread=me)
+                space.put(handle, out, 0, b"a", 1, refcount=1)
+                blocked = asyncio.ensure_future(space.acall(
+                    space.space_id, PutReq(handle.channel_id, out, 1, b"b", 1, 1)
+                ))
+                await asyncio.sleep(0.01)
+                assert not blocked.done()
+                space.consume(handle, inp, 0)
+                assert await asyncio.wait_for(blocked, 5.0) is None
+                assert space.get(handle, inp, 1)[0] == b"b"
+
+        asyncio.run(main())
 
 
 class TestWithdrawIsConstantTime:
