@@ -26,10 +26,17 @@ from repro.core.channel_state import ChannelKernel, Status
 from repro.core.time import INFINITY, vt_min
 from repro.errors import ChannelDestroyedError, NoSuchChannelError
 from repro.runtime.cluster import Cluster
-from repro.runtime.messages import ClockProbeReq, RpcReply
+from repro.runtime.messages import (
+    AttachReq,
+    ClockProbeReq,
+    GetReq,
+    RpcCancel,
+    RpcReply,
+)
 from repro.runtime.sync import make_event, make_lock
 from repro.runtime.threads import StampedeThread
 from repro.stm.api import STM
+from repro.transport.serialization import encode_message_sg
 
 __all__ = ["Scenario", "SCENARIOS"]
 
@@ -400,6 +407,113 @@ class LateReplyVsNextCall(Scenario):
         _require(not ctx.space._calls, "a call is still registered")
 
 
+class DrainReplyVsCallerTimeout(Scenario):
+    """A reply delivered by the draining thread racing its caller's timeout.
+
+    Space 1 parks a blocking ``get`` at space 0, where the channel lives.  A
+    thread of space 0 puts the item: under the channel lock its drain
+    completes the parked get and sends the reply, and since a reply is
+    finished by whoever delivers it, that same thread — still holding the
+    channel lock and the ``0 -> 1`` stream lock — runs space 1's
+    ``_complete_call``.  Meanwhile the caller times out, sends ``RpcCancel``,
+    ends the call and re-arms its slot for the next one.  Neither space runs
+    a dispatcher thread: both sinks are installed by hand and a scheduled
+    thread serves space 0's request queue, one message per arrival.  Model
+    time has no clocks, so the timed-out call is driven through the halves
+    ``call`` is made of — begin, cancel, end — and *where* the timeouts fire
+    is the scheduler's choice: the reply (the item, or the cancellation) may
+    land before the cancel, inside the grace period, after the call ended
+    unacknowledged, or after the next call took the slot over.
+
+    Invariants: the first call ends in the item *or* in ``TimeoutError``
+    (cancelled, or never acknowledged), never both, never half a reply;
+    nothing stays parked or registered; the next call gets its own reply;
+    and (scheduler-wide) no lock-order cycle.
+    """
+
+    name = "drain-reply-vs-caller-timeout"
+    description = "reply delivered mid-drain racing the caller's timeout + next call"
+    # The reduced tree is beyond 40 000 schedules, so it is sampled, fewest
+    # context switches first; each mutant of the teeth test falls within 900.
+    budget = 2000
+
+    def build(self):
+        cluster = Cluster(n_spaces=2, gc_period=None, dispatchers=False)
+        home, remote = cluster.space(0), cluster.space(1)
+        # The 0 -> 1 stream carries the replies, and a reply's sink takes
+        # space 1's call lock inside the stream lock: the scheduler must own
+        # that lock or a thread sending behind a parked deliverer would
+        # block for real.  (1 -> 0 has one sender, so it cannot contend.)
+        cluster.network._order_locks[(0, 1)] = make_lock("ClfNetwork.order")
+        ctx = SimpleNamespace(cluster=cluster, home=home, remote=remote,
+                              first=[], second=[])
+        # one event per request space 1 will send: get, cancel, probe
+        ctx.arrivals = [make_event() for _ in range(3)]
+        pending = iter(ctx.arrivals)
+
+        def home_sink(src, message):
+            home._receive(src, message)
+            if message is not None:  # None: the endpoint closed (teardown)
+                next(pending).set()
+
+        home.endpoint.deliver_to(home_sink)
+        remote.endpoint.deliver_to(remote._receive)
+        ctx.handle = home.create_channel()
+        producer = StampedeThread(home, "producer", 0)
+        home._threads["producer"] = producer
+        ctx.out = home.attach(ctx.handle, is_input=False, thread=producer)
+        # space 1's input connection, attached as its AttachReq would be
+        ctx.inp = remote._conn_ids.next()
+        home._h_attach(AttachReq(ctx.handle.channel_id, ctx.inp, True, 0), 1, None)
+        return ctx
+
+    def threads(self, ctx):
+        home, remote = ctx.home, ctx.remote
+
+        def putter(ctx):
+            home.put(ctx.handle, ctx.out, 0, b"item", 4)
+
+        def caller(ctx):
+            call = remote._call_slot()
+            remote._begin_call(
+                call, 0, GetReq(ctx.handle.channel_id, ctx.inp, 0, True, False))
+            # the wait timed out: cancel; the grace period ends whenever
+            # the scheduler says, with or without a reply
+            remote.endpoint.send(0, encode_message_sg(RpcCancel(call.call_id)))
+            remote._end_call(call)
+            ctx.first.append((call.done, call.value, call.error))
+            call.value = call.error = None
+            ctx.second.append(remote.call(0, ClockProbeReq()))
+
+        def dispatcher(ctx):
+            for arrived in ctx.arrivals:
+                arrived.wait()
+                home._serve(home._requests.get_nowait())
+
+        return [("putter", putter), ("caller", caller), ("dispatcher", dispatcher)]
+
+    def final_invariant(self, ctx):
+        _require(len(ctx.first) == 1, f"the caller did not finish: {ctx.first!r}")
+        done, value, error = ctx.first[0]
+        got_item = value is not None and bytes(value[0].data) == b"item"
+        cancelled = isinstance(error, TimeoutError)
+        _require(
+            (got_item + cancelled == 1) if done else (value is None and error is None),
+            f"the timed-out call ended with done={done}, value {value!r} and "
+            f"error {error!r}: it must be the item, the cancellation, or "
+            f"(unacknowledged) nothing at all",
+        )
+        _require(
+            len(ctx.second) == 1 and isinstance(ctx.second[0], int),
+            f"the next call returned {ctx.second!r}, not its own clock reading",
+        )
+        channel = ctx.home._channel(ctx.handle.channel_id)
+        _require(not channel.get_waiters and not ctx.home._parked_index,
+                 "a cancelled or completed get is still parked at its home")
+        _require(not ctx.remote._calls, "a call is still registered")
+        _require(ctx.home._requests.empty(), "a request was left unserved")
+
+
 class GcSummaryVsOpenItem(Scenario):
     """A GC epoch at every point of put -> get -> inherited put -> consume.
 
@@ -689,6 +803,7 @@ SCENARIOS: dict[str, Scenario] = {
         BoundedPutVsGet(),
         GcHorizonMonotonic(),
         LateReplyVsNextCall(),
+        DrainReplyVsCallerTimeout(),
         GcSummaryVsOpenItem(),
         DestroyVsLocalOp(),
         SeededAtomicityBreak(),

@@ -29,6 +29,13 @@ When no thread is enabled but some are unfinished, the run has deadlocked:
 :meth:`Scheduler.run` raises :class:`DeadlockError` listing each blocked
 thread's pending operation.
 
+Lock order: every model-lock acquire adds "held class -> acquired class"
+edges to the run's order graph (lock *classes* are the names the runtime
+gives its locks, as in the sanitizer's STM301).  An acquire that closes a
+cycle — some thread of this schedule took the two classes the other way
+round, or nests two locks of one class — ends the run with an
+:class:`InvariantViolation`, whether or not this schedule deadlocks on it.
+
 Primitives touched by *unregistered* OS threads (the controller while it
 builds the scenario fixture, pytest's main thread, ...) bypass the
 scheduler entirely: the model only interleaves registered threads.
@@ -39,6 +46,8 @@ from __future__ import annotations
 import threading
 import time
 from typing import Any, Callable
+
+from repro.analysis.sanitizer import reaches
 
 __all__ = [
     "DeadlockError",
@@ -102,7 +111,7 @@ _START = "start"
 class _ModelThread:
     __slots__ = (
         "tid", "name", "os_thread", "sem", "pending", "finished", "error",
-        "aborting",
+        "aborting", "held",
     )
 
     def __init__(self, tid: int, name: str):
@@ -114,6 +123,7 @@ class _ModelThread:
         self.finished = False
         self.error: BaseException | None = None
         self.aborting = False
+        self.held: list[str] = []  # classes of the model locks it holds
 
 
 class Scheduler:
@@ -124,6 +134,9 @@ class Scheduler:
         self._controller_sem = threading.Semaphore(0)
         self._tls = threading.local()
         self.trace: list[int] = []
+        #: lock class -> classes acquired while it was held, over this run.
+        self.lock_order: dict[str, set[str]] = {}
+        self.order_violation: str | None = None
 
     # -- primitive factories (installed via repro.runtime.sync) ----------
     def make_lock(self, name: str) -> "ModelLock":
@@ -173,6 +186,22 @@ class Scheduler:
         if mt.aborting:
             raise SchedulerAbort()
         mt.pending = None
+
+    # -- lock order ----------------------------------------------------------
+    def _note_order(self, mt: _ModelThread, name: str) -> None:
+        """Record ``held -> name`` edges; remember the first cycle closed."""
+        for outer in mt.held:
+            if name in self.lock_order.get(outer, ()):
+                continue  # known edge
+            if (outer == name or reaches(self.lock_order, name, outer)) \
+                    and self.order_violation is None:
+                self.order_violation = (
+                    f"lock-order cycle (STM301): {mt.name} acquired "
+                    f"'{name}' while holding '{outer}', and '{name}' already "
+                    f"leads to '{outer}' in this schedule"
+                )
+            self.lock_order.setdefault(outer, set()).add(name)
+        mt.held.append(name)
 
     # -- enabledness -------------------------------------------------------
     @staticmethod
@@ -228,6 +257,8 @@ class Scheduler:
             for mt in self._threads:
                 if mt.error is not None:
                     raise mt.error
+            if self.order_violation is not None:
+                raise InvariantViolation(self.order_violation)
             if after_step is not None:
                 after_step()
         return self.trace
@@ -276,6 +307,7 @@ class ModelLock:
         mt = self._sched._current()
         if mt is not None:
             self._sched._yield_op(Op("acquire", self))
+            self._sched._note_order(mt, self.name)
         elif self._locked:  # pragma: no cover - defensive
             raise RuntimeError(
                 f"unregistered thread would block on model lock {self.name!r}"
@@ -288,6 +320,7 @@ class ModelLock:
         mt = self._sched._current()
         if mt is not None:
             self._sched._yield_op(Op("release", self))
+            mt.held.remove(self.name)
         self._locked = False
         self._owner = None
 

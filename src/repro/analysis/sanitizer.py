@@ -147,7 +147,9 @@ def _held() -> list["SanLock"]:
     return held
 
 
-def _reaches(start: str, goal: str) -> bool:
+def reaches(graph: dict[str, set[str]], start: str, goal: str) -> bool:
+    """True if ``goal`` can be reached from ``start`` in a lock-order graph
+    (lock class -> classes acquired while it was held)."""
     seen: set[str] = set()
     stack = [start]
     while stack:
@@ -157,7 +159,7 @@ def _reaches(start: str, goal: str) -> bool:
         if node in seen:
             continue
         seen.add(node)
-        stack.extend(_graph.get(node, ()))
+        stack.extend(graph.get(node, ()))
     return False
 
 
@@ -210,7 +212,8 @@ class SanLock:
                 if self.name in _graph.get(outer.name, ()):
                     continue  # known edge
                 # inversion iff the new lock already reaches the held one
-                if outer.name == self.name or _reaches(self.name, outer.name):
+                if outer.name == self.name or reaches(
+                        _graph, self.name, outer.name):
                     other = _edge_site.get((self.name, outer.name), "?")
                     key = ("STM301", file, line)
                     if key not in _seen:

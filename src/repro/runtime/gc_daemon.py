@@ -10,10 +10,10 @@ Protocol (coordinator-based):
    sends ``GcSummaryReq(e)`` to every address space.
 2. Each space replies with its :class:`LocalGCSummary`: the visibilities of
    its threads plus the unconsumed minimum of every channel homed there.
-3. The daemon folds the summaries into the global minimum and broadcasts a
-   one-way ``GcCollectMsg(e, horizon)``.
+3. The daemon folds the summaries into the global minimum and sends
+   ``GcApplyReq(e, horizon)`` to every address space.
 4. Every space reclaims items below the horizon in its local channels
-   (which can unblock bounded-channel puts).
+   (which can unblock bounded-channel puts) and replies with its count.
 
 Safety under concurrency does **not** require a consistent snapshot here,
 because channel operations are synchronous RPCs: while a put is in flight

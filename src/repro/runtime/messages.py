@@ -49,7 +49,6 @@ __all__ = [
     "EndpointStatsReq",
     "ClockProbeReq",
     "TelemetryHarvestReq",
-    "GcCollectMsg",
     "ShutdownMsg",
     "CachePushMsg",
 ]
@@ -227,9 +226,8 @@ class GcSummaryReq:
 class GcApplyReq:
     """Synchronous horizon application (the daemon's RPC broadcast).
 
-    Returns the number of items the receiving space collected.  Used by
-    ``GcDaemon.run_once`` so callers observe a fully applied round; the
-    one-way :class:`GcCollectMsg` remains for fire-and-forget broadcasts.
+    Returns the number of items the receiving space collected, so
+    ``GcDaemon.run_once`` callers observe a fully applied round.
     """
 
     epoch: int
@@ -281,13 +279,8 @@ class ClockProbeReq:
     """
 
 
-@register_message(4)
-@dataclass
-class GcCollectMsg:
-    """One-way broadcast of the new global GC horizon."""
-
-    epoch: int
-    horizon: VirtualTime
+# Tag 4 was the one-way ``GcCollectMsg`` broadcast (superseded by
+# ``GcApplyReq``).  Tags are wire format: retired, never reused or renumbered.
 
 
 @register_message(5)

@@ -8,10 +8,12 @@
 
 This module is the **thread-runtime** implementation: address spaces live in
 one Python process, and CLF really serializes messages to bytes, fragments
-them into MTU-sized packets, moves the packets through unbounded thread-safe
-queues, and reassembles them on the far side.  Every byte is genuinely
+them into MTU-sized packets, checks and reassembles the packets at the
+destination endpoint, and hands the message on.  Every byte is genuinely
 copied, so STM's copy-in/copy-out and per-message costs are real — only the
-wire-propagation delay of the 1998 hardware is absent.  The discrete-event
+wire-propagation delay of the 1998 hardware is absent.  There is no receive
+thread: the *sending* thread runs the destination's receive side, so when
+``send`` returns the message has been delivered (see :class:`Delivery`).  The discrete-event
 simulator (:mod:`repro.sim.sim_transport`) provides the complementary
 implementation whose delays come from the calibrated medium models.
 
@@ -26,8 +28,8 @@ from __future__ import annotations
 import itertools
 import queue
 import threading
-import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.analysis.sanitizer import san_lock
 from repro.errors import TransportClosedError, TransportError
@@ -35,9 +37,7 @@ from repro.obs import events as _obs
 from repro.transport.media import CLF_MTU, MEMORY_CHANNEL, Medium, SHARED_MEMORY
 from repro.transport.packets import HEADER_BYTES, Reassembler, fragment_sg
 
-__all__ = ["ClusterTopology", "ClfStats", "ClfEndpoint", "ClfNetwork"]
-
-_CLOSED = object()
+__all__ = ["ClusterTopology", "ClfStats", "Delivery", "ClfEndpoint", "ClfNetwork"]
 
 
 @dataclass(frozen=True)
@@ -77,19 +77,65 @@ class ClusterTopology:
 
 @dataclass
 class ClfStats:
-    """Per-endpoint traffic counters (sent/received)."""
+    """Per-endpoint traffic counters (sent/received).
+
+    The receive side is kept **per source**: one ordered ``src -> here``
+    stream has one writer at a time (whoever holds that stream's lock on the
+    in-process network, the connection's reader thread on sockets), while
+    streams from different sources deliver concurrently.  The totals are
+    summed when read, so they are exact without a lock on the receive path.
+    """
 
     messages_sent: int = 0
-    messages_received: int = 0
     packets_sent: int = 0
-    packets_received: int = 0
     bytes_sent: int = 0
-    bytes_received: int = 0
-    #: received traffic the space's dispatcher dropped: a packet that failed
-    #: its checks or a message that did not decode (counted by the dispatcher).
+    #: received traffic that was dropped: a packet that failed its checks
+    #: or a message that did not decode.
     decode_errors: int = 0
+    #: RPC replies this space could not send because the peer's endpoint
+    #: (or its own) had closed or failed; see ``AddressSpace._reply``.
+    replies_dropped: int = 0
     per_peer_sent: dict[int, int] = field(default_factory=dict)
-    per_peer_recv: dict[int, int] = field(default_factory=dict)
+    #: source -> ``[messages, packets, bytes]`` received from it.
+    received_from: dict[int, list[int]] = field(default_factory=dict)
+    _drops_lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def received_row(self, src: int) -> list[int]:
+        """The ``[messages, packets, bytes]`` row of one source stream."""
+        return self.received_from.setdefault(src, [0, 0, 0])
+
+    def _received(self, column: int) -> int:
+        return sum(row[column] for row in list(self.received_from.values()))
+
+    @property
+    def messages_received(self) -> int:
+        return self._received(0)
+
+    @property
+    def packets_received(self) -> int:
+        return self._received(1)
+
+    @property
+    def bytes_received(self) -> int:
+        return self._received(2)
+
+    @property
+    def per_peer_recv(self) -> dict[int, int]:
+        return {src: row[0] for src, row in list(self.received_from.items())}
+
+    def count_drop(self, counter: str, event: str, space: int,
+                   exc: BaseException) -> None:
+        """Count dropped traffic where an operator can see it: ``counter``
+        (``decode_errors`` / ``replies_dropped``) plus an obs instant.  The
+        cold path — any thread may drop, so this one takes a lock."""
+        with self._drops_lock:
+            setattr(self, counter, getattr(self, counter) + 1)
+        rec = _obs.recorder
+        if rec is not None:
+            rec.instant("clf", event, space,
+                        error=type(exc).__name__, detail=str(exc))
 
     def snapshot(self) -> dict:
         return {
@@ -100,24 +146,71 @@ class ClfStats:
             "bytes_sent": self.bytes_sent,
             "bytes_received": self.bytes_received,
             "decode_errors": self.decode_errors,
+            "replies_dropped": self.replies_dropped,
         }
 
 
-class ClfEndpoint:
+class Delivery:
+    """Where an endpoint's complete messages go — shared by the in-process
+    endpoint and :class:`~repro.transport.sockets.SocketEndpoint`.
+
+    A bare endpoint queues them for :meth:`recv`.  Once an address space has
+    installed a sink with :meth:`deliver_to`, the thread that *delivers* a
+    message — the sender on the in-process network, the connection's reader
+    thread on sockets — runs ``sink(src, message)`` itself; the sink decides
+    what it finishes on the spot and what it queues for its dispatcher.
+    Besides message bytes a receiver sees two markers: a
+    :class:`TransportError` stands for a message lost to a violated packet
+    stream, and ``(space, None)`` says this endpoint closed or failed.
+    """
+
+    def __init__(self) -> None:
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._sink: Callable[[int, object], None] | None = None
+        self._sink_lock = threading.Lock()
+
+    def deliver_to(self, sink: Callable[[int, object], None]) -> None:
+        """Install ``sink``, handing it first — in arrival order — whatever
+        queued up before (a peer may send as soon as the mesh is up, which
+        is before the space exists).  Deliverers that find no sink yet wait
+        on the same lock, so none can overtake the backlog: an early
+        request is never passed by the cancel behind it.
+        """
+        with self._sink_lock:
+            while True:
+                try:
+                    src, message = self._inbox.get_nowait()
+                except queue.Empty:
+                    break
+                sink(src, message)
+            self._sink = sink
+
+    def _deliver(self, src: int, message) -> None:
+        sink = self._sink
+        if sink is None:
+            with self._sink_lock:
+                sink = self._sink
+                if sink is None:
+                    self._inbox.put((src, message))
+                    return
+        sink(src, message)
+
+
+class ClfEndpoint(Delivery):
     """One address space's attachment to the CLF interconnect.
 
-    ``send`` fragments and enqueues; ``recv`` dequeues and reassembles.
-    Both are thread-safe.  ``recv`` may be called concurrently by multiple
-    threads only if they never interleave mid-message — in practice each
-    address space dedicates one dispatcher thread to ``recv``, matching
-    CLF's multi-threaded design in the paper.
+    ``send`` fragments the message and runs the destination's receive side
+    (:meth:`_accept`, once per packet) on the calling thread; both are
+    thread-safe.
     """
 
     def __init__(self, network: "ClfNetwork", space: int):
+        super().__init__()
         self._network = network
         self.space = space
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
-        self._reassemblers: dict[int, Reassembler] = {}
+        #: source -> (reassembler, received-counter row) of the ``source ->
+        #: here`` stream; used only under that stream's lock.
+        self._streams: dict[int, tuple[Reassembler, list[int]]] = {}
         self._msgid = itertools.count(space, network.topology.n_spaces)
         self._closed = False
         self.stats = ClfStats()
@@ -130,7 +223,8 @@ class ClfEndpoint:
         scatter/gather list of segments (the zero-copy framing path, see
         :func:`~repro.transport.serialization.encode_message_sg`); a
         segment list is gathered directly into MTU packets without an
-        intermediate join.
+        intermediate join.  When this returns the message is at ``dst``:
+        queued for its ``recv``, or already through its sink.
         """
         if self._closed:
             raise TransportClosedError(f"endpoint {self.space} is closed")
@@ -143,28 +237,26 @@ class ClfEndpoint:
         rec = _obs.recorder
         if rec is not None:
             packets = list(packets)
-            # ``flow`` is the causal stitch: the receiver's clf.recv instant
-            # carries the same id (msgids are globally unique — the counter
-            # strides by n_spaces from ``space``), so the trace exporter can
-            # draw a Chrome flow arrow from this send to its receive.
-            # Recorded *before* the packets reach the receiver's inbox —
-            # the receiving thread can stamp its clf.recv the moment the
-            # last packet lands, so an instant taken afterward may postdate
-            # the receive and make the flow arrow point backward in time.
+            # ``flow`` is the causal stitch: the clf.recv instant stamped
+            # in the destination's _accept carries the same id (msgids are
+            # globally unique — the counter strides by n_spaces from
+            # ``space``), so the trace exporter can draw a Chrome flow arrow
+            # from this send to its receive.  Recorded *before* the packets
+            # are accepted so the arrow never points backward in time.
             rec.instant("clf", "clf.send", self.space, dst=dst,
                         bytes=sum(map(len, packets)) - HEADER_BYTES * len(packets),
                         packets=len(packets), flow=msgid)
         src = self.space
-        put = target._inbox.put
+        accept = target._accept
         npackets = nbytes = 0
         with network._order_locks[(src, dst)]:
             # The per-(src,dst) lock keeps packets of concurrent sends from
-            # interleaving: CLF's ordering guarantee is per point-to-point
-            # stream, not per thread.
+            # interleaving in the destination's reassembler: CLF's ordering
+            # guarantee is per point-to-point stream, not per thread.
             for packet in packets:
-                put((src, packet))
                 npackets += 1
                 nbytes += len(packet)
+                accept(src, packet)
         nbytes -= HEADER_BYTES * npackets
         stats = self.stats
         stats.messages_sent += 1
@@ -173,43 +265,59 @@ class ClfEndpoint:
         stats.per_peer_sent[dst] = stats.per_peer_sent.get(dst, 0) + 1
 
     # -- receiving ------------------------------------------------------------
+    def _accept(self, src: int, packet) -> None:
+        """Take the next packet of the ``src -> here`` stream.
+
+        Runs on the sender's thread under the stream's lock — the one way a
+        packet enters an endpoint, which is why fault injection wraps it.
+        A packet that fails its checks or breaks the fragment order costs
+        the message it belongs to, here at the destination: the sender's
+        ``send`` succeeded and sees nothing, the :class:`TransportError` is
+        delivered in the message's place (``recv`` raises it, an address
+        space counts it in ``decode_errors``).
+        """
+        stream = self._streams.get(src)
+        if stream is None:
+            stream = self._streams[src] = (
+                Reassembler(self._network.mtu), self.stats.received_row(src))
+        reasm, row = stream
+        row[1] += 1
+        try:
+            message = reasm.feed(packet)
+        except TransportError as exc:
+            self._deliver(src, exc)  # delivered in the lost message's place
+            return
+        if message is None:
+            return
+        row[0] += 1
+        row[2] += len(message)
+        rec = _obs.recorder
+        if rec is not None:
+            rec.instant("clf", "clf.recv", self.space,
+                        src=src, bytes=len(message), flow=reasm.last_msgid)
+        self._deliver(src, message)
+
     def recv(self, timeout: float | None = None) -> tuple[int, bytes]:
         """Block until a complete message arrives; return ``(src, data)``.
 
-        Raises :class:`TransportClosedError` once the endpoint is closed and
-        drained, and ``queue.Empty`` on timeout.
+        For an endpoint with no sink installed.  Raises
+        :class:`TransportClosedError` once the endpoint is closed and
+        drained, :class:`TransportError` for a message lost to a violated
+        packet stream, and ``queue.Empty`` on timeout.
         """
-        end = (time.monotonic() + timeout) if timeout is not None else None
-        while True:
-            remaining = None
-            if end is not None:
-                remaining = end - time.monotonic()
-                if remaining <= 0:
-                    raise queue.Empty()
-            item = self._inbox.get(timeout=remaining)
-            if item is _CLOSED:
-                raise TransportClosedError(f"endpoint {self.space} closed")
-            src, packet = item
-            reasm = self._reassemblers.get(src)
-            if reasm is None:
-                reasm = self._reassemblers[src] = Reassembler(self._network.mtu)
-            self.stats.packets_received += 1
-            message = reasm.feed(packet)
-            if message is not None:
-                self.stats.messages_received += 1
-                self.stats.bytes_received += len(message)
-                rec = _obs.recorder
-                if rec is not None:
-                    rec.instant("clf", "clf.recv", self.space,
-                                src=src, bytes=len(message),
-                                flow=reasm.last_msgid)
-                return src, message
+        item = self._inbox.get(timeout=timeout)
+        message = item[1]
+        if message is None:
+            raise TransportClosedError(f"endpoint {self.space} closed")
+        if isinstance(message, TransportError):
+            raise message
+        return item
 
     def close(self) -> None:
         """Close the endpoint; a blocked ``recv`` wakes with an error."""
         if not self._closed:
             self._closed = True
-            self._inbox.put(_CLOSED)
+            self._deliver(self.space, None)
 
     @property
     def closed(self) -> bool:

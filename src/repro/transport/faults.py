@@ -8,8 +8,9 @@ reordering, or bit-flipping packets — so tests can verify that:
 
 * the reassembler detects every violation (CRC mismatch, fragment-stream
   violations) and raises :class:`~repro.errors.TransportError`;
-* the runtime's dispatcher survives corrupt *messages* (it drops them and
-  keeps serving) rather than dying.
+* the runtime survives corrupt traffic (the receiving space counts and
+  drops it and keeps serving) rather than dying, and the sender of the
+  corrupted bytes sees nothing.
 
 This is deliberately not reachable from production paths: nothing in
 ``repro.runtime`` imports it.
@@ -18,7 +19,7 @@ This is deliberately not reachable from production paths: nothing in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.transport.clf import ClfEndpoint, ClfNetwork
 
@@ -46,9 +47,11 @@ class FaultPlan:
 class FaultyNetwork:
     """A ClfNetwork whose selected links misbehave deterministically.
 
-    Wraps every endpoint so that sends over a faulted link pass through the
-    fault plan before enqueueing at the destination.  All other behaviour
-    (fragmentation, stats, close) is the wrapped network's.
+    Wraps :meth:`ClfEndpoint._accept`, the one way a packet enters an
+    endpoint, so a packet crossing a faulted link passes through the fault
+    plan on the very path the runtime uses: the real ``send`` fragments,
+    holds the stream lock and counts; the destination's reassembler, sink or
+    ``recv`` see whatever the plan lets through.
     """
 
     def __init__(self, network: ClfNetwork):
@@ -58,78 +61,58 @@ class FaultyNetwork:
         self._held: dict[tuple[int, int], bytes | None] = {}
         self.injected = {"dropped": 0, "duplicated": 0, "corrupted": 0,
                          "reordered": 0}
-        self._install()
+        self._original_accept = ClfEndpoint._accept
+        original_accept = self._original_accept
+
+        def faulty_accept(endpoint: ClfEndpoint, src: int, packet) -> None:
+            key = (src, endpoint.space)
+            plan = self._plans.get(key)
+            if plan is None or endpoint._network is not self.network:
+                return original_accept(endpoint, src, packet)
+            for survivor in self._apply(key, plan, packet):
+                original_accept(endpoint, src, survivor)
+
+        ClfEndpoint._accept = faulty_accept  # type: ignore[method-assign]
 
     def fault_link(self, src: int, dst: int, plan: FaultPlan) -> None:
         self._plans[(src, dst)] = plan
         self._rngs[(src, dst)] = random.Random(plan.seed)
         self._held[(src, dst)] = None
 
-    def _install(self) -> None:
-        """Monkey-wrap each endpoint's low-level packet enqueue path."""
-        outer = self
+    def _apply(self, key, plan: FaultPlan, packet) -> list:
+        """What reaches the destination in place of ``packet``, in order.
 
-        original_send = ClfEndpoint.send
-
-        def faulty_send(endpoint, dst: int, data) -> None:
-            key = (endpoint.space, dst)
-            plan = outer._plans.get(key)
-            if plan is None or endpoint._network is not outer.network:
-                return original_send(endpoint, dst, data)
-            if not isinstance(data, (bytes, bytearray)):
-                # scatter/gather send: join the segments so the per-packet
-                # fault machinery below sees one contiguous message
-                segments = [data] if isinstance(data, memoryview) else data
-                data = b"".join(bytes(memoryview(seg)) for seg in segments)
-            # Re-implement the send loop with per-packet faults.
-            from repro.transport.packets import fragment
-
-            target = outer.network._endpoint(dst)
-            msgid = next(endpoint._msgid)
-            rng = outer._rngs[key]
-            with outer.network._order_locks[key]:
-                for packet in fragment(msgid, data, outer.network.mtu):
-                    outer._deliver(key, target, endpoint.space, packet, rng,
-                                   plan)
-                held = outer._held.get(key)
-                if held is not None:
-                    # flush any packet still held for reordering
-                    target._inbox.put((endpoint.space, held))
-                    outer._held[key] = None
-            endpoint.stats.messages_sent += 1
-            endpoint.stats.bytes_sent += len(data)
-
-        self._faulty_send = faulty_send
-        ClfEndpoint.send = faulty_send  # type: ignore[method-assign]
-        self._original_send = original_send
-
-    def _deliver(self, key, target, src, packet: bytes, rng, plan) -> None:
+        Runs under the link's stream lock (``send`` holds it), so the
+        per-link state needs none of its own.  A packet held back for
+        reordering is released behind the next one to cross the link.
+        """
+        rng = self._rngs[key]
         if rng.random() < plan.drop:
             self.injected["dropped"] += 1
-            return
+            return []
         if rng.random() < plan.corrupt:
             self.injected["corrupted"] += 1
-            mutated = bytearray(packet)
-            mutated[rng.randrange(len(mutated))] ^= 0xFF
-            packet = bytes(mutated)
-        if rng.random() < plan.reorder and self._held.get(key) is None:
+            packet = bytearray(packet)
+            packet[rng.randrange(len(packet))] ^= 0xFF
+        held = self._held[key]
+        if rng.random() < plan.reorder and held is None:
             self.injected["reordered"] += 1
             self._held[key] = packet
-            return
-        target._inbox.put((src, packet))
-        held = self._held.get(key)
+            return []
+        out = [packet]
         if held is not None:
-            target._inbox.put((src, held))
+            out.append(held)
             self._held[key] = None
         if rng.random() < plan.duplicate:
             self.injected["duplicated"] += 1
-            target._inbox.put((src, packet))
+            out.append(packet)
+        return out
 
     def uninstall(self) -> None:
-        """Restore the pristine ClfEndpoint.send (idempotent)."""
-        if getattr(self, "_original_send", None) is not None:
-            ClfEndpoint.send = self._original_send  # type: ignore[method-assign]
-            self._original_send = None
+        """Restore the pristine ClfEndpoint._accept (idempotent)."""
+        if self._original_accept is not None:
+            ClfEndpoint._accept = self._original_accept  # type: ignore[method-assign]
+            self._original_accept = None
 
     def __enter__(self) -> "FaultyNetwork":
         return self

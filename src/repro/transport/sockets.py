@@ -27,12 +27,15 @@ Wire framing (little-endian)::
 
 ``DATA`` carries an encoded message inline; ``SHMD`` is a doorbell whose
 ``length`` bytes are read from the sender's ring; ``HBT`` is a transport
-heartbeat consumed by process supervision without entering the inbox.
+heartbeat consumed by process supervision without being delivered.
+
+Each connection's reader thread *delivers* the frames it completes
+(:class:`~repro.transport.clf.Delivery`): into the queue ``recv`` reads on a
+bare endpoint, straight into the address space's sink once one is installed.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import threading
@@ -42,7 +45,7 @@ from typing import Any, Callable
 from repro.errors import TransportClosedError, TransportError
 from repro.obs import events as _obs
 from repro.obs.metrics import REGISTRY
-from repro.transport.clf import ClfStats, ClusterTopology
+from repro.transport.clf import ClfStats, ClusterTopology, Delivery
 from repro.transport.shm_ring import ShmRing
 
 __all__ = ["FRAME_HEADER", "SocketEndpoint", "ring_name"]
@@ -53,8 +56,6 @@ _HELLO = struct.Struct("<I")
 _DATA = 0
 _SHMD = 1
 _HBT = 2
-
-_CLOSED = object()
 
 
 def ring_name(session: str, src: int, dst: int) -> str:
@@ -110,7 +111,7 @@ class _Peer:
         self.reader: threading.Thread | None = None
 
 
-class SocketEndpoint:
+class SocketEndpoint(Delivery):
     """One address space's attachment to the socket/shared-memory media.
 
     Lifecycle: construct (binds the listener; ``port`` is then known),
@@ -128,6 +129,7 @@ class SocketEndpoint:
         heartbeat_to: int | None = None,
         heartbeat_interval: float = 0.5,
     ):
+        super().__init__()
         self.space = space
         self.topology = topology
         self.session = session
@@ -137,7 +139,6 @@ class SocketEndpoint:
         #: connection drops outside an orderly close; the supervisor installs
         #: its crash-propagation hook here.  Default: fail the endpoint.
         self.on_peer_lost: Callable[[int, BaseException], None] | None = None
-        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         self._peers: dict[int, _Peer] = {}
         self._send_locks: dict[int, threading.Lock] = {}
         self._send_rings: dict[int, ShmRing] = {}
@@ -274,7 +275,7 @@ class SocketEndpoint:
         if dst == self.space:
             # Loopback: no medium in the paper's sense; deliver directly.
             joined = segments[0] if len(segments) == 1 else b"".join(segments)
-            self._inbox.put((self.space, joined))
+            self._deliver(self.space, joined)
             return
         peer = self._peers.get(dst)
         if peer is None:
@@ -337,9 +338,11 @@ class SocketEndpoint:
         return counter
 
     def recv(self, timeout: float | None = None):
-        """Block for the next complete message; return ``(src, message)``."""
+        """Block for the next complete message; return ``(src, message)``.
+
+        For an endpoint with no sink installed."""
         item = self._inbox.get(timeout=timeout)
-        if item is _CLOSED:
+        if item[1] is None:
             raise TransportClosedError(
                 f"endpoint {self.space} closed"
                 + (f": {self.failure}" if self.failure else "")
@@ -349,7 +352,8 @@ class SocketEndpoint:
     def _reader_loop(self, peer: _Peer) -> None:
         sock = peer.sock
         src = peer.space
-        stats = self.stats
+        received = self.stats.received_row(src)  # this reader is its writer
+        deliver = self._deliver
         header = memoryview(bytearray(FRAME_HEADER.size))  # reused per frame
         try:
             while True:
@@ -382,18 +386,17 @@ class SocketEndpoint:
                 # Mirror of the sender's flow numbering: this reader is the
                 # only consumer of the (src -> self) stream, so counting
                 # completed messages here reproduces the sender's seq.
-                seq = stats.per_peer_recv.get(src, 0)
-                stats.per_peer_recv[src] = seq + 1
-                stats.messages_received += 1
-                stats.packets_received += 1
-                stats.bytes_received += length
+                seq = received[0]
+                received[0] = seq + 1
+                received[1] += 1
+                received[2] += length
                 self._wire_counter(medium, "rx").inc(length)
                 rec = _obs.recorder
                 if rec is not None:
                     rec.instant("clf", "clf.recv", self.space,
                                 src=src, bytes=length, medium=medium,
                                 flow=f"{src}>{self.space}#{seq}")
-                self._inbox.put((src, message))
+                deliver(src, message)
         except (OSError, ConnectionError, TransportError, ValueError) as exc:
             if self._closed:
                 return  # orderly shutdown
@@ -452,7 +455,7 @@ class SocketEndpoint:
             peer.sock.close()
         for ring in (*self._send_rings.values(), *self._recv_rings.values()):
             ring.close()
-        self._inbox.put(_CLOSED)
+        self._deliver(self.space, None)
 
     @property
     def closed(self) -> bool:

@@ -129,6 +129,33 @@ def test_lock_contention_disables_acquire():
     assert order.index("contender-in") > order.index("holder-in")
 
 
+def test_opposite_lock_orders_are_reported_without_a_deadlock():
+    """Two lock classes taken both ways round end the run even when this
+    schedule happens not to deadlock on them (the sanitizer's STM301, in
+    model time); nesting in one order only is fine."""
+    from repro.analysis.modelcheck import InvariantViolation
+
+    def run(second_order):
+        sched = Scheduler()
+        locks = {name: sched.make_lock(name) for name in "AB"}
+
+        def nest(outer, inner):
+            with locks[outer], locks[inner]:
+                pass
+
+        sched.spawn("first", lambda: nest("A", "B"))
+        sched.spawn("second", lambda: nest(*second_order))
+        try:
+            sched.run()  # default choice: "first" runs to completion first
+        finally:
+            sched.abort()
+            sched.join_all()
+
+    run("AB")
+    with pytest.raises(InvariantViolation, match="STM301.*'A' while holding 'B'"):
+        run("BA")
+
+
 # ---------------------------------------------------------------------------
 # exploration
 # ---------------------------------------------------------------------------
@@ -176,6 +203,52 @@ def test_late_reply_scenario_is_exhausted_and_has_teeth(monkeypatch):
     _name, schedule = decode_seed(
         result.finding.message.split("[seed ")[1].rstrip("]"))
     assert replay(scenario, schedule) is not None
+
+
+def test_drain_reply_scenario_has_teeth(monkeypatch):
+    """A reply finished by the thread that delivers it — mid-drain, under the
+    channel and stream locks — against the caller's timeout and next call:
+    clean as shipped, and it catches a completion that delivers outside
+    ``_calls_lock`` as well as one that takes a channel lock (the deliverer's
+    own: a deadlock; another one: a lock-order cycle)."""
+    from repro.runtime.address_space import AddressSpace
+
+    scenario = SCENARIOS["drain-reply-vs-caller-timeout"]
+    result = explore(scenario, budget=300)
+    assert result.clean, result.finding
+    complete_call = AddressSpace._complete_call
+
+    def check_then_deliver(self, reply):
+        with self._calls_lock:
+            call = self._calls.get(reply.call_id)
+            if call is None or call.done or call.call_id != reply.call_id:
+                return
+        call.value, call.error, call.done = reply.value, reply.error, True
+        call.event.set()
+
+    def under_the_home_channel_lock(self, reply):
+        with self.cluster.space(0).local_channels()[0].lock:
+            complete_call(self, reply)
+
+    def under_an_own_channel_lock(self, reply):
+        with self.local_channels()[0].lock:
+            complete_call(self, reply)
+
+    class CallerHomesAChannel(type(scenario)):
+        def build(self):
+            ctx = super().build()
+            ctx.remote.create_channel()
+            return ctx
+
+    for mutant, checked, rule, text in [
+        (check_then_deliver, scenario, "STM403", "not acknowledged"),
+        (under_the_home_channel_lock, scenario, "STM402", "deadlock"),
+        (under_an_own_channel_lock, CallerHomesAChannel(), "STM401", "STM301"),
+    ]:
+        monkeypatch.setattr(AddressSpace, "_complete_call", mutant)
+        finding = explore(checked, budget=scenario.budget).finding
+        assert finding is not None, mutant.__name__
+        assert finding.rule_id == rule and text in finding.message, finding
 
 
 def test_gc_summary_scenario_is_exhausted_and_has_teeth(monkeypatch):

@@ -108,7 +108,7 @@ class TestDispatcherResilience:
 
         with Cluster(n_spaces=2, gc_period=None) as cluster:
             me = cluster.space(0).adopt_current_thread(virtual_time=0)
-            # inject garbage directly into space 1's inbox:
+            # garbage on the wire to space 1:
             cluster.space(0).endpoint.send(1, b"\xff\xffnot-a-message")
             # the dispatcher must shrug it off and still serve RPCs:
             chan = STM(cluster.space(0)).create_channel("resilient", home=1)
@@ -163,6 +163,44 @@ class TestDispatcherResilience:
             space.consume(handle, conn, 1)
             space.detach(handle, conn)
             me.exit()
+
+    def test_corrupted_reply_is_counted_at_the_caller_and_it_times_out(
+        self, monkeypatch
+    ):
+        """The mirror case: the request is served, its reply is bit-flipped
+        on the way back.  The reply is finished on the *server's* thread, in
+        the caller's space — that is where the drop is counted; the server,
+        whose send succeeded, sees nothing, and the caller times out clean."""
+        import threading
+        import time
+
+        from repro.runtime import Cluster
+        from repro.runtime.address_space import AddressSpace
+        from repro.runtime.messages import ClockProbeReq
+
+        monkeypatch.setattr(AddressSpace, "_CANCEL_GRACE_S", 0.2)
+        with Cluster(n_spaces=2, gc_period=None) as cluster:
+            space = cluster.space(0)
+            with FaultyNetwork(cluster.network) as faulty:
+                faulty.fault_link(1, 0, FaultPlan(corrupt=1.0, seed=1))
+
+                def heal():  # exactly one packet is damaged: the reply
+                    while faulty.injected["corrupted"] < 1:
+                        time.sleep(0.001)
+                    faulty.uninstall()
+
+                healer = threading.Thread(target=heal, daemon=True)
+                healer.start()
+                with pytest.raises(TimeoutError, match="not acknowledged"):
+                    space.call(1, ClockProbeReq(), timeout=0.3)
+                healer.join(timeout=5)
+            assert faulty.injected["corrupted"] == 1
+            assert space.endpoint.stats.decode_errors == 1
+            server = cluster.space(1).endpoint.stats
+            assert server.decode_errors == 0 and server.replies_dropped == 0
+            assert not space._calls
+            # both directions work again, the server never stopped serving
+            assert isinstance(space.call(1, ClockProbeReq(), timeout=5), int)
 
     def test_undecodable_message_is_counted(self):
         from repro.runtime import Cluster

@@ -11,7 +11,7 @@ from repro.errors import ChannelFullError, TransportError
 from repro.runtime.messages import (
     AttachReq,
     ConsumeReq,
-    GcCollectMsg,
+    GcApplyReq,
     GetReq,
     PutReq,
     RpcReply,
@@ -73,7 +73,7 @@ class TestRoundtrip:
     def test_gc_collect_with_infinity(self):
         from repro.core.time import INFINITY
 
-        msg = GcCollectMsg(epoch=2, horizon=INFINITY)
+        msg = GcApplyReq(epoch=2, horizon=INFINITY)
         out = decode_message(encode_message(msg))
         assert out.horizon is INFINITY  # singleton preserved across the wire
 

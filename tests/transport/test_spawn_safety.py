@@ -24,7 +24,6 @@ from repro.runtime.messages import (
     DetachReq,
     EndpointStatsReq,
     GcApplyReq,
-    GcCollectMsg,
     GcSummaryReq,
     GetReq,
     LookupNameReq,
@@ -78,8 +77,8 @@ def _sample_messages() -> list:
         RpcReply(call_id=1, value={"clf": {"messages_sent": 3}}),
         RpcReply(call_id=2, error=RuntimeError("remote boom")),
         RpcCancel(call_id=3),
-        GcCollectMsg(epoch=9, horizon=17),
-        GcCollectMsg(epoch=9, horizon=INFINITY),
+        GcApplyReq(epoch=9, horizon=17),
+        GcApplyReq(epoch=9, horizon=INFINITY),
         ShutdownMsg(reason="spawn-safety sweep"),
         CachePushMsg(channel_id=7, timestamp=42, payload=Frame(b"\x00" * 64),
                      size=64),
@@ -162,7 +161,7 @@ class TestSpawnSafety:
         get = next(r.body for r in requests if isinstance(r.body, GetReq))
         assert get.request is STM_LATEST_UNSEEN
 
-        horizons = {m.horizon for m in by_type[GcCollectMsg]}
+        horizons = {m.horizon for m in by_type[GcApplyReq]}
         assert 17 in horizons and INFINITY in horizons
         errors = [m.error for m in by_type[RpcReply] if m.error is not None]
         assert len(errors) == 1 and "remote boom" in str(errors[0])
