@@ -18,8 +18,9 @@ What the shim checks while enabled:
   zero, collected below the GC horizon, or destroyed with the channel) is
   touched afterwards.  Reclaimed payloads are replaced with a
   :class:`Tombstone` carrying the reclaiming stack, and zero-copy
-  ``memoryview`` payloads from the PR-1 framing path are ``release()``-d so
-  every alias dies loudly.
+  ``memoryview`` payloads from the framing path — a bare view, or every
+  buffer of a multi-part :class:`~repro.core.payload.Parts` — are
+  ``release()``-d so every alias dies loudly.
 
 Dynamic findings are *recorded*, not raised (except lock re-entry and
 tombstone access, which would otherwise hang or corrupt): a sanitizer run
@@ -39,6 +40,7 @@ from typing import Any
 
 from repro.analysis import racecheck
 from repro.analysis.findings import Finding
+from repro.core.payload import Parts
 from repro.errors import StmSanError
 
 __all__ = [
@@ -377,11 +379,15 @@ def tombstone_payload(channel_id: int, timestamp: int, payload: Any) -> Any:
     """Poison one reclaimed payload: release zero-copy views, return the
     tombstone that should replace the stored payload."""
     stack = "".join(traceback.format_stack(limit=10))
-    if isinstance(payload, memoryview):
-        try:
-            payload.release()
-        except BufferError:  # still exported somewhere: leave it alive
-            pass
+    # A payload that came over the wire is a view of the received message,
+    # or a Parts holding several.
+    views = payload.buffers if payload.__class__ is Parts else (payload,)
+    for view in views:
+        if isinstance(view, memoryview):
+            try:
+                view.release()
+            except BufferError:  # still exported somewhere: leave it alive
+                pass
     return Tombstone(channel_id, timestamp, stack)
 
 

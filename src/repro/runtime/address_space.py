@@ -96,6 +96,23 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ChannelHandle", "LocalChannel", "AddressSpace"]
 
 
+def _framed(payload: Any) -> Any:
+    """A stored payload as it travels inside a message.
+
+    Encoded bytes are marked for out-of-band framing (one memcpy each way);
+    a :class:`~repro.core.payload.Parts` frames its own buffers when the
+    message is pickled; anything else crosses by value.
+    """
+    if isinstance(payload, (bytes, bytearray, memoryview)):
+        return Frame(payload)
+    return payload
+
+
+def _unframed(payload: Any) -> Any:
+    """A received payload as it is stored: the view under a ``Frame``."""
+    return payload.data if payload.__class__ is Frame else payload
+
+
 @dataclass(frozen=True)
 class ChannelHandle:
     """Portable reference to a channel anywhere in the cluster."""
@@ -396,12 +413,9 @@ class AddressSpace:
         if cls is RpcReply:
             self._complete_call(msg)
         elif cls is CachePushMsg:
-            payload = msg.payload
-            if isinstance(payload, Frame):
-                payload = payload.data
             with self._push_cache_lock:
                 self._push_cache[(msg.channel_id, msg.timestamp)] = (
-                    payload, msg.size,
+                    _unframed(msg.payload), msg.size,
                 )
         else:
             self._requests.put(msg)
@@ -792,10 +806,9 @@ class AddressSpace:
                 self._drain_locked(channel, puts=True, gets=False)
 
     def _h_put(self, body: PutReq, src: int, call_id) -> _Waiter | None:
-        if isinstance(body.payload, Frame):
-            # Out-of-band framed payload: store the raw bytes.  Mutating the
-            # body keeps drain retries (which replay it) unwrapped too.
-            body.payload = body.payload.data
+        # Store the received bytes themselves.  Mutating the body keeps
+        # drain retries (which replay it) unwrapped too.
+        body.payload = _unframed(body.payload)
         return self._put_start(
             self._channel(body.channel_id), body.conn_id, body.timestamp,
             body.payload, body.size, body.refcount, body.block,
@@ -983,13 +996,9 @@ class AddressSpace:
             return
         if record.pushed_to is None:
             record.pushed_to = set()
-        payload = record.payload
-        if channel.handle.copy_policy is CopyPolicy.SERIALIZE and isinstance(
-            payload, (bytes, bytearray, memoryview)
-        ):
-            payload = Frame(payload)
         msg = encode_message_sg(CachePushMsg(
-            channel.kernel.channel_id, timestamp, payload, record.size,
+            channel.kernel.channel_id, timestamp, _framed(record.payload),
+            record.size,
         ))
         for space in targets:
             self.endpoint.send(space, msg)
@@ -1012,10 +1021,7 @@ class AddressSpace:
                     and requester in record.pushed_to
                 ):
                     return (None, result.timestamp, result.size, True)
-            if channel.handle.copy_policy is CopyPolicy.SERIALIZE and isinstance(
-                payload, (bytes, bytearray, memoryview)
-            ):
-                payload = Frame(payload)
+            payload = _framed(payload)
         return (payload, result.timestamp, result.size, False)
 
     def _make_event(self) -> Any:
@@ -1427,15 +1433,13 @@ class AddressSpace:
             if waiter is not None:
                 self._await_local(waiter, timeout)
             return
-        if handle.copy_policy is CopyPolicy.SERIALIZE and isinstance(
-            payload, (bytes, bytearray, memoryview)
-        ):
-            # Ship encoded payloads out-of-band: one memcpy each way.
-            payload = Frame(payload)
+        # The request may hold views of the putter's own buffers
+        # (``Parts``): ``call`` sends on this thread, and every medium has
+        # copied the bytes by the time its ``send`` returns.
         self.call(
             handle.home_space,
-            PutReq(handle.channel_id, conn_id, timestamp, payload, size,
-                   refcount, block),
+            PutReq(handle.channel_id, conn_id, timestamp, _framed(payload),
+                   size, refcount, block),
             timeout=timeout,
         )
 
@@ -1470,9 +1474,7 @@ class AddressSpace:
                 GetReq(handle.channel_id, conn_id, ts, block, False),
                 timeout=timeout,
             )
-        if isinstance(payload, Frame):
-            payload = payload.data
-        return (payload, ts, size)
+        return (_unframed(payload), ts, size)
 
     def consume(
         self, handle: ChannelHandle, conn_id: int, timestamp: int, until: bool = False

@@ -134,7 +134,14 @@ class DetachReq:
 @register_message(20)
 @dataclass
 class PutReq:
-    """Insert ``payload`` (already copy-in encoded) at ``timestamp``."""
+    """Insert ``payload`` (already copy-in encoded) at ``timestamp``.
+
+    Payload forms under the SERIALIZE policy: a ``Frame`` around the in-band
+    pickle ``bytes``, or a :class:`~repro.core.payload.Parts` — pickle
+    stream plus views of the putter's own buffers — which frames its buffers
+    itself.  Either way the payload bytes leave as out-of-band segments and
+    arrive as views of the received message, which is what the home stores.
+    """
 
     channel_id: int
     conn_id: int
@@ -299,6 +306,9 @@ class CachePushMsg:
     Sent at put time to every space holding an input connection on a
     push-enabled channel.  The receiving space stores the payload in its
     push cache; a later payload-free get reply resolves against it.
+    ``payload`` is the stored form re-framed as it lies — a ``Frame`` around
+    bytes or a view, or a :class:`~repro.core.payload.Parts` whose parts are
+    gathered into the message without being joined first.
     """
 
     channel_id: int

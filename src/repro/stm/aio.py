@@ -164,6 +164,7 @@ class _AioConnection:
         self.conn_id = conn_id
         self.thread = thread
         self._closed = False
+        self._policy = channel.handle.copy_policy
         self._obs_label = channel.handle.name or f"#{channel.handle.channel_id}"
 
     @property
@@ -208,7 +209,10 @@ class AioOutputConnection(_AioConnection):
         self._check_open()
         validate_timestamp(timestamp)
         self.thread.check_put_timestamp(timestamp)
-        stored, size = encode(value, self.channel.handle.copy_policy)
+        # Always the in-band (copied) form, also for a remote home: ``aput``
+        # sends from an executor thread, which may still be reading while a
+        # cancelled or timed-out ``await`` has already returned here.
+        stored, size = encode(value, self._policy)
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
         await self.channel.space.aput(
@@ -248,7 +252,7 @@ class AioInputConnection(_AioConnection):
             timeout=timeout,
         )
         self.thread.note_open(self.channel.channel_id, self.conn_id, ts)
-        value = decode(stored, self.channel.handle.copy_policy)
+        value = decode(stored, self._policy)
         if rec is not None:
             dur = rec.complete(
                 "stm", "get", t0, self.thread.space.space_id,

@@ -155,6 +155,13 @@ class _Connection:
         self.conn_id = conn_id
         self.thread = thread
         self._closed = False
+        # Decided once, at attach, so no op re-derives them: the channel's
+        # copy policy, and whether a put must cross to another space — the
+        # one case in which ``encode`` may hand out views of the caller's
+        # buffers (the calling thread's send has copied them before ``put``
+        # returns; see repro.core.payload).
+        self._policy = channel.handle.copy_policy
+        self._remote_home = channel.handle.home_space != channel.space.space_id
         #: stable label for trace spans and metric keys.
         self._obs_label = channel.handle.name or f"#{channel.handle.channel_id}"
 
@@ -211,7 +218,7 @@ class OutputConnection(_Connection):
         self._check_open()
         validate_timestamp(timestamp)
         self.thread.check_put_timestamp(timestamp)
-        stored, size = encode(value, self.channel.handle.copy_policy)
+        stored, size = encode(value, self._policy, self._remote_home)
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
         self.channel.space.put(
@@ -257,7 +264,7 @@ class InputConnection(_Connection):
             self.channel.handle, self.conn_id, request, block=block, timeout=timeout
         )
         self.thread.note_open(self.channel.channel_id, self.conn_id, ts)
-        value = decode(stored, self.channel.handle.copy_policy)
+        value = decode(stored, self._policy)
         if rec is not None:
             dur = rec.complete(
                 "stm", "get", t0, self.thread.space.space_id,

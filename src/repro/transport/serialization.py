@@ -8,10 +8,11 @@ rebuilds it with ``cls(*fields)``.  No class name, module path or field name
 travels — every space of a cluster runs one code version, so the tag alone
 says what the tuple means — and that is what makes a payload-free request
 ~35 bytes and ~1.5 us each way instead of the ~180 bytes and ~4.5 us a
-pickled dataclass-in-a-dataclass costs.  Item payloads are *already* bytes
-by the time they reach a message (the channel facade encodes them under the
-SERIALIZE copy policy), so a payload crosses the wire inside the message
-without a second encode.
+pickled dataclass-in-a-dataclass costs.  Item payloads are *already*
+encoded by the time they reach a message (the channel facade encodes them
+under the SERIALIZE copy policy, to ``bytes`` or to a
+:class:`~repro.core.payload.Parts`), so a payload crosses the wire inside
+the message without a second encode.
 
 An *envelope* (``register_message(tag, envelope=True)``, i.e.
 ``RpcRequest``) carries another message in its last field.  When that body's
@@ -36,7 +37,9 @@ payload exactly once (gathering segments into MTU packets) and the receiver
 exactly once (reassembling packets into the message), instead of the 2-3
 extra copies a re-pickle of megabyte payloads costs — the "one memcpy each
 way" framing §5's Memory Channel path intends.  :data:`frame_stats` counts
-those per-side copies for the benchmarks.
+those per-side copies for the benchmarks.  Any protocol-5 out-of-band
+buffer in a message's fields is framed the same way, whoever offers it: a
+``Parts`` payload hands the pickler one ``PickleBuffer`` per part.
 
 Wire format: an unframed message is ``tag(2) | pickle(fields)``.  A framed
 message is ``tag(2) | 0x01 | nbufs(2) | pkl_len(4) | pickle(fields) |
