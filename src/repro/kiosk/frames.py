@@ -89,7 +89,9 @@ class SyntheticScene:
     noise_sigma:
         Std-dev of per-pixel sensor noise added to every frame.
     seed:
-        Seed for the background texture and noise.
+        Seed for the background texture and, with the frame number, for each
+        frame's noise: a scene renders the same frames in every process, and
+        scenes with different seeds differ in both.
     """
 
     def __init__(
@@ -100,8 +102,9 @@ class SyntheticScene:
     ):
         self.actors = actors if actors is not None else _default_actors()
         self.noise_sigma = noise_sigma
-        self._rng = np.random.default_rng(seed)
-        base = self._rng.integers(96, 128, size=(FRAME_HEIGHT, FRAME_WIDTH, 3))
+        self.seed = seed
+        rng = np.random.default_rng(seed)
+        base = rng.integers(96, 128, size=(FRAME_HEIGHT, FRAME_WIDTH, 3))
         self.background = base.astype(np.uint8)
         # Precompute coordinate grids once; rendering is then pure numpy.
         self._yy, self._xx = np.mgrid[0:FRAME_HEIGHT, 0:FRAME_WIDTH]
@@ -125,7 +128,7 @@ class SyntheticScene:
 
     def _noise_for(self, t: int) -> np.ndarray:
         """Per-frame noise, deterministic in ``t`` (independent of call order)."""
-        rng = np.random.default_rng((hash(("noise", t)) & 0x7FFFFFFF) + 1)
+        rng = np.random.default_rng([self.seed, t])
         return (rng.standard_normal((FRAME_HEIGHT, FRAME_WIDTH, 3)) *
                 self.noise_sigma).astype(np.int16)
 

@@ -1,4 +1,13 @@
-"""Unit + differential tests for the image-differencing blob tracker."""
+"""Unit + differential tests for the image-differencing blob tracker.
+
+The oracle is ``_reference_blob_tracker``: the per-pixel two-pass labeller
+the run-based kernel replaced.  Labels must be ``array_equal`` to it,
+numbering included, and ``TrackRecord``s ``==`` (no tolerance: the run kernel
+sums the same integers and averages the same float32 values in the same
+order).
+"""
+
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +17,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.kiosk.blob_tracker import BlobTracker, connected_components
-from repro.kiosk.frames import SyntheticScene
+from repro.kiosk.frames import Actor, SyntheticScene
+from tests.kiosk import _reference_blob_tracker as reference
+
+
+def _mask(rows):
+    """A mask from strings of ``#`` (set) and ``.`` (clear)."""
+    return np.array([[c == "#" for c in row] for row in rows], dtype=bool)
 
 
 class TestConnectedComponents:
@@ -74,11 +89,172 @@ class TestConnectedComponents:
             assert len(their_labels) == 1
             assert (theirs == their_labels[0]).sum() == cells.sum()
 
+    @given(
+        shape=st.tuples(st.integers(1, 48), st.integers(1, 64)),
+        density=st.sampled_from([0.03, 0.2, 0.5, 0.8, 0.97]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_labels_equal_the_oracle_numbering_included(self, shape, density, seed):
+        mask = np.random.default_rng(seed).random(shape) < density
+        ours, n_ours = connected_components(mask)
+        theirs, n_theirs = reference.connected_components(mask)
+        assert n_ours == n_theirs
+        assert ours.dtype == theirs.dtype == np.int32
+        np.testing.assert_array_equal(ours, theirs)
+
+    EDGE_MASKS = {
+        "all_true": (["####"] * 3, 1),
+        "all_false": (["...."] * 3, 0),
+        "single_pixel": (["...", ".#.", "..."], 1),
+        "single_row": (["##.#.###"], 3),
+        "single_column": (["#", "#", ".", "#"], 2),
+        # the flattened buffer must not join a run ending at the last column
+        # to one starting at column 0 of the next row
+        "row_wrap": (["..##", "##.."], 2),
+        "row_wrap_twice": (["..##", "##..", "...#", "#..."], 4),
+        "u_shape": (["#..#", "#..#", "####"], 1),
+        # the teeth get five provisional roots that only the last row joins
+        "comb": (["#.#.#.#.#", "#.#.#.#.#", "#########"], 1),
+        "comb_upside_down": (["#########", "#.#.#.#.#", "#.#.#.#.#"], 1),
+        # the right arm is met first in raster order, the left arm owns the root
+        "late_merge_renumbers": ([".#..#", "##..#", ".#.##", ".####", "#...."], 2),
+        "both_borders": (["#..#", "....", "####", "#..#"], 3),
+        "staircase": (["#...", "##..", ".##.", "..##"], 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EDGE_MASKS))
+    def test_edge_masks(self, name):
+        rows, expected = self.EDGE_MASKS[name]
+        mask = _mask(rows)
+        ours, n = connected_components(mask)
+        theirs, n_ref = reference.connected_components(mask)
+        assert n == n_ref == expected
+        np.testing.assert_array_equal(ours, theirs)
+        np.testing.assert_array_equal(ours > 0, mask)
+
+    def test_components_are_numbered_by_first_pixel_in_raster_order(self):
+        mask = _mask(["..#.#", "#.#..", "#...#"])
+        labels, n = connected_components(mask)
+        assert n == 4
+        firsts = [tuple(np.argwhere(labels == k)[0]) for k in range(1, n + 1)]
+        assert firsts == sorted(firsts) == [(0, 2), (0, 4), (1, 0), (2, 4)]
+
+
+def _spine_like_scene(seed):
+    """Two customers who enter, overlap in time and leave inside 64 frames."""
+    actors = [
+        Actor(color=(200, 40, 40), start=(60.0, 120.0), velocity=(2.0, 0.7),
+              enters_at=6, leaves_at=40),
+        Actor(color=(40, 60, 210), start=(250.0, 90.0), velocity=(-1.5, 1.1),
+              enters_at=22, leaves_at=54),
+    ]
+    return SyntheticScene(actors=actors, seed=seed)
+
+
+class TestRecordsEqualTheOracle:
+    """``TrackRecord ==``: regions and scores, bit for bit."""
+
+    @staticmethod
+    def _assert_same(background, frames, laps=1, **kwargs):
+        ours = BlobTracker(background, **kwargs)
+        theirs = reference.BlobTracker(background, **kwargs)
+        regions = 0
+        for lap in range(laps):
+            for t, frame in enumerate(frames):
+                ts = lap * len(frames) + t
+                record = ours.analyze(ts, frame)
+                assert record == theirs.analyze(ts, frame), (ts, kwargs)
+                regions += len(record.regions)
+        np.testing.assert_array_equal(ours._background, theirs._background)
+        assert ours.frames_processed == theirs.frames_processed
+        return regions
+
+    @pytest.fixture(scope="class")
+    def loop(self):
+        scene = _spine_like_scene(11)
+        return scene.background, [scene.render(t) for t in range(64)]
+
+    @pytest.mark.parametrize("seed", [2, 3, 5])
+    def test_two_actor_scene(self, seed):
+        scene = _spine_like_scene(seed)
+        frames = [scene.render(t) for t in range(64)]
+        assert self._assert_same(scene.background, frames) >= 64
+
+    def test_many_small_components(self, loop):
+        """A threshold inside the noise: hundreds of specks, most kept."""
+        background, frames = loop
+        regions = self._assert_same(background, frames[20:23],
+                                    threshold=2, min_area=2)
+        assert regions > 3 * 500
+
+    def test_adapting_background_over_two_laps(self, loop):
+        """After frame 0 the background is no longer integer-valued, so the
+        float32 association of the channel mean and of the update shows."""
+        background, frames = loop
+        assert self._assert_same(background, frames, laps=2, adapt=0.05) > 0
+
+    def test_non_default_shape(self):
+        rng = np.random.default_rng(4)
+        background = rng.integers(90, 130, size=(40, 40, 3), dtype=np.uint8)
+        frames = []
+        for t in range(12):
+            frame = background.astype(np.int16)
+            frame[5 + t:17 + t, 3:12] = (220, 30, 30)
+            frame[28:36, 38 - 2 * t:40] = (20, 40, 230)  # touches the right border
+            frame += (rng.standard_normal(frame.shape) * 2).astype(np.int16)
+            frames.append(np.clip(frame, 0, 255).astype(np.uint8))
+        assert self._assert_same(background, frames, min_area=10) >= 12
+        assert self._assert_same(background, frames, min_area=10, adapt=0.2) >= 12
+
+
+def _calls_of(fn):
+    """Python and C function calls made while ``fn`` runs (no clock)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
 
 class TestBlobTracker:
     @pytest.fixture(scope="class")
     def scene(self):
         return SyntheticScene(seed=3)
+
+    def test_work_is_per_run_not_per_row_or_pixel(self, scene):
+        """A counted cost pin: the per-pixel labeller made 737 calls on an
+        empty 240 x 320 frame (one pass per row) and 2 400-3 900 on these
+        two-blob frames (one ``np.unique`` per run, one image scan per
+        component); the run kernel makes 19 and ~160."""
+        tracker = BlobTracker(scene.background)
+        assert not tracker.analyze(0, scene.background).detected
+        assert _calls_of(lambda: tracker.analyze(1, scene.background)) < 60
+        frame = scene.render(50)
+        assert len(tracker.analyze(2, frame).regions) == 2
+        assert _calls_of(lambda: tracker.analyze(3, frame)) < 1_500
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1, 3), (320, 240, 3), (240, 320), (240, 320, 1)]
+    )
+    def test_wrongly_shaped_frame_is_rejected(self, scene, shape):
+        """Every one of these broadcasts against a (240, 320, 3) background,
+        or would fill an ``out=`` buffer without complaint."""
+        tracker = BlobTracker(scene.background)
+        with pytest.raises(ValueError) as excinfo:
+            tracker.analyze(0, np.zeros(shape, dtype=np.uint8))
+        assert str(shape) in str(excinfo.value)
+        assert "(240, 320, 3)" in str(excinfo.value)
+        assert tracker.frames_processed == 0
 
     def test_detects_actor(self, scene):
         tracker = BlobTracker(scene.background)

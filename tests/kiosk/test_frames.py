@@ -1,5 +1,10 @@
 """Unit tests for the synthetic video source."""
 
+import os
+import subprocess
+import sys
+import zlib
+
 import numpy as np
 import pytest
 
@@ -36,6 +41,32 @@ class TestGeometry:
 
     def test_noise_is_per_frame_deterministic(self, scene):
         np.testing.assert_array_equal(scene.render(7), scene.render(7))
+
+    def test_noise_follows_the_scene_seed(self):
+        """Same background value range, different seeds: the *noise* differs
+        (it used to be seeded from the frame number alone)."""
+        def noise(seed):
+            scene = SyntheticScene(actors=[], seed=seed)
+            return scene.render(3).astype(np.int16) - scene.background
+        assert not np.array_equal(noise(5), noise(6))
+
+    def test_frames_are_identical_across_processes(self):
+        """A ProcCluster digitizer child must render what its parent would:
+        string hashing is randomised per process and must not reach the
+        noise.  Two interpreters with different hash seeds, one CRC."""
+        program = (
+            "import zlib; from repro.kiosk.frames import SyntheticScene; "
+            "print(zlib.crc32(SyntheticScene(seed=5).render(3).tobytes()))"
+        )
+        crcs = set()
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            out = subprocess.run([sys.executable, "-c", program], env=env,
+                                 capture_output=True, text=True, timeout=60,
+                                 check=True)
+            crcs.add(int(out.stdout))
+        here = zlib.crc32(SyntheticScene(seed=5).render(3).tobytes())
+        assert crcs == {here}
 
 
 class TestActors:
