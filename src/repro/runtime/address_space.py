@@ -132,10 +132,10 @@ class _Waiter:
 
     Covers both kinds of blocker: a *remote* waiter carries the RPC routing
     (``call_id``/``src_space``) so the completed result can be sent as a
-    reply; a *local* waiter carries an :class:`threading.Event` the blocked
-    thread sleeps on plus result/error slots.  Either way the operation is
-    finished *by the thread that changed channel state* — the waiter never
-    retries anything itself.
+    reply; a *local* waiter carries the event its one blocked caller sleeps
+    on (:meth:`AddressSpace._make_event`) plus result/error slots.  Either
+    way the operation is finished *by the thread that changed channel
+    state* — the waiter never retries anything itself.
     """
 
     body: Any  # PutReq | GetReq: the drains replay it
@@ -143,8 +143,8 @@ class _Waiter:
     # remote waiters:
     call_id: int | None = None
     src_space: int | None = None
-    # local waiters:
-    event: threading.Event | None = None
+    # local waiters (a OneSleeperEvent, an AioEvent or a model-checker event):
+    event: Any = None
     result: Any = None
     error: BaseException | None = None
 
@@ -1025,13 +1025,14 @@ class AddressSpace:
         return (payload, result.timestamp, result.size, False)
 
     def _make_event(self) -> Any:
-        """Event a local parked waiter sleeps on.
+        """Event a local parked waiter sleeps on — one sleeper per event.
 
-        Default: the :mod:`repro.runtime.sync` factory (threading.Event, or
-        the model checker's cooperative event).  The asyncio space overrides
-        this with a dual sync/awaitable event so coroutine callers can await
-        the same waiter the drain code sets — the per-space end of the PR 3
-        virtualization seam.
+        Default: the :mod:`repro.runtime.sync` factory (a
+        :class:`~repro.runtime.sync.OneSleeperEvent`, or the model checker's
+        cooperative event).  The asyncio space overrides this with an
+        :class:`~repro.runtime.aio.AioEvent`, which a task awaits on one loop
+        future and an OS thread sleeps on like the default — the per-space
+        end of the PR 3 virtualization seam.
         """
         return make_event()
 

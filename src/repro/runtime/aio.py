@@ -14,8 +14,9 @@ driver:
   :meth:`~AioAddressSpace.spawn_task` to run an ``async def`` as a Stampede
   thread;
 * :class:`AioEvent` — the per-space end of the PR 3 sync-factory seam: a
-  dual threading/asyncio event, so one parked waiter can be slept on by an
-  OS thread *or* awaited by a task, and set from either side.
+  flag plus one loop future, made only when a task awaits (or a
+  one-sleeper thread event, made only when an OS thread parks here), set
+  from either side.
 
 Design notes
 ------------
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import threading
+from asyncio import _get_running_loop
 from typing import Any, Callable, Coroutine
 
 from repro.core.flags import GetWildcard, UNKNOWN_REFCOUNT
@@ -63,65 +64,87 @@ from repro.runtime.address_space import (
 )
 from repro.runtime.cluster import Cluster
 from repro.runtime.messages import LookupNameReq
-from repro.runtime.sync import factories_installed, make_event
+from repro.runtime.sync import OneSleeperEvent, factories_installed, make_event
 from repro.runtime.threads import StampedeThread, current_thread
 
 __all__ = ["AioEvent", "AioAddressSpace", "AioCluster"]
 
 
-class AioEvent:
-    """One event, waitable from an OS thread and awaitable from a task.
+def _resolve(future: asyncio.Future) -> None:
+    if not future.done():  # a cancelled await leaves nothing to wake
+        future.set_result(None)
 
-    The authoritative state is the :class:`threading.Event` — it is set
-    first, so a sync waiter can never observe the asyncio side ahead of it.
-    The asyncio mirror is set inline when the setter already runs on the
-    loop (the common case: a task's put draining a task's get) and via
-    ``call_soon_threadsafe`` when a real thread (GC round, dispatcher)
-    completes the waiter.
+
+class AioEvent:
+    """The event a parked operation sleeps on in an asyncio space.
+
+    One flag, which is the event's state, plus at most one sleeper: the
+    loop future of the task that awaits (:meth:`wait_async`) or, for an OS
+    thread parked in this space, a :class:`~repro.runtime.sync
+    .OneSleeperEvent` (:meth:`wait`).  Both are made only when somebody
+    actually sleeps, and the flag is re-checked after publishing them, so a
+    ``set()`` from another thread landing in between is seen.  ``set()``
+    writes the flag first and then wakes whichever sleeper it finds: a
+    future inline when the setter runs on the loop (a task's put draining a
+    task's get), through ``call_soon_threadsafe`` when a real thread (GC
+    round, dispatcher) completes the waiter.  Every waiter is fresh per
+    park, so there is no ``clear()``.
     """
 
-    __slots__ = ("_aevent", "_loop", "_tevent")
+    __slots__ = ("_flag", "_future", "_loop", "_sleeper")
 
     def __init__(self, loop: asyncio.AbstractEventLoop):
         self._loop = loop
-        self._tevent = threading.Event()
-        self._aevent = asyncio.Event()
+        self._flag = False
+        self._future: asyncio.Future | None = None
+        self._sleeper: OneSleeperEvent | None = None
 
     def set(self) -> None:
-        self._tevent.set()
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is self._loop:
-            self._aevent.set()
-        elif not self._loop.is_closed():
+        if self._flag:
+            return
+        self._flag = True
+        sleeper = self._sleeper
+        if sleeper is not None:
+            sleeper.set()
+        future = self._future
+        if future is None:
+            return
+        if _get_running_loop() is self._loop:
+            _resolve(future)
+        else:
             try:
-                self._loop.call_soon_threadsafe(self._aevent.set)
+                self._loop.call_soon_threadsafe(_resolve, future)
             except RuntimeError:
-                pass  # loop closed between the check and the call
+                pass  # the loop has closed, and its tasks with it
 
     def is_set(self) -> bool:
-        return self._tevent.is_set()
-
-    def clear(self) -> None:
-        self._tevent.clear()
-        self._aevent.clear()
+        return self._flag
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Blocking wait (for OS threads sharing the cluster with tasks)."""
-        return self._tevent.wait(timeout)
+        """Blocking wait, for an OS thread parked in an asyncio space."""
+        if self._flag:
+            return True
+        sleeper = self._sleeper
+        if sleeper is None:
+            sleeper = self._sleeper = OneSleeperEvent()
+            if self._flag:  # set before the sleeper was published
+                return True
+        return sleeper.wait(timeout)
 
     async def wait_async(self, timeout: float | None = None) -> bool:
-        if self._tevent.is_set():
+        if self._flag:
+            return True
+        future = self._future = self._loop.create_future()
+        if self._flag:  # set off-loop before the future was published
+            return True
+        if timeout is None:
+            await future
             return True
         try:
-            await asyncio.wait_for(self._aevent.wait(), timeout)
-            return True
+            await asyncio.wait_for(asyncio.shield(future), timeout)
         except asyncio.TimeoutError:
-            # The threading side is authoritative: a completion that raced
-            # the timeout must be honoured, exactly like Event.wait().
-            return self._tevent.is_set()
+            return self._flag  # a set that raced the timeout is honoured
+        return True
 
 
 class AioAddressSpace(AddressSpace):
@@ -132,12 +155,13 @@ class AioAddressSpace(AddressSpace):
     :class:`AioEvent` waiters so either kind of caller can sleep on them.
     """
 
-    #: set by :class:`AioCluster` before spaces are constructed.
-    loop: asyncio.AbstractEventLoop
+    cluster: "AioCluster"
 
-    def __init__(self, cluster: "AioCluster", space_id: int, endpoint):
-        self.loop = cluster.loop
-        super().__init__(cluster, space_id, endpoint)
+    @property
+    def loop(self) -> asyncio.AbstractEventLoop:
+        # Read through the cluster, not stored: a 30th instance attribute
+        # would demote every ``self.x`` of the class to a dict lookup.
+        return self.cluster.loop
 
     # -- the event seam -------------------------------------------------
     def _make_event(self) -> Any:

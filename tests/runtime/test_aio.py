@@ -2,7 +2,8 @@
 AioCluster, and the async STM facade).
 
 Cross-runtime *semantics* live in tests/conformance; this file covers the
-asyncio-only machinery: the dual-sided event, task identity binding, crash
+asyncio-only machinery: the wake event (one flag, one loop future or one
+thread sleeper), task identity binding, crash
 propagation through ajoin, async context-manager attachments, and
 thread/task interop on one cluster.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -47,7 +49,13 @@ class TestAioEvent:
         async def main():
             event = AioEvent(asyncio.get_running_loop())
             threading.Timer(0.01, event.set).start()
-            assert await event.wait_async(5.0) is True
+            t0 = time.monotonic()
+            assert await asyncio.wait_for(event.wait_async(), 10.0) is True
+            # woken by the set's own wakeup, not by the loop's next timer
+            assert time.monotonic() - t0 < 5.0
+            other = AioEvent(asyncio.get_running_loop())
+            threading.Timer(0.01, other.set).start()
+            assert await other.wait_async(10.0) is True
 
         run(main())
 
@@ -73,19 +81,152 @@ class TestAioEvent:
         async def main():
             event = AioEvent(asyncio.get_running_loop())
             assert await event.wait_async(0.01) is False
+            assert await event.wait_async(0) is False
 
         run(main())
 
-    def test_threading_side_is_authoritative_on_timeout_race(self):
-        """A completion that lands on the threading side but whose asyncio
-        mirror has not run yet must still be honoured."""
+    def test_foreign_set_between_flag_check_and_future_creation_is_seen(self):
+        """A set() from another thread that lands after ``wait_async`` saw
+        the flag clear but before its future exists finds no future to
+        resolve; the re-check of the flag is what wakes the task."""
 
         async def main():
-            event = AioEvent(asyncio.get_running_loop())
-            event._tevent.set()  # as if a foreign thread just set it
-            assert await event.wait_async(0.0) is True
+            loop = _SetWhileCreatingFuture(asyncio.get_running_loop())
+            event = loop.event = AioEvent(loop)
+            assert await asyncio.wait_for(event.wait_async(), 5.0) is True
+            assert loop.sets == 1
 
         run(main())
+
+    def test_set_off_loop_before_the_await(self):
+        async def main():
+            event = AioEvent(asyncio.get_running_loop())
+            setter = threading.Thread(target=event.set)
+            setter.start()
+            setter.join()
+            assert event.is_set()
+            assert await event.wait_async() is True
+            assert await event.wait_async(0) is True
+
+        run(main())
+
+    def test_timeout_honours_a_set_whose_wakeup_has_not_run(self):
+        """The flag is set off-loop, but the call_soon_threadsafe that would
+        resolve the future runs only after the timeout fired: the timed wait
+        still reports the set, exactly like ``Event.wait``."""
+
+        async def main():
+            loop = _SlowWakeups(asyncio.get_running_loop(), delay=0.5)
+            event = AioEvent(loop)
+            threading.Timer(0.01, event.set).start()
+            t0 = time.monotonic()
+            assert await event.wait_async(0.1) is True
+            assert time.monotonic() - t0 < 0.45  # the timeout, not the wake
+
+        run(main())
+
+    def test_os_thread_sleeps_on_an_aio_event(self):
+        """A real thread parked in an asyncio space: timed out, then woken by
+        a late set, then woken by a set from another thread."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            late = AioEvent(loop)
+            assert await loop.run_in_executor(None, late.wait, 0.01) is False
+            late.set()
+            assert late.is_set()
+            assert await loop.run_in_executor(None, late.wait, 0) is True
+            assert await loop.run_in_executor(None, late.wait, None) is True
+
+            event = AioEvent(loop)
+            threading.Timer(0.02, event.set).start()
+            assert await loop.run_in_executor(None, event.wait, 5.0) is True
+
+        run(main())
+
+    def test_foreign_set_while_an_os_thread_publishes_its_sleeper_is_seen(
+        self, monkeypatch
+    ):
+        """The thread twin of the future race: the set lands after ``wait``
+        saw the flag clear, before its sleeper exists."""
+        from repro.runtime import aio
+
+        loop = asyncio.new_event_loop()
+        try:
+            event = AioEvent(loop)
+            real = aio.OneSleeperEvent
+
+            def sleeper_after_a_set():
+                setter = threading.Thread(target=event.set)
+                setter.start()
+                setter.join()
+                return real()
+
+            monkeypatch.setattr(aio, "OneSleeperEvent", sleeper_after_a_set)
+            assert event.wait(1.0) is True
+        finally:
+            loop.close()
+
+    def test_foreign_set_after_the_loop_closed(self):
+        """The awaiting task is gone with its loop; a late set from a thread
+        must neither raise nor lose the flag."""
+        loop = asyncio.new_event_loop()
+        event = AioEvent(loop)
+        task = loop.create_task(event.wait_async())
+        loop.run_until_complete(asyncio.sleep(0))  # the task now awaits
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            loop.run_until_complete(task)
+        loop.close()
+        errors: list[BaseException] = []
+
+        def setter():
+            try:
+                event.set()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        thread = threading.Thread(target=setter)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert errors == [] and event.is_set() and event.wait(0) is True
+
+
+class _LoopProxy:
+    """An event loop that delegates everything but what a test overrides."""
+
+    def __init__(self, loop):
+        self._real = loop
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+
+class _SetWhileCreatingFuture(_LoopProxy):
+    """``create_future`` first lets a foreign thread set the event."""
+
+    event: AioEvent
+    sets = 0
+
+    def create_future(self):
+        setter = threading.Thread(target=self.event.set)
+        setter.start()
+        setter.join()
+        self.sets += 1
+        return self._real.create_future()
+
+
+class _SlowWakeups(_LoopProxy):
+    """Cross-thread wakeups are delivered ``delay`` seconds late."""
+
+    def __init__(self, loop, delay):
+        super().__init__(loop)
+        self.delay = delay
+
+    def call_soon_threadsafe(self, callback, *args):
+        return self._real.call_soon_threadsafe(
+            self._real.call_later, self.delay, callback, *args
+        )
 
 
 class TestSpawnAndIdentity:

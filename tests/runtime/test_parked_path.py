@@ -1,0 +1,181 @@
+"""The parked path: what a blocked put, get or synchronous RPC sleeps on.
+
+Each has exactly one sleeper, so each sleeps on one primitive: an OS thread
+on a ``OneSleeperEvent`` (a raw lock held while unset), an asyncio task on
+one loop future.  Neither goes through ``threading.Condition`` (the heart of
+``threading.Event``) or ``asyncio.Event``.  These tests count; they do not
+time.
+"""
+
+import asyncio
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.runtime import Cluster
+from repro.runtime.address_space import AddressSpace
+from repro.runtime.aio import AioAddressSpace, AioCluster
+from repro.runtime.messages import ClockProbeReq
+
+N = 1_000
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts ``threading.Condition`` constructions, waits and notifies, and
+    ``asyncio.Event`` constructions, from the moment of the patch."""
+    counts = {"condition": 0, "asyncio.Event": 0}
+
+    class Condition(threading.Condition):
+        def __init__(self, *args, **kwargs):
+            counts["condition"] += 1
+            super().__init__(*args, **kwargs)
+
+        def wait(self, *args, **kwargs):
+            counts["condition"] += 1
+            return super().wait(*args, **kwargs)
+
+        def notify(self, *args, **kwargs):
+            counts["condition"] += 1
+            return super().notify(*args, **kwargs)
+
+    class Event(asyncio.Event):
+        def __init__(self, *args, **kwargs):
+            counts["asyncio.Event"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Condition", Condition)
+    monkeypatch.setattr(asyncio, "Event", Event)
+    return counts
+
+
+def _parked_channel(space, me):
+    handle = space.create_channel(capacity=1)
+    out = space.attach(handle, is_input=False, thread=me)
+    inp = space.attach(handle, is_input=True, thread=me)
+    return handle, out, inp, space._channel(handle.channel_id)
+
+
+class TestNoConditionOnTheParkedPath:
+    """A thousand parked puts (every one of them parks: the consumer frees
+    the slot only once the next put is in the wait set) and a thousand RPCs
+    use no ``Condition`` and no ``asyncio.Event``."""
+
+    def test_parked_thread_puts(self, counted):
+        with Cluster(n_spaces=1, gc_period=None) as cluster:
+            space = cluster.space(0)
+            me = space.adopt_current_thread(virtual_time=0)
+            handle, out, inp, channel = _parked_channel(space, me)
+
+            def produce():
+                for ts in range(N + 1):
+                    space.put(handle, out, ts, b"x", 1, refcount=1)
+
+            producer = threading.Thread(target=produce)
+            producer.start()
+            counted.update(dict.fromkeys(counted, 0))  # Thread.start's own
+            for ts in range(N + 1):
+                while ts < N and not channel.put_waiters:
+                    time.sleep(0)
+                assert space.get(handle, inp, ts)[0] == b"x"
+                space.consume(handle, inp, ts)
+            seen = dict(counted)
+            producer.join(timeout=10.0)
+            me.exit()
+        assert channel.waiters_woken == N
+        assert seen == {"condition": 0, "asyncio.Event": 0}
+
+    def test_parked_task_puts(self, counted):
+        async def main():
+            async with AioCluster(n_spaces=1, gc_period=None) as cluster:
+                space = cluster.space(0)
+                me = space.adopt_current_task(virtual_time=0)
+                handle, out, inp, channel = _parked_channel(space, me)
+
+                async def produce():
+                    for ts in range(N + 1):
+                        await space.aput(handle, out, ts, b"x", 1, refcount=1)
+
+                counted.update(dict.fromkeys(counted, 0))  # setup's own
+                producer = asyncio.ensure_future(produce())
+                for ts in range(N + 1):
+                    while ts < N and not channel.put_waiters:
+                        await asyncio.sleep(0)
+                    assert (await space.aget(handle, inp, ts))[0] == b"x"
+                    await space.aconsume(handle, inp, ts)
+                await producer
+                seen = dict(counted)
+                me.exit()
+                return channel.waiters_woken, seen
+
+        woken, seen = asyncio.run(main())
+        assert woken == N
+        assert seen == {"condition": 0, "asyncio.Event": 0}
+
+    def test_in_process_rpcs(self, counted):
+        with Cluster(n_spaces=2, gc_period=None) as cluster:
+            space = cluster.space(0)
+            counted.update(dict.fromkeys(counted, 0))  # setup's own
+            for _ in range(N):
+                space.call(1, ClockProbeReq(), timeout=10.0)
+            seen = dict(counted)
+        assert seen == {"condition": 0, "asyncio.Event": 0}
+
+
+def test_python_calls_of_one_parked_aio_put_and_its_wake():
+    """``sys.setprofile`` ``call`` events (coroutine resumes included) from
+    starting a put that parks to its return after the consume that wakes
+    it.  With a ``threading.Event`` + ``asyncio.Event`` pair awaited through
+    ``wait_for`` this was 118; one loop future awaited directly is 104."""
+
+    async def main():
+        async with AioCluster(n_spaces=1, gc_period=None) as cluster:
+            space = cluster.space(0)
+            me = space.adopt_current_task(virtual_time=0)
+            handle, out, inp, _ = _parked_channel(space, me)
+            counts = []
+            for ts in range(0, 8, 2):
+                space.put(handle, out, ts, b"x", 1, refcount=1)
+                calls = [0]
+
+                def profile(frame, event, arg):
+                    if event == "call":
+                        calls[0] += 1
+
+                sys.setprofile(profile)
+                try:
+                    put = asyncio.ensure_future(
+                        space.aput(handle, out, ts + 1, b"y", 1, refcount=1))
+                    await asyncio.sleep(0)  # the put parks
+                    await space.aconsume(handle, inp, ts)  # and is woken
+                    await put
+                finally:
+                    sys.setprofile(None)
+                counts.append(calls[0])
+                await space.aget(handle, inp, ts + 1)
+                await space.aconsume(handle, inp, ts + 1)
+            me.exit()
+            return counts
+
+    counts = asyncio.run(main(), debug=False)  # debug mode adds calls
+    assert max(counts[1:]) < 111, counts
+
+
+def test_both_space_classes_keep_their_attributes_inline():
+    """CPython 3.11 keeps at most 29 instance attributes in an object's
+    inline values; a 30th turns every ``self.x`` of the class into a dict
+    lookup (measured on ``AddressSpace``: the ``local_cycle`` benchmark
+    +3.4 %).  ``AioAddressSpace`` reads its loop through the cluster for
+    this reason."""
+    with Cluster(n_spaces=2, gc_period=None) as cluster:
+        assert all(type(s) is AddressSpace for s in cluster.spaces)
+        assert max(len(vars(s)) for s in cluster.spaces) <= 29
+
+    async def main():
+        async with AioCluster(n_spaces=2, gc_period=None) as cluster:
+            assert all(type(s) is AioAddressSpace for s in cluster.spaces)
+            return max(len(vars(s)) for s in cluster.spaces)
+
+    assert asyncio.run(main()) <= 29
