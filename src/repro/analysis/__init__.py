@@ -12,8 +12,6 @@ Three coordinated passes, one ``Finding`` model, one CLI::
   path-sensitive STM201-205 protocol checker (backing the ``protolint``
   pass) plus the STM601-604 symbolic virtual-time rules (``absint``
   subcommand).
-* :mod:`repro.analysis.protolint` — the legacy lexical STM201-205 walker,
-  kept as the differential oracle for the abstract interpreter.
 * :mod:`repro.analysis.sanitizer` — runtime shim recording dynamic findings
   (STM301-303) when ``STMSAN=1`` or :func:`sanitizer.enable` is called.
 * :mod:`repro.analysis.stmgraph` — whole-program channel dataflow graph and

@@ -7,8 +7,8 @@ auto-detaching ``with attach(...) as conn:`` form), and the async variants.
 The worklist engine in :mod:`repro.analysis.absint.engine` then runs
 abstract domains (:mod:`~repro.analysis.absint.typestate`,
 :mod:`~repro.analysis.absint.vtime`) to a fixpoint over this IR — one flow
-engine for every flow-sensitive rule in the tree, replacing the lexical
-"statement path" approximation of the original protolint walker.
+engine for every flow-sensitive rule in the tree, where a lexical
+"statement path" approximation once stood.
 
 Lowering decisions that matter for soundness:
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["Instr", "Block", "CFG", "Scope", "collect_scopes", "build_cfg"]
 
-# vocabulary (kept in sync with protolint's / stmgraph's)
+# vocabulary (kept in sync with stmgraph's)
 _ATTACH_INPUT = {"attach_input", "spd_attach_input_channel"}
 _ATTACH_OUTPUT = {"attach_output", "spd_attach_output_channel"}
 _GET = {"get", "spd_channel_get_item"}

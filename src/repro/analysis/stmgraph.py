@@ -1,8 +1,9 @@
 """Whole-program channel-graph analysis (rules STM501-506).
 
-Where :mod:`repro.analysis.protolint` reasons about one function at a time,
-this pass extracts a **channel dataflow graph** for the whole scanned
-program and checks properties that only exist at the graph level — the
+Where the ``protolint`` pass (:func:`repro.analysis.absint.check_protocol`)
+reasons about one function at a time, this pass extracts a **channel
+dataflow graph** for the whole scanned program and checks properties that
+only exist at the graph level — the
 paper's global guarantees (GC advances only past items every attached input
 has consumed, §4; bounded channels make put/get a blocking protocol whose
 safety is a topology property, not a scope property).
@@ -58,7 +59,7 @@ __all__ = [
 ]
 
 # ----------------------------------------------------------------------
-# vocabulary (kept in sync with protolint's)
+# vocabulary (kept in sync with absint.cfg's)
 # ----------------------------------------------------------------------
 _ATTACH_INPUT = {"attach_input", "spd_attach_input_channel"}
 _ATTACH_OUTPUT = {"attach_output", "spd_attach_output_channel"}
@@ -217,7 +218,7 @@ class _FuncWalker:
         self._locks: list[str] = []
         self._walk_block(body, ())
 
-    # -- ordering (same machinery as protolint) ---------------------------
+    # -- ordering: lexical position within a common statement list ---------
 
     def strictly_precedes(self, a: _Path, b: _Path) -> bool:
         i = 0

@@ -5,13 +5,14 @@ Before any CLF traffic can flow, every process in a
 space listens.  The parent runs one :class:`NameService` on a listening
 socket whose port is the *only* address children need (passed in their
 spawn arguments); each process — parent included — then calls
-:func:`register` with its space id and CLF listener port and blocks until
+:func:`register` with its space id and CLF TCP port (0 when only same-node
+peers dial it, at an address derived from the session) and blocks until
 the service has heard from all ``n_spaces`` participants, at which point
 the complete directory ``{space_id: port}`` is broadcast back over the
 same connections.  The rendezvous doubles as a startup barrier: no process
 proceeds to mesh wiring until every listener exists, so
 :meth:`~repro.transport.sockets.SocketEndpoint.connect_mesh` never dials a
-port that is not yet bound.
+listener that is not yet bound.
 
 The protocol is one length-prefixed JSON object each way — deliberately
 pickle-free, so a confused or stale client cannot execute anything here.

@@ -5,10 +5,12 @@ in one Python process, so CPU-bound Stampede threads serialize on the GIL.
 This module is the third runtime driver: :class:`ProcCluster` spawns each
 address space as a **separate OS process** — real protection domains, as in
 the paper — wired together by :class:`~repro.transport.sockets
-.SocketEndpoint` over real media: shared-memory rings within a node, TCP
-between nodes.  The same :class:`~repro.runtime.address_space.AddressSpace`
-code runs in every process; only the transport underneath differs, so STM
-semantics cannot diverge between runtimes.
+.SocketEndpoint` over real media: within a node, a Unix-domain socket
+per pair carrying RPC bodies inline and a shared-memory ring per direction
+carrying frames; between nodes, TCP.  The same
+:class:`~repro.runtime.address_space.AddressSpace` code runs in every
+process; only the transport underneath differs, so STM semantics cannot
+diverge between runtimes.
 
 Topology of one ``ProcCluster(n_spaces=k)``:
 
@@ -22,18 +24,23 @@ Topology of one ``ProcCluster(n_spaces=k)``:
 
 Bootstrap: the parent creates the shared-memory rings and a
 :class:`~repro.runtime.nameservice.NameService`, spawns the children, and
-every process (parent included) registers its CLF listener port and blocks
-for the directory; then everyone meshes up.  The rendezvous is a barrier,
-so no process serves traffic before all can.
+every process (parent included) binds its listeners, registers its TCP
+port (0 when no other node dials it: same-node peers dial an address
+derived from the session and the space id) and blocks for the directory;
+then everyone meshes up.  The rendezvous is a barrier, so no process
+serves traffic before all can.
 
 Supervision: children heartbeat the parent over their control connection.
 The parent's supervisor thread watches process liveness and heartbeat ages;
 a dead or wedged child **fails the parent endpoint**, which unwinds every
 outstanding RPC with :class:`~repro.errors.TransportClosedError` instead of
-hanging — and the abrupt TCP reset of a killed child usually beats the
+hanging — and a killed child's connection, which the kernel closes with its
+process (end-of-file on a Unix socket, a reset on TCP), usually beats the
 heartbeat timeout.  ``shutdown()`` broadcasts ``ShutdownMsg``, joins the
 children, escalates to ``terminate``/``kill`` for stragglers, and unlinks
-every shared-memory segment: no orphan processes, no leaked segments.
+every shared-memory segment: no orphan processes, no leaked segments.  The
+Unix sockets live in the abstract namespace and vanish with the processes
+that hold them; nothing on disk needs removing.
 """
 
 from __future__ import annotations
@@ -178,8 +185,8 @@ class ProcCluster:
     Parameters mirror :class:`Cluster` where they can; ``spaces_per_node``
     defaults to *all on one node* (pure shared-memory data plane), and
     ``heartbeat_interval`` / ``heartbeat_timeout`` bound how fast a wedged
-    child is detected (a crashed one is detected by TCP reset, typically
-    much sooner).
+    child is detected (a crashed one is detected when its connection
+    closes, typically much sooner).
     """
 
     def __init__(

@@ -274,7 +274,8 @@ class ClfEndpoint(Delivery):
         the message it belongs to, here at the destination: the sender's
         ``send`` succeeded and sees nothing, the :class:`TransportError` is
         delivered in the message's place (``recv`` raises it, an address
-        space counts it in ``decode_errors``).
+        space counts it in ``decode_errors``), and the stream goes on with
+        the next message.
         """
         stream = self._streams.get(src)
         if stream is None:
@@ -286,7 +287,9 @@ class ClfEndpoint(Delivery):
             message = reasm.feed(packet)
         except TransportError as exc:
             self._deliver(src, exc)  # delivered in the lost message's place
-            return
+            if not reasm.unconsumed:
+                return
+            message = reasm.feed(packet)  # it begins the next message
         if message is None:
             return
         row[0] += 1

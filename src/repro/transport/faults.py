@@ -7,7 +7,8 @@ corrupts traffic on selected (src, dst) links — dropping, duplicating,
 reordering, or bit-flipping packets — so tests can verify that:
 
 * the reassembler detects every violation (CRC mismatch, fragment-stream
-  violations) and raises :class:`~repro.errors.TransportError`;
+  violations) and raises :class:`~repro.errors.TransportError` once per
+  message lost, then resynchronises on the next message;
 * the runtime survives corrupt traffic (the receiving space counts and
   drops it and keeps serving) rather than dying, and the sender of the
   corrupted bytes sees nothing.
@@ -36,6 +37,9 @@ class FaultPlan:
     #: hold a packet back and release it after the next one (pairwise swap).
     reorder: float = 0.0
     seed: int = 0
+    #: positions of packets on the link (0-based, in crossing order) that
+    #: are dropped outright, whatever ``drop`` says.
+    drop_at: tuple[int, ...] = ()
 
     def __post_init__(self):
         for name in ("drop", "duplicate", "corrupt", "reorder"):
@@ -59,6 +63,7 @@ class FaultyNetwork:
         self._plans: dict[tuple[int, int], FaultPlan] = {}
         self._rngs: dict[tuple[int, int], random.Random] = {}
         self._held: dict[tuple[int, int], bytes | None] = {}
+        self._crossed: dict[tuple[int, int], int] = {}
         self.injected = {"dropped": 0, "duplicated": 0, "corrupted": 0,
                          "reordered": 0}
         self._original_accept = ClfEndpoint._accept
@@ -78,6 +83,7 @@ class FaultyNetwork:
         self._plans[(src, dst)] = plan
         self._rngs[(src, dst)] = random.Random(plan.seed)
         self._held[(src, dst)] = None
+        self._crossed[(src, dst)] = 0
 
     def _apply(self, key, plan: FaultPlan, packet) -> list:
         """What reaches the destination in place of ``packet``, in order.
@@ -87,7 +93,9 @@ class FaultyNetwork:
         reordering is released behind the next one to cross the link.
         """
         rng = self._rngs[key]
-        if rng.random() < plan.drop:
+        position = self._crossed[key]
+        self._crossed[key] = position + 1
+        if position in plan.drop_at or rng.random() < plan.drop:
             self.injected["dropped"] += 1
             return []
         if rng.random() < plan.corrupt:

@@ -130,7 +130,11 @@ class Reassembler:
     One instance per (remote sender) direction.  Because the stream is
     ordered, fragments of a message arrive contiguously and in order; the
     reassembler enforces this and raises :class:`TransportError` on any
-    violation.
+    violation — one raise per message lost.  It then resynchronises: the
+    partial message is dropped, the lost message's remaining fragments are
+    discarded without another raise, and the next index-0 packet begins the
+    next message.  When that index-0 packet is the one that exposed the loss
+    it is left unconsumed (:attr:`unconsumed`), and the caller feeds it again.
     """
 
     def __init__(self, mtu: int = CLF_MTU):
@@ -139,6 +143,10 @@ class Reassembler:
         self._expect_index = 0
         self._count = 0
         self._parts: list[memoryview] = []
+        #: msgid of a lost message whose later fragments are dropped silently.
+        self._discard: int | None = None
+        #: True after a raise whose packet was not consumed (see the class).
+        self.unconsumed = False
         #: msgid of the most recently *completed* message (None before the
         #: first one).  The sender stamps the same id on its trace instant,
         #: so this is what lets the tracer pair a send with its receive.
@@ -150,12 +158,25 @@ class Reassembler:
         A single-packet message comes back as a view of ``packet`` itself
         (no join, no copy); a fragmented one as the joined bytes.
         """
-        msgid, index, count, payload = parse(packet, self.mtu)
+        try:
+            msgid, index, count, payload = parse(packet, self.mtu)
+        except TransportError:
+            # The header is not covered by the CRC, so a damaged payload
+            # still names the message whose remaining fragments to drop.
+            lost = self._msgid
+            if lost is None and len(packet) >= HEADER_BYTES:
+                lost = _HEADER.unpack_from(packet)[0]
+            self._lose(lost)
+            raise
         if self._msgid is None:
-            if count == 1 and index == 0:
-                self.last_msgid = msgid
-                return payload
-            if index != 0:
+            if index == 0:
+                if count == 1:
+                    self.last_msgid = msgid
+                    return payload
+            elif msgid == self._discard:
+                return None  # the rest of a message already counted lost
+            else:
+                self._lose(msgid)
                 raise TransportError(
                     f"message {msgid} began at fragment {index}, expected 0 "
                     f"(ordering violation)"
@@ -164,10 +185,13 @@ class Reassembler:
             self._parts = []
             self._expect_index = 0
         if msgid != self._msgid or index != self._expect_index or count != self._count:
+            expected = (self._msgid, self._expect_index, self._count)
+            self._lose(self._msgid)
+            self.unconsumed = index == 0 and msgid != expected[0]
             raise TransportError(
                 f"fragment stream violation: got (msg={msgid}, idx={index}, "
-                f"cnt={count}), expected (msg={self._msgid}, "
-                f"idx={self._expect_index}, cnt={self._count})"
+                f"cnt={count}), expected (msg={expected[0]}, "
+                f"idx={expected[1]}, cnt={expected[2]})"
             )
         self._parts.append(payload)
         self._expect_index += 1
@@ -178,6 +202,13 @@ class Reassembler:
             self._parts = []
             return data
         return None
+
+    def _lose(self, msgid: int | None) -> None:
+        """Drop the partial message; discard what is left of ``msgid``."""
+        self._msgid = None
+        self._parts = []
+        self._discard = msgid
+        self.unconsumed = False
 
     @property
     def mid_message(self) -> bool:

@@ -6,7 +6,9 @@ shared memory within an SMP" (§8.1).  One :class:`ShmRing` is a
 single-producer / single-consumer ring of raw bytes in one shared-memory
 segment, used for the directed traffic of one (src, dst) pair of address
 spaces that the :class:`~repro.transport.clf.ClusterTopology` places on the
-same node.
+same node.  It carries the pair's messages larger than one CLF packet —
+frames; the smaller ones (RPC bodies) travel inline on the pair's
+Unix-domain control socket (:mod:`repro.transport.sockets`).
 
 Data path (one memcpy per side):
 
@@ -14,8 +16,9 @@ Data path (one memcpy per side):
   (:func:`~repro.transport.serialization.encode_message_sg`) directly into
   the ring — each payload byte is copied exactly once, segment → ring;
 * a small *doorbell* record carrying only the byte count travels over the
-  pair's control socket (which also gives cross-process ordering and a
-  blockable wakeup — the 1999 CLF used interrupts the same way);
+  pair's Unix-domain control socket (which also gives cross-process
+  ordering and a blockable wakeup — the 1999 CLF used interrupts the same
+  way);
 * the **receiver** copies the message out of the ring into a private buffer
   exactly once — ring → message — and every later layer
   (:func:`~repro.transport.serialization.decode_message`, the channel
@@ -28,7 +31,7 @@ increasing 64-bit byte counters.  Each lives in the segment at a fixed,
 write/write race; the doorbell's trip through the kernel orders the data
 writes before the consumer's reads.  The producer blocks (bounded backoff
 poll of "read") when the ring lacks space; messages larger than the ring
-fall back to the socket inline path at the caller.
+go inline on the socket, like the small ones.
 """
 
 from __future__ import annotations

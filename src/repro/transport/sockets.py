@@ -1,4 +1,4 @@
-"""Real CLF media for the process runtime: TCP sockets + shared-memory rings.
+"""Real CLF media for the process runtime: sockets + shared-memory rings.
 
 The thread runtime's :class:`~repro.transport.clf.ClfEndpoint` moves packets
 through in-process queues; this module provides the same endpoint contract
@@ -8,18 +8,24 @@ separate processes (paper §8.1: "CLF ... exploits shared memory within an
 SMP, and any available network between SMPs"):
 
 * **intra-node** pairs (as placed by :class:`~repro.transport.clf
-  .ClusterTopology`) move message bytes through a
-  :class:`~repro.transport.shm_ring.ShmRing` — one memcpy into the ring on
-  send, one out on receive, with a tiny doorbell frame on the pair's socket
-  for ordering and wakeup;
-* **inter-node** pairs send the bytes inline over the TCP connection
-  (loopback here; the same code would cross machines).
+  .ClusterTopology`) talk over an ``AF_UNIX`` stream socket in Linux's
+  abstract namespace (:func:`unix_address`: nothing on disk, nothing to
+  unlink).  A message that fits one CLF packet (``max_payload(CLF_MTU)``
+  bytes: every RPC body) travels inline on it; a larger one — a frame —
+  goes through the pair's :class:`~repro.transport.shm_ring.ShmRing`, one
+  memcpy into the ring on send and one out on receive, announced by a
+  doorbell frame on the socket for ordering and wakeup;
+* **inter-node** pairs send every message inline over TCP (loopback here;
+  the same code would cross machines).
 
-Every ordered (src, dst) stream maps onto exactly one duplex TCP connection
+Every ordered (src, dst) stream maps onto exactly one duplex connection
 (the lower space id connects, the higher accepts) plus, when the topology
-says shared memory, one directed ring per direction.  A per-destination
-send lock serializes frames of concurrent senders, and TCP's ordering does
-the rest — CLF's reliable ordered point-to-point guarantee for free.
+says shared memory, one directed ring per direction.  An endpoint listens
+only on the socket families its lower-id peers dial.  A per-destination
+send lock serializes frames of concurrent senders, and the stream socket's
+ordering does the rest — CLF's reliable ordered point-to-point guarantee
+for free.  Ring and inline messages share that order: a doorbell is written
+in sequence with the inline frames around it.
 
 Wire framing (little-endian)::
 
@@ -46,9 +52,10 @@ from repro.errors import TransportClosedError, TransportError
 from repro.obs import events as _obs
 from repro.obs.metrics import REGISTRY
 from repro.transport.clf import ClfStats, ClusterTopology, Delivery
+from repro.transport.packets import max_payload
 from repro.transport.shm_ring import ShmRing
 
-__all__ = ["FRAME_HEADER", "SocketEndpoint", "ring_name"]
+__all__ = ["FRAME_HEADER", "SocketEndpoint", "ring_name", "unix_address"]
 
 FRAME_HEADER = struct.Struct("<BQ")
 _HELLO = struct.Struct("<I")
@@ -57,10 +64,19 @@ _DATA = 0
 _SHMD = 1
 _HBT = 2
 
+#: largest message sent inline on a same-node pair: one CLF packet's payload.
+_INLINE_MAX = max_payload()
+
 
 def ring_name(session: str, src: int, dst: int) -> str:
     """Shared-memory segment name of the directed ``src -> dst`` ring."""
     return f"stm-{session}-r{src}-{dst}"
+
+
+def unix_address(session: str, space: int) -> str:
+    """Abstract ``AF_UNIX`` address ``space`` accepts same-node peers on
+    (``@stm-<session>-s<space>`` in ``/proc/net/unix``)."""
+    return f"\0stm-{session}-s{space}"
 
 
 def _recv_into(sock: socket.socket, view: memoryview) -> None:
@@ -103,21 +119,24 @@ def _sendall_sg(sock: socket.socket, segments: list, nbytes: int) -> None:
 class _Peer:
     """One established duplex connection to another address space."""
 
-    __slots__ = ("space", "sock", "reader")
+    __slots__ = ("space", "sock", "medium", "reader")
 
     def __init__(self, space: int, sock: socket.socket):
         self.space = space
         self.sock = sock
+        #: the ``clf_wire_bytes_total`` medium of an inline message
+        self.medium = "unix" if sock.family == socket.AF_UNIX else "tcp"
         self.reader: threading.Thread | None = None
 
 
 class SocketEndpoint(Delivery):
     """One address space's attachment to the socket/shared-memory media.
 
-    Lifecycle: construct (binds the listener; ``port`` is then known),
-    distribute the full directory through the name service, then
-    :meth:`connect_mesh` — after which :meth:`send`/:meth:`recv` behave
-    exactly like the thread runtime's CLF endpoint.
+    Lifecycle: construct (binds the listeners; ``port`` is then known, 0
+    when no inter-node peer dials this space), distribute the full directory
+    through the name service, then :meth:`connect_mesh` — after which
+    :meth:`send`/:meth:`recv` behave exactly like the thread runtime's CLF
+    endpoint.
     """
 
     def __init__(
@@ -147,22 +166,46 @@ class SocketEndpoint(Delivery):
         self._wire_counters: dict[tuple, Any] = {}
         self._mesh_ready = threading.Event()
         self._lock = threading.Lock()
+        self._close_lock = threading.RLock()
         self._closed = False
         self._heartbeat_to = heartbeat_to
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_thread: threading.Thread | None = None
         self.last_heartbeat: dict[int, float] = {}
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(max(topology.n_spaces, 4))
-        self.port: int = self._listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"stm-accept-{space}",
-            daemon=True,
-        )
-        self._accept_thread.start()
+        # Lower ids dial higher ones, so this space accepts only from peers
+        # below it, on the family each pair's medium picks.
+        dialled_by = {topology.medium(peer, space).intra_node
+                      for peer in range(space)}
+        self._listeners: list[socket.socket] = []
+        self._accept_threads: list[threading.Thread] = []
+        self.port = 0
+        if False in dialled_by:
+            self.port = self._listen(
+                socket.AF_INET, ("127.0.0.1", 0)).getsockname()[1]
+        if True in dialled_by:
+            self._listen(socket.AF_UNIX, unix_address(session, space))
+        for listener in self._listeners:
+            thread = threading.Thread(
+                target=self._accept_loop,
+                args=(listener,),
+                name=f"stm-accept-{space}",
+                daemon=True,
+            )
+            thread.start()
+            self._accept_threads.append(thread)
+
+    def _listen(self, family: int, address) -> socket.socket:
+        listener = socket.socket(family, socket.SOCK_STREAM)
+        self._listeners.append(listener)
+        try:
+            if family == socket.AF_INET:
+                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(address)
+            listener.listen(max(self.topology.n_spaces, 4))
+        except OSError:
+            self.close()
+            raise
+        return listener
 
     # ==================================================================
     # bootstrap
@@ -212,37 +255,46 @@ class SocketEndpoint(Delivery):
             self._heartbeat_thread.start()
 
     def _dial(self, peer: int, port: int, timeout: float) -> None:
+        if self.topology.medium(self.space, peer).intra_node:
+            family, address = socket.AF_UNIX, unix_address(self.session, peer)
+        else:
+            family, address = socket.AF_INET, ("127.0.0.1", port)
         deadline = time.monotonic() + timeout
         while True:
+            sock = socket.socket(family, socket.SOCK_STREAM)
+            sock.settimeout(5.0)
             try:
-                sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+                sock.connect(address)
                 break
             except OSError:
+                sock.close()
                 if time.monotonic() > deadline:
                     raise TransportError(
                         f"space {self.space} could not reach space {peer} "
-                        f"on port {port}"
+                        f"at {address!r}"
                     ) from None
                 time.sleep(0.02)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.sendall(_HELLO.pack(self.space))
         self._register_peer(peer, sock)
 
-    def _accept_loop(self) -> None:
+    def _accept_loop(self, listener: socket.socket) -> None:
         while not self._closed:
             try:
-                sock, _addr = self._listener.accept()
+                sock, _addr = listener.accept()
             except OSError:
-                return  # listener closed
+                return  # listener shut down
             try:
                 (peer,) = _HELLO.unpack(bytes(_recv_exact(sock, _HELLO.size)))
             except Exception:
                 sock.close()
                 continue
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._register_peer(peer, sock)
 
     def _register_peer(self, peer: int, sock: socket.socket) -> None:
+        # The reader blocks for as long as its peer is quiet: no dial timeout.
+        sock.settimeout(None)
+        if sock.family == socket.AF_INET:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         entry = _Peer(peer, sock)
         with self._lock:
             if self._closed or peer in self._peers:
@@ -282,9 +334,11 @@ class SocketEndpoint(Delivery):
             raise TransportError(
                 f"space {self.space} has no connection to space {dst}"
             )
+        # Same-node pairs have a ring: it carries what is larger than one
+        # CLF packet (frames) and the socket carries the rest (RPC bodies).
         ring = self._send_rings.get(dst)
-        use_ring = ring is not None and nbytes <= ring.capacity
-        medium = "shm" if use_ring else "tcp"
+        use_ring = ring is not None and _INLINE_MAX < nbytes <= ring.capacity
+        medium = "shm" if use_ring else peer.medium
         try:
             with self._send_locks[dst]:
                 # The flow sequence number is the position of this message in
@@ -352,6 +406,7 @@ class SocketEndpoint(Delivery):
     def _reader_loop(self, peer: _Peer) -> None:
         sock = peer.sock
         src = peer.space
+        inline = peer.medium
         received = self.stats.received_row(src)  # this reader is its writer
         deliver = self._deliver
         header = memoryview(bytearray(FRAME_HEADER.size))  # reused per frame
@@ -380,7 +435,7 @@ class SocketEndpoint(Delivery):
                     medium = "shm"
                 elif kind == _DATA:
                     message = _recv_exact(sock, length)
-                    medium = "tcp"
+                    medium = inline
                 else:
                     raise TransportError(f"unknown frame kind {kind} from {src}")
                 # Mirror of the sender's flow numbering: this reader is the
@@ -438,24 +493,31 @@ class SocketEndpoint(Delivery):
         self.close()
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            peers = list(self._peers.values())
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        for peer in peers:
-            try:
-                peer.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            peer.sock.close()
-        for ring in (*self._send_rings.values(), *self._recv_rings.values()):
-            ring.close()
-        self._deliver(self.space, None)
+        """Release every socket, ring and thread of this endpoint.  A second
+        caller (a reader that lost its peer, say) returns once it is done."""
+        with self._close_lock:
+            with self._lock:
+                if self._closed:
+                    return
+                self._closed = True
+                peers = list(self._peers.values())
+            for listener in self._listeners:
+                try:
+                    listener.shutdown(socket.SHUT_RDWR)  # wakes its accept()
+                except OSError:
+                    pass  # never listened
+                listener.close()
+            for thread in self._accept_threads:
+                thread.join(timeout=5.0)  # stm-ok: STM103 -- accept threads never take _close_lock
+            for peer in peers:
+                try:
+                    peer.sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+                peer.sock.close()
+            for ring in (*self._send_rings.values(), *self._recv_rings.values()):
+                ring.close()
+            self._deliver(self.space, None)
 
     @property
     def closed(self) -> bool:

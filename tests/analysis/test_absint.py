@@ -1,5 +1,5 @@
-"""The abstract interpreter (absint): corpus exactness, differential
-dominance over the legacy lexical walker, and the CLI subcommand.
+"""The abstract interpreter (absint): corpus exactness, dominance over the
+retired lexical walker's frozen corpus output, and the CLI subcommand.
 
 Marker convention matches ``test_static_passes``: each seeded corpus
 file annotates its planted defects with ``# VIOLATION: STM###`` and the
@@ -16,10 +16,13 @@ import pytest
 
 from repro.analysis.absint import check_absint, check_protocol
 from repro.analysis.cli import main
-from repro.analysis.protolint import check_protocol_legacy
 from repro.analysis.source import filter_suppressed, load_sources
 
 CORPUS = Path(__file__).parent / "corpus"
+#: the legacy lexical walker's corpus output, frozen when it was deleted
+LEGACY = json.loads(
+    (Path(__file__).parent / "fixtures" / "protolint_legacy_golden.json").read_text()
+)
 _MARKER = re.compile(r"#\s*VIOLATION:\s*(STM\d+)")
 
 ABSINT_CORPUS = [
@@ -92,28 +95,29 @@ def test_legacy_corpus_still_exact_under_cfg_engine():
 # ----------------------------------------------------------------------
 # differential: CFG engine dominates the legacy lexical walker
 # ----------------------------------------------------------------------
+def _cfg_findings(name: str) -> set[tuple[str, int, str]]:
+    sources = load_sources([CORPUS / name], root=CORPUS)
+    return {(name, f.line, f.rule_id) for f in check_protocol(sources)}
+
+
 def test_cfg_engine_keeps_every_true_legacy_detection():
-    """On the full corpus, every legacy STM2xx detection that is a real
-    seeded violation (i.e. marked) is also found by the CFG engine: the
-    rewrite loses nothing."""
-    for path in sorted(CORPUS.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        sources = load_sources([path], root=CORPUS)
-        legacy = {(f.rule_id, f.line) for f in check_protocol_legacy(sources)}
-        marked = expected_violations(path)
-        cfg = {(f.rule_id, f.line) for f in check_protocol(sources)}
-        assert legacy & marked <= cfg, path.name
+    """Every legacy STM2xx detection that was a real seeded violation (a
+    marked line) is also found by the CFG engine: the rewrite loses
+    nothing."""
+    for name, line, rule in LEGACY["true_detections"]:
+        assert (rule, line) in expected_violations(CORPUS / name)
+        assert (name, line, rule) in _cfg_findings(name)
 
 
 def test_cfg_engine_kills_legacy_false_positives():
-    """The legacy walker false-positives on the conditional
-    detach-and-re-attach idiom (it orders the branch's detach before the
+    """The legacy walker false-positived on the conditional
+    detach-and-re-attach idiom (it ordered the branch's detach before the
     rejoin put lexically); the CFG engine understands the path split."""
-    sources = load_sources([CORPUS / "absint_tryfinally.py"], root=CORPUS)
-    legacy = check_protocol_legacy(sources)
-    assert legacy, "legacy walker was expected to false-positive here"
-    assert check_protocol(sources) == []
+    assert LEGACY["false_positives"], "the frozen oracle lists its false positive"
+    for name, line, rule in LEGACY["false_positives"]:
+        assert (rule, line) not in expected_violations(CORPUS / name)
+        assert (name, line, rule) not in _cfg_findings(name)
+    assert _cfg_findings("absint_tryfinally.py") == set()
 
 
 # ----------------------------------------------------------------------

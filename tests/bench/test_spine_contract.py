@@ -10,8 +10,11 @@ pipeline, not a test — unless it is pinned here.
 from __future__ import annotations
 
 import inspect
+import os
 import pathlib
+import socket
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,12 +23,14 @@ from repro.core.payload import CopyPolicy, decode, encode
 from repro.kiosk.records import VideoFrame
 from repro.runtime.address_space import AddressSpace
 from repro.runtime.messages import PutReq, RpcRequest
+from repro.transport.clf import ClusterTopology
 from repro.transport.serialization import (
     Frame,
     decode_message,
     encode_message_sg,
     frame_stats,
 )
+from repro.transport.sockets import SocketEndpoint
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
 
@@ -77,6 +82,33 @@ def test_address_space_put_keeps_its_positional_order():
     for op in ("get", "consume"):
         assert list(inspect.signature(getattr(AddressSpace, op)).parameters)[:3] == [
             "self", "handle", "conn_id"]
+
+
+def test_the_bare_inter_node_socket_pair_is_tcp_with_a_port_directory():
+    """``layers.transport_layer``'s ``transport.sockets.oneway_us`` rows:
+    ``SocketEndpoint(i, ClusterTopology(2, spaces_per_node=1), session=...)``,
+    ``{0: ep0.port, 1: ep1.port}`` to ``connect_mesh`` (space 0 dialling from
+    a second thread), then ``send`` of a framed put and ``recv(timeout=...)``
+    — over TCP, as before same-node pairs moved to Unix sockets."""
+    topology = ClusterTopology(2, spaces_per_node=1)
+    session = f"spine{os.getpid():x}"
+    ep0 = SocketEndpoint(0, topology, session=session)
+    ep1 = SocketEndpoint(1, topology, session=session)
+    try:
+        directory = {0: ep0.port, 1: ep1.port}
+        dialer = threading.Thread(target=ep0.connect_mesh, args=(directory,))
+        dialer.start()
+        ep1.connect_mesh(directory)
+        dialer.join(timeout=30.0)
+        assert ep0._peers[1].sock.family == socket.AF_INET
+        payload = encode(_frame_value(), CopyPolicy.SERIALIZE)[0]
+        message = RpcRequest(7, 0, PutReq(1, 2, 3, Frame(payload), len(payload), 1, True))
+        ep0.send(1, encode_message_sg(message))
+        src, wire = ep1.recv(timeout=30.0)
+        assert src == 0 and decode_message(wire).body.timestamp == 3
+    finally:
+        ep0.close()
+        ep1.close()
 
 
 def test_every_trace_boundary_resolves_as_install_resolves_it(spine_trace):

@@ -1,10 +1,12 @@
 """Integration tests for the multi-process cluster runtime.
 
 Each test boots a real :class:`~repro.runtime.procs.ProcCluster` — spawned
-child processes, shared-memory rings, TCP doorbells — so they cover the
+child processes, Unix-domain control sockets carrying RPC bodies inline and
+the doorbells of frames that cross shared-memory rings — so they cover the
 whole bootstrap (rings → name service → mesh) plus the STM data plane over
 real media.  Worker functions are module-level: the ``spawn`` start method
-ships them to children by import reference.
+ships them to children by import reference.  ``test_medium.py`` pins which
+medium each message takes.
 """
 
 import os
@@ -57,7 +59,7 @@ class TestDataPlane:
             out.put(0, payload, refcount=1)
             item = inp.get_consume(0)
             assert item.value == payload
-            # The megabyte went through the ring, not the TCP fallback.
+            # The megabyte went through the ring, not the inline fallback.
             assert _wire_bytes("shm", "tx") - shm_tx_before >= len(payload)
             # The remote space's own counters are visible over RPC.
             child = cluster.endpoint_stats(1)
@@ -67,17 +69,21 @@ class TestDataPlane:
             inp.detach()
             me.exit()
 
-    def test_oversized_message_falls_back_to_tcp(self):
+    def test_oversized_message_falls_back_to_inline_unix(self):
+        """A message larger than the ring goes inline on the same-node
+        pair's Unix-domain socket."""
         payload = os.urandom(256 * 1024)
         with ProcCluster(n_spaces=2, gc_period=None, ring_bytes=64 * 1024) as cluster:
             me = cluster.space(0).adopt_current_thread(virtual_time=0)
             stm = STM(cluster.space(0))
             chan = stm.create_channel("pr.big", home=1)
             out, inp = chan.attach_output(), chan.attach_input()
-            tcp_tx_before = _wire_bytes("tcp", "tx")
+            unix_tx_before = _wire_bytes("unix", "tx")
+            shm_tx_before = _wire_bytes("shm", "tx")
             out.put(0, payload, refcount=1)
             assert inp.get_consume(0).value == payload
-            assert _wire_bytes("tcp", "tx") - tcp_tx_before >= len(payload)
+            assert _wire_bytes("unix", "tx") - unix_tx_before >= len(payload)
+            assert _wire_bytes("shm", "tx") == shm_tx_before
             out.detach()
             inp.detach()
             me.exit()

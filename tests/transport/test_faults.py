@@ -100,6 +100,51 @@ class TestFaultPlans:
         network.close()
 
 
+class TestResynchronisation:
+    """A fault costs the message it hits and no other: the stream picks up
+    again at the next message."""
+
+    @staticmethod
+    def _drain(dst):
+        """Everything delivered so far: messages, and losses as errors."""
+        import queue
+
+        out = []
+        while True:
+            try:
+                out.append(bytes(dst.recv(timeout=0.05)[1]))
+            except TransportError as exc:
+                out.append(exc)
+            except queue.Empty:
+                return out
+
+    def test_a_dropped_middle_fragment_costs_exactly_its_own_message(self, net):
+        net.fault_link(0, 1, FaultPlan(drop_at=(1,)))  # fragment 1 of message 1
+        a, b = net.network.endpoint(0), net.network.endpoint(1)
+        first, third = bytes(range(256)) * 100, bytes(30_000)  # 4 fragments each
+        a.send(1, first)
+        a.send(1, b"second")
+        a.send(1, third)
+        got = self._drain(b)
+        assert net.injected["dropped"] == 1
+        assert len(got) == 3 and isinstance(got[0], TransportError)
+        assert got[1:] == [b"second", third]
+
+    def test_a_lost_last_fragment_does_not_take_the_next_message(self, net):
+        """The next message's first packet exposes the loss; it still begins
+        that message, whether it is one packet or several."""
+        net.fault_link(0, 1, FaultPlan(drop_at=(3, 8)))  # each message's last
+        a, b = net.network.endpoint(0), net.network.endpoint(1)
+        bodies = [bytes([i]) * 30_000 for i in range(2)]
+        a.send(1, bodies[0])
+        a.send(1, b"short")
+        a.send(1, bodies[1])
+        a.send(1, bodies[0])
+        got = self._drain(b)
+        assert [type(x) for x in got] == [TransportError, bytes, TransportError, bytes]
+        assert got[1] == b"short" and got[3] == bodies[0]
+
+
 class TestDispatcherResilience:
     def test_dispatcher_survives_corrupt_message(self):
         """A corrupt *decoded message* is dropped; the space keeps serving."""

@@ -120,6 +120,46 @@ class TestReassembler:
             Reassembler().feed(bytes(CLF_MTU + 1))
 
 
+class TestResynchronisation:
+    """After a violation the reassembler drops the partial message, raises
+    once for it, and starts over at the next index-0 packet."""
+
+    def test_a_corrupt_middle_fragment_is_one_loss(self):
+        r = Reassembler()
+        packets = list(fragment(1, bytes(30_000)))  # 4 fragments
+        packets[1] = bytearray(packets[1])
+        packets[1][-1] ^= 0xFF
+        assert r.feed(packets[0]) is None
+        with pytest.raises(TransportError, match="CRC"):
+            r.feed(packets[1])
+        assert [r.feed(p) for p in packets[2:]] == [None, None]  # no second raise
+        assert not r.mid_message
+        assert r.feed(next(fragment(2, b"next"))) == b"next"
+
+    def test_the_packet_that_exposes_a_loss_is_left_for_the_next_message(self):
+        r = Reassembler()
+        lost = list(fragment(1, bytes(20_000)))
+        (short,) = fragment_sg(2, [b"short"])
+        r.feed(lost[0])
+        with pytest.raises(TransportError, match="violation"):
+            r.feed(short)
+        assert r.unconsumed and not r.mid_message
+        assert r.feed(short) == b"short"
+        # late fragments of the lost message are dropped without a raise
+        assert [r.feed(p) for p in lost[1:]] == [None, None]
+        assert [r.feed(p) for p in fragment_sg(3, [bytes(20_000)])][-1] == bytes(20_000)
+
+    def test_a_duplicated_first_fragment_costs_its_message_once(self):
+        r = Reassembler()
+        packets = list(fragment(1, bytes(20_000)))
+        r.feed(packets[0])
+        with pytest.raises(TransportError, match="violation"):
+            r.feed(packets[0])
+        assert not r.unconsumed
+        assert [r.feed(p) for p in packets[1:]] == [None, None]
+        assert r.feed(next(fragment(2, b"x"))) == b"x"
+
+
 def _reassemble(packets, mtu=CLF_MTU):
     r = Reassembler(mtu)
     results = [r.feed(packet) for packet in packets]
