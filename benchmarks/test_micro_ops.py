@@ -105,32 +105,3 @@ def test_facade_serialize_image_payload(benchmark, local_cluster):
         state["ts"] = ts + 1
 
     benchmark(cycle)
-
-
-# ----------------------------------------------------------------------
-# PR-1 hot-path counters: not timings but *counted* costs, asserted so a
-# regression in the wakeup / GC / framing machinery fails the bench suite.
-# ----------------------------------------------------------------------
-def test_counter_wakeups_per_put_is_one():
-    from repro.bench.pr1_hotpath import measure_wakeups
-
-    result = measure_wakeups(n_consumers=4)
-    assert result["woken_per_put"] <= 1.0, result
-
-
-def test_counter_gc_epoch_scans_nothing_in_steady_state():
-    from repro.bench.pr1_hotpath import measure_gc_epoch
-
-    result = measure_gc_epoch(n_spaces=2, n_channels=8, items_per_channel=64,
-                              epochs=3)
-    assert result["min_scan_steps_per_epoch"] == 0, result
-
-
-def test_counter_remote_payload_memcpys_bounded():
-    from repro.bench.pr1_hotpath import measure_framing
-
-    result = measure_framing(payload_bytes=1 << 18, iters=5)
-    copies = result["payload_copies_per_transfer"]
-    # one gather on the send side + one reassembly join on the receive side
-    # (the tiny pickle/header overhead rides along in the same packets)
-    assert copies <= 2.05, result

@@ -29,10 +29,6 @@ from repro.bench.pipeline_sim import pipeline_placement_table
 from repro.bench.fig09 import clf_bandwidth_table
 from repro.bench.fig10 import stm_latency_table
 from repro.bench.fig11 import stm_bandwidth_table
-from repro.bench.pr1_hotpath import pr1_hotpath_table
-from repro.bench.pr6_procs import pr6_procs_table
-from repro.bench.pr8_aio import pr8_aio_table
-from repro.bench.pr10_telemetry import pr10_telemetry_table
 from repro.bench.tables import TableResult
 
 __all__ = ["EXPERIMENTS", "run", "main"]
@@ -82,22 +78,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[str], list[TableResult]]]] = {
     "pipeline-placement": (
         "Kiosk pipeline latency per placement (sim vs scheduler model)",
         lambda mode: [pipeline_placement_table()],
-    ),
-    "pr1-hotpath": (
-        "PR-1 hot-path counters: wakeups/put, GC epoch, payload memcpys",
-        lambda mode: [pr1_hotpath_table(mode)],
-    ),
-    "pr6-procs": (
-        "PR-6 process runtime: GIL escape, shm ring memcpys, kiosk fleet",
-        lambda mode: [pr6_procs_table(mode)],
-    ),
-    "pr8-aio": (
-        "PR-8 asyncio scale: 10k-connection GC minima, per-waiter wakeups",
-        lambda mode: [pr8_aio_table(mode)],
-    ),
-    "pr10-telemetry": (
-        "PR-10 telemetry plane: harvest cost, scrape latency, overhead",
-        lambda mode: [pr10_telemetry_table(mode)],
     ),
 }
 

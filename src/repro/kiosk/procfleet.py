@@ -27,8 +27,10 @@ item is open* so the output inherits its timestamp.  End of stream is a
 
 Works unchanged on both the thread runtime (:class:`~repro.runtime.cluster
 .Cluster`) and the process runtime (:class:`~repro.runtime.procs
-.ProcCluster`) — the benchmark in :mod:`repro.bench.pr6_procs` runs it on
-both and compares.
+.ProcCluster`); ``tests/kiosk/test_procfleet.py`` checks that both give
+the same results.  What each driver costs for this pipeline is the spine's
+``kiosk`` workload (processes) beside its ``kiosk.threads_item_cost_cal``
+row (threads).
 """
 
 from __future__ import annotations

@@ -197,7 +197,8 @@ class ExpositionServer(ThreadingHTTPServer):
     daemon_threads = True
     #: socketserver's default listen backlog is 5 — a fleet of Prometheus
     #: instances scraping in lockstep overflows that and sees connection
-    #: resets (repro.bench.pr10_telemetry drives exactly that stampede).
+    #: resets or SYN-retransmit stalls (tests/obs/test_promtext.py fires
+    #: 100 scrapes at once and fails with the default).
     request_queue_size = 128
 
     def __init__(

@@ -105,7 +105,8 @@ class Frame:
 
 
 class FrameStats:
-    """Counters for the framing layer (read by the PR-1 benchmarks).
+    """Counters for the framing layer (read by the copy-count tests and the
+    spine's ``transport.serialization.copies_per_byte`` row).
 
     ``payload_bytes_copied`` counts one copy per side per framed payload:
     the send-side gather into MTU packets and the receive-side reassembly

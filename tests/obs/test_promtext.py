@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 import urllib.request
 
 import pytest
@@ -161,6 +162,28 @@ class TestExpositionServer:
 
     def test_url_property(self, server):
         assert server.url == f"http://127.0.0.1:{server.port}/metrics"
+
+    def test_concurrent_scrapes_all_get_the_same_body(self, server):
+        """100 scrapers fire at once, as a fleet scraping in lockstep does."""
+        n = 100
+        barrier = threading.Barrier(n)
+        bodies: list = [None] * n
+
+        def scrape(idx: int) -> None:
+            barrier.wait()
+            try:
+                bodies[idx] = self._get(server, "/metrics")[2]
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                bodies[idx] = exc
+
+        threads = [threading.Thread(target=scrape, args=(i,)) for i in range(n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        failed = [b for b in bodies if not isinstance(b, bytes)]
+        assert not failed, failed[:3]
+        assert set(bodies) == {render_prometheus(sample_registry()).encode()}
 
     def test_live_source_reflects_updates(self):
         reg = MetricsRegistry()

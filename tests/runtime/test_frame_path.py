@@ -29,6 +29,7 @@ from repro.kiosk.records import VideoFrame
 from repro.runtime import AioCluster, Cluster, ProcCluster
 from repro.stm import STM
 from repro.stm.aio import AioSTM
+from repro.transport.serialization import frame_stats
 from tests.runtime._frame_cost_worker import (
     COST_SEED,
     TRACED_PUTS,
@@ -339,21 +340,26 @@ def test_an_item_that_arrived_by_remote_put_travels_on_intact(cluster, me, push)
     if procs:
         for space in range(3):
             cluster.endpoint_stats(space, reset_frames=True)
+    else:
+        frame_stats.reset()
     frames = [_frame(100 + ts) for ts in range(n_items)]
     for ts, frame in enumerate(frames):
         me.set_virtual_time(ts)
         out.put(ts, frame, refcount=1)
     assert rep.get_consume(1, timeout=60).value == [_crc(f) for f in frames]
     reader.join(timeout=30)
+    # One copy per framed byte per side: the producer gathers each frame
+    # once, the home receives it once and gathers it once more (into the
+    # push, or into the get reply), the reader receives it once.
+    moved = n_items * FRAME_BYTES
     if procs:
-        # One copy per framed byte per side: the producer gathers each frame
-        # once, the home receives it once and gathers it once more (into the
-        # push, or into the get reply), the reader receives it once.
-        moved = n_items * FRAME_BYTES
         for space, sides in ((0, 1), (1, 2), (2, 1)):
             stats = cluster.endpoint_stats(space)["frames"]
             copies = stats["payload_bytes_copied"] / moved
             assert sides <= copies <= sides * 1.01, (space, stats)
+    else:  # three spaces, one process: the same four copies, counted together
+        copies = frame_stats.payload_bytes_copied / moved
+        assert 4 <= copies <= 4 * 1.01, frame_stats.snapshot()
     out.detach()
     rep.detach()
 

@@ -259,3 +259,53 @@ class TestWithdrawIsConstantTime:
                 assert not cluster.space(1)._parked_index
             finally:
                 me.exit()
+
+
+class TestArrivalIsConstantTime:
+    """A put retries only the parked gets its timestamp can satisfy.
+
+    The get wait set is striped by requested timestamp, so an item landing
+    at T wakes T's getter without touching the thousands parked beside it.
+    """
+
+    PUTS = 30
+
+    @classmethod
+    def _put_cost(cls, space, me, parked: int) -> float:
+        handle = space.create_channel()
+        out = space.attach(handle, is_input=False, thread=me)
+        inp = space.attach(handle, is_input=True, thread=me)
+        channel = space._channel(handle.channel_id)
+        for ts in range(parked + cls.PUTS):  # parks without blocking the caller
+            space._get_start(channel, inp, ts, True)
+        best = float("inf")
+        for ts in range(cls.PUTS):
+            woken = channel.waiters_woken
+            t0 = time.perf_counter()
+            space.put(handle, out, ts, b"x", 1)
+            best = min(best, time.perf_counter() - t0)
+            assert channel.waiters_woken == woken + 1
+        assert len(channel.get_waiters) == parked
+        space.destroy_channel(handle)
+        return best
+
+    @classmethod
+    def _assert_flat(cls, space, me) -> None:
+        cls._put_cost(space, me, 40)  # warm-up
+        small = cls._put_cost(space, me, 40)
+        large = cls._put_cost(space, me, 10_000)
+        assert large <= 5 * small, (
+            f"put with 10k parked getters {large * 1e6:.1f} us vs "
+            f"{small * 1e6:.1f} us with 40"
+        )
+
+    def test_put_at_10k_parked_getters_costs_like_one_at_40(self, space, me):
+        self._assert_flat(space, me)
+
+    def test_put_at_10k_parked_tasks_costs_like_one_at_40(self):
+        async def main() -> None:
+            async with AioCluster(n_spaces=1, gc_period=None) as cluster:
+                space = cluster.space(0)
+                self._assert_flat(space, space.adopt_current_task(virtual_time=0))
+
+        asyncio.run(main())

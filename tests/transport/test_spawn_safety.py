@@ -11,6 +11,7 @@ child (encode → child decodes and re-encodes → parent decodes) and check
 the semantically load-bearing fields, not just "no exception".
 """
 
+import math
 import multiprocessing
 
 from repro.core import INFINITY, STM_LATEST_UNSEEN
@@ -45,8 +46,6 @@ from repro.transport.serialization import (
 
 def _sample_bodies() -> list:
     """One instance of every RPC body the envelopes can carry."""
-    from repro.bench.pr6_procs import _spin  # module-level: spawn-picklable
-
     return [
         CreateChannelReq(name="spawn-safety", capacity=8, push=True),
         DestroyChannelReq(channel_id=7),
@@ -59,7 +58,8 @@ def _sample_bodies() -> list:
         ConsumeReq(channel_id=7, conn_id=3, timestamp=42, until=True),
         RegisterNameReq(name="spawn-safety", handle=("opaque", 1)),
         LookupNameReq(name="spawn-safety", wait=True),
-        SpawnReq(fn=_spin, args=(10,), kwargs={}, name="t",
+        # module-level, so it pickles by reference into a spawned child
+        SpawnReq(fn=math.factorial, args=(10,), kwargs={}, name="t",
                  virtual_time=INFINITY),
         GcSummaryReq(epoch=3),
         GcApplyReq(epoch=3, horizon=INFINITY),
@@ -153,11 +153,9 @@ class TestSpawnSafety:
         assert put.refcount == 2
         attach = next(r.body for r in requests if isinstance(r.body, AttachReq))
         assert attach.visibility is INFINITY
-        from repro.bench.pr6_procs import _spin
-
         spawn = next(r.body for r in requests if isinstance(r.body, SpawnReq))
         assert spawn.virtual_time is INFINITY
-        assert spawn.fn(10) == _spin(10)  # resolved back to the same callable
+        assert spawn.fn(10) == math.factorial(10)  # resolved back to the same callable
         get = next(r.body for r in requests if isinstance(r.body, GetReq))
         assert get.request is STM_LATEST_UNSEEN
 
