@@ -91,10 +91,26 @@ class GetResult:
     reason: BlockReason | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PutResult:
+    """Outcome of a kernel put.  Frozen: the kernel hands out one shared
+    instance per outcome instead of allocating a result per put."""
+
     status: Status
     reason: BlockReason | None = None
+
+
+_PUT_OK = PutResult(Status.OK)
+_PUT_FULL = PutResult(Status.BLOCKED, BlockReason.CHANNEL_FULL)
+
+
+def _validate_refcount(value) -> None:
+    """Raise TypeError/ValueError unless ``value`` is a legal declared
+    refcount: an int >= 0, or UNKNOWN_REFCOUNT."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"refcount must be an int, got {type(value).__name__}")
+    if value < 0 and value != UNKNOWN_REFCOUNT:
+        raise ValueError(f"refcount must be >= 0 or UNKNOWN_REFCOUNT, got {value}")
 
 
 class ChannelKernel:
@@ -206,6 +222,9 @@ class ChannelKernel:
     def has_connection(self, conn_id: int) -> bool:
         return conn_id in self.inputs or conn_id in self.outputs
 
+    # The op paths (put / get / consume) test the common case inline — a
+    # live kernel, an attached connection, an exact non-negative int — and
+    # call these raising helpers only when that test fails.
     def _input(self, conn_id: int) -> InputConnState:
         try:
             return self.inputs[conn_id]
@@ -235,15 +254,17 @@ class ChannelKernel:
         Out-of-order timestamps are allowed (§4.1: replicated worker threads
         may complete out of order); duplicate timestamps are not.
         """
-        self._check_alive()
+        if self.destroyed:
+            self._check_alive()
         if conn_id not in self.outputs:
             raise ConnectionClosedError(
                 f"connection {conn_id} is not an attached output connection "
                 f"of channel {self.channel_id}"
             )
-        validate_timestamp(timestamp)
-        if refcount != UNKNOWN_REFCOUNT and refcount < 0:
-            raise ValueError(f"refcount must be >= 0 or UNKNOWN_REFCOUNT, got {refcount}")
+        if timestamp.__class__ is not int or timestamp < 0:
+            validate_timestamp(timestamp)
+        if refcount.__class__ is not int or refcount < UNKNOWN_REFCOUNT:
+            _validate_refcount(refcount)
         if timestamp < self.gc_horizon:
             raise ItemGarbageCollectedError(
                 f"put of timestamp {timestamp} below GC horizon {self.gc_horizon} "
@@ -255,7 +276,7 @@ class ChannelKernel:
                 f"channel {self.channel_id} already holds timestamp {timestamp}"
             )
         if self.capacity is not None and len(self.items) >= self.capacity:
-            return PutResult(Status.BLOCKED, BlockReason.CHANNEL_FULL)
+            return _PUT_FULL
         self.total_puts += 1
         self.bytes_put += size
         if refcount == 0:
@@ -269,7 +290,7 @@ class ChannelKernel:
             if refcount != UNKNOWN_REFCOUNT:
                 self._refcounted += 1
         self.version += 1
-        return PutResult(Status.OK)
+        return _PUT_OK
 
     # ------------------------------------------------------------------
     # get
@@ -283,14 +304,18 @@ class ChannelKernel:
         production) — and the result carries the neighbouring available
         timestamps so a non-blocking caller can adapt.
         """
-        self._check_alive()
-        view = self._input(conn_id)
+        if self.destroyed:
+            self._check_alive()
+        view = self.inputs.get(conn_id) or self._input(conn_id)
         if isinstance(request, GetWildcard):
             ts = self._resolve_wildcard(view, request)
             if ts is None:
                 return GetResult(Status.BLOCKED, reason=BlockReason.NO_MATCHING_ITEM)
+            record: ItemRecord = self.items[ts]
         else:
-            ts = validate_timestamp(request)
+            ts = request
+            if ts.__class__ is not int or ts < 0:
+                ts = validate_timestamp(ts)
             if ts < self.gc_horizon:
                 raise ItemGarbageCollectedError(
                     f"timestamp {ts} on channel {self.channel_id} has been "
@@ -302,21 +327,19 @@ class ChannelKernel:
                     f"timestamp {ts} was already consumed on connection {conn_id}",
                     timestamp_range=self._visible_neighbours(view, ts),
                 )
-            if ts not in self.items:
+            record = self.items.get(ts)
+            if record is None:
                 return GetResult(
                     Status.BLOCKED,
                     timestamp_range=self._visible_neighbours(view, ts),
                     reason=BlockReason.NO_MATCHING_ITEM,
                 )
-        record: ItemRecord = self.items[ts]
         view.note_get(ts)
         record.get_count += 1
         self.total_gets += 1
         self.bytes_got += record.size
         self.version += 1
-        return GetResult(
-            Status.OK, payload=record.payload, timestamp=ts, size=record.size
-        )
+        return GetResult(Status.OK, record.payload, ts, record.size)
 
     def _resolve_wildcard(self, view: InputConnState, wc: GetWildcard) -> int | None:
         """Greatest/least unconsumed timestamp matching the wildcard, or None."""
@@ -372,9 +395,11 @@ class ChannelKernel:
         reclaimed already, or may never be put; the marking is what matters
         for GC progress.
         """
-        self._check_alive()
-        view = self._input(conn_id)
-        validate_timestamp(timestamp)
+        if self.destroyed:
+            self._check_alive()
+        view = self.inputs.get(conn_id) or self._input(conn_id)
+        if timestamp.__class__ is not int or timestamp < 0:
+            validate_timestamp(timestamp)
         if view.consumed_below < self.gc_horizon:
             # Fold the GC horizon into the watermark (attach_input's rule), so
             # a frame-skipping consumer's explicit entries do not pile up.
@@ -396,9 +421,11 @@ class ChannelKernel:
 
         Per §4.2 this may move items straight from UNSEEN to CONSUMED.
         """
-        self._check_alive()
-        view = self._input(conn_id)
-        validate_timestamp(timestamp)
+        if self.destroyed:
+            self._check_alive()
+        view = self.inputs.get(conn_id) or self._input(conn_id)
+        if timestamp.__class__ is not int or timestamp < 0:
+            validate_timestamp(timestamp)
         bound = timestamp + 1
         # Newly consumed: stored items from this connection's own watermark
         # up to the bound, minus its out-of-order consumes.  Counted exactly,

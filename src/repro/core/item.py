@@ -80,7 +80,7 @@ class ItemRecord:
         over-consumption (a late-attaching connection consuming an item whose
         declared consumers already finished) must not wrap around.
         """
-        if not self.refcounted:
+        if self.refcount == UNKNOWN_REFCOUNT:
             return False
         if self.refcount > 0:
             self.refcount -= 1
@@ -135,9 +135,14 @@ class InputConnState:
     def consume_one(self, ts: int) -> None:
         """Move ``ts`` to CONSUMED (from OPEN or UNSEEN)."""
         self.open_ts.discard(ts)
-        if ts >= self.consumed_below:
+        if ts == self.consumed_below:
+            # In order: the watermark moves, and may now touch a run of
+            # explicit consumes above it.
+            self.consumed_below = ts + 1
+            if self.consumed_explicit:
+                self._compact()
+        elif ts > self.consumed_below:
             self.consumed_explicit.add(ts)
-        self._compact()
 
     def consume_upto(self, ts: int) -> None:
         """Move every timestamp <= ``ts`` to CONSUMED."""
@@ -155,7 +160,9 @@ class InputConnState:
         """Fold a contiguous run of explicit consumes into the watermark.
 
         Keeps ``consumed_explicit`` small when a connection consumes items
-        one by one in timestamp order (the common pipeline pattern).
+        out of order and then fills the gap.  Afterwards ``consumed_below``
+        is not in ``consumed_explicit``, so a consume above the watermark
+        cannot start a run and needs no fold.
         """
         while self.consumed_below in self.consumed_explicit:
             self.consumed_explicit.discard(self.consumed_below)

@@ -1429,8 +1429,10 @@ class AddressSpace:
         timeout: float | None = None,
     ) -> None:
         if handle.home_space == self.space_id:
-            waiter = self._put_start(self._channel(handle.channel_id), conn_id,
-                                     timestamp, payload, size, refcount, block)
+            channel = (self._channels.get(handle.channel_id)
+                       or self._channel(handle.channel_id))
+            waiter = self._put_start(channel, conn_id, timestamp, payload,
+                                     size, refcount, block)
             if waiter is not None:
                 self._await_local(waiter, timeout)
             return
@@ -1453,8 +1455,9 @@ class AddressSpace:
         timeout: float | None = None,
     ) -> tuple[Any, int, int]:
         if handle.home_space == self.space_id:
-            reply = self._get_start(self._channel(handle.channel_id), conn_id,
-                                    request, block)
+            channel = (self._channels.get(handle.channel_id)
+                       or self._channel(handle.channel_id))
+            reply = self._get_start(channel, conn_id, request, block)
             if reply.__class__ is _Waiter:
                 reply = self._await_local(reply, timeout)
             return reply[:3]
@@ -1481,9 +1484,9 @@ class AddressSpace:
         self, handle: ChannelHandle, conn_id: int, timestamp: int, until: bool = False
     ) -> None:
         if handle.home_space == self.space_id:
-            self._consume_apply(
-                self._channel(handle.channel_id), conn_id, timestamp, until
-            )
+            channel = (self._channels.get(handle.channel_id)
+                       or self._channel(handle.channel_id))
+            self._consume_apply(channel, conn_id, timestamp, until)
         else:
             self.call(
                 handle.home_space,
@@ -1491,6 +1494,8 @@ class AddressSpace:
             )
 
     def _channel(self, channel_id: int) -> LocalChannel:
+        """The local channel ``channel_id``, or NoSuchChannelError.  The local
+        op paths read ``_channels`` inline and call this only on a miss."""
         channel = self._channels.get(channel_id)
         if channel is None:
             raise NoSuchChannelError(

@@ -268,8 +268,10 @@ class AioAddressSpace(AddressSpace):
                 self.put, handle, conn_id, timestamp, payload, size, refcount,
                 block, timeout,
             )
-        waiter = self._put_start(self._channel(handle.channel_id), conn_id,
-                                 timestamp, payload, size, refcount, block)
+        channel = (self._channels.get(handle.channel_id)
+                   or self._channel(handle.channel_id))
+        waiter = self._put_start(channel, conn_id, timestamp, payload, size,
+                                 refcount, block)
         if waiter is not None:
             await self._await_local_async(waiter, timeout)
 
@@ -286,8 +288,9 @@ class AioAddressSpace(AddressSpace):
             return await self._in_executor(
                 self.get, handle, conn_id, request, block, timeout
             )
-        reply = self._get_start(self._channel(handle.channel_id), conn_id,
-                                request, block)
+        channel = (self._channels.get(handle.channel_id)
+                   or self._channel(handle.channel_id))
+        reply = self._get_start(channel, conn_id, request, block)
         if reply.__class__ is _Waiter:
             reply = await self._await_local_async(reply, timeout)
         return reply[:3]
@@ -304,9 +307,9 @@ class AioAddressSpace(AddressSpace):
             return await self._in_executor(
                 self.consume, handle, conn_id, timestamp, until
             )
-        self._consume_apply(
-            self._channel(handle.channel_id), conn_id, timestamp, until
-        )
+        channel = (self._channels.get(handle.channel_id)
+                   or self._channel(handle.channel_id))
+        self._consume_apply(channel, conn_id, timestamp, until)
 
     async def aattach(
         self, handle: ChannelHandle, *, is_input: bool, thread: StampedeThread

@@ -40,7 +40,7 @@ from repro.obs.metrics import REGISTRY as _METRICS
 from repro.runtime.address_space import ChannelHandle
 from repro.runtime.aio import AioAddressSpace
 from repro.runtime.threads import StampedeThread, require_current_thread
-from repro.stm.api import Item
+from repro.stm.api import Item, _item
 
 __all__ = [
     "AioSTM",
@@ -164,8 +164,12 @@ class _AioConnection:
         self.conn_id = conn_id
         self.thread = thread
         self._closed = False
+        # Bound once, at attach (as in repro.stm.api).
+        self._space = channel.space
+        self._handle = channel.handle
+        self._channel_id = channel.handle.channel_id
         self._policy = channel.handle.copy_policy
-        self._obs_label = channel.handle.name or f"#{channel.handle.channel_id}"
+        self._obs_label = channel.handle.name or f"#{self._channel_id}"
 
     @property
     def closed(self) -> bool:
@@ -176,14 +180,16 @@ class _AioConnection:
         if self._closed:
             return
         self._closed = True
-        self.thread.note_conn_closed(self.channel.channel_id, self.conn_id)
-        await self.channel.space.adetach(self.channel.handle, self.conn_id)
+        self.thread.note_conn_closed(self._channel_id, self.conn_id)
+        await self._space.adetach(self._handle, self.conn_id)
 
     def _check_open(self) -> None:
+        """Raise on a detached connection.  The ops test ``_closed`` inline
+        and call this only when it is set."""
         if self._closed:
             raise ConnectionClosedError(
                 f"connection {self.conn_id} to channel "
-                f"{self.channel.channel_id} is detached"
+                f"{self._channel_id} is detached"
             )
 
     async def __aenter__(self):
@@ -206,8 +212,10 @@ class AioOutputConnection(_AioConnection):
         timeout: float | None = None,
     ) -> None:
         """Copy ``value`` into the channel at ``timestamp`` (awaitable)."""
-        self._check_open()
-        validate_timestamp(timestamp)
+        if self._closed:
+            self._check_open()
+        if timestamp.__class__ is not int or timestamp < 0:
+            validate_timestamp(timestamp)
         self.thread.check_put_timestamp(timestamp)
         # Always the in-band (copied) form, also for a remote home: ``aput``
         # sends from an executor thread, which may still be reading while a
@@ -215,8 +223,8 @@ class AioOutputConnection(_AioConnection):
         stored, size = encode(value, self._policy)
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
-        await self.channel.space.aput(
-            self.channel.handle,
+        await self._space.aput(
+            self._handle,
             self.conn_id,
             timestamp,
             stored,
@@ -244,14 +252,14 @@ class AioInputConnection(_AioConnection):
         timeout: float | None = None,
     ) -> Item:
         """Get an item by timestamp or wildcard; the item becomes OPEN."""
-        self._check_open()
+        if self._closed:
+            self._check_open()
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
-        stored, ts, size = await self.channel.space.aget(
-            self.channel.handle, self.conn_id, request, block=block,
-            timeout=timeout,
+        stored, ts, size = await self._space.aget(
+            self._handle, self.conn_id, request, block=block, timeout=timeout,
         )
-        self.thread.note_open(self.channel.channel_id, self.conn_id, ts)
+        self.thread.note_open(self._channel_id, self.conn_id, ts)
         value = decode(stored, self._policy)
         if rec is not None:
             dur = rec.complete(
@@ -259,20 +267,18 @@ class AioInputConnection(_AioConnection):
                 channel=self._obs_label, timestamp=ts, size=size,
             )
             _METRICS.histogram("stm_get_ns", channel=self._obs_label).observe(dur)
-        return Item(value=value, timestamp=ts, size=size)
+        return _item(value, ts, size)
 
     async def consume(self, timestamp: int) -> None:
         """Declare the item garbage from this connection's perspective."""
-        self._check_open()
-        validate_timestamp(timestamp)
+        if self._closed:
+            self._check_open()
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
-        await self.channel.space.aconsume(
-            self.channel.handle, self.conn_id, timestamp
-        )
+        await self._space.aconsume(self._handle, self.conn_id, timestamp)
         # Order matters for GC safety (same as the sync facade): the
         # channel stops counting the item before visibility may rise.
-        self.thread.note_closed(self.channel.channel_id, self.conn_id, timestamp)
+        self.thread.note_closed(self._channel_id, self.conn_id, timestamp)
         if rec is not None:
             rec.complete(
                 "stm", "consume", t0, self.thread.space.space_id,
@@ -281,12 +287,12 @@ class AioInputConnection(_AioConnection):
 
     async def consume_until(self, timestamp: int) -> None:
         """Consume every item with timestamp <= ``timestamp`` (§4.2)."""
-        self._check_open()
-        validate_timestamp(timestamp)
+        if self._closed:
+            self._check_open()
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
-        await self.channel.space.aconsume(
-            self.channel.handle, self.conn_id, timestamp, until=True
+        await self._space.aconsume(
+            self._handle, self.conn_id, timestamp, until=True
         )
         for chan_id, conn_id, ts in self.thread.open_items():
             if conn_id == self.conn_id and ts <= timestamp:

@@ -58,6 +58,23 @@ class Item:
     size: int
 
 
+_new = object.__new__
+
+
+def _item(value: Any, timestamp: int, size: int) -> Item:
+    """``Item(value=value, timestamp=timestamp, size=size)``, built for the
+    get path: the frozen ``__init__`` pays one ``object.__setattr__`` per
+    field, this stores the fields straight into the instance dict.  The
+    result is the same class with the same ``==``, hash, repr and
+    frozenness."""
+    item = _new(Item)
+    fields = item.__dict__
+    fields["value"] = value
+    fields["timestamp"] = timestamp
+    fields["size"] = size
+    return item
+
+
 class STM:
     """Entry point to Space-Time Memory for threads of one address space."""
 
@@ -155,15 +172,19 @@ class _Connection:
         self.conn_id = conn_id
         self.thread = thread
         self._closed = False
-        # Decided once, at attach, so no op re-derives them: the channel's
-        # copy policy, and whether a put must cross to another space — the
-        # one case in which ``encode`` may hand out views of the caller's
+        # Decided once, at attach, so no op re-derives them: the space,
+        # handle and channel id every op passes on, the channel's copy
+        # policy, and whether a put must cross to another space — the one
+        # case in which ``encode`` may hand out views of the caller's
         # buffers (the calling thread's send has copied them before ``put``
         # returns; see repro.core.payload).
+        self._space = channel.space
+        self._handle = channel.handle
+        self._channel_id = channel.handle.channel_id
         self._policy = channel.handle.copy_policy
         self._remote_home = channel.handle.home_space != channel.space.space_id
         #: stable label for trace spans and metric keys.
-        self._obs_label = channel.handle.name or f"#{channel.handle.channel_id}"
+        self._obs_label = channel.handle.name or f"#{self._channel_id}"
 
     @property
     def closed(self) -> bool:
@@ -178,14 +199,16 @@ class _Connection:
         if self._closed:
             return
         self._closed = True
-        self.thread.note_conn_closed(self.channel.channel_id, self.conn_id)
-        self.channel.space.detach(self.channel.handle, self.conn_id)
+        self.thread.note_conn_closed(self._channel_id, self.conn_id)
+        self._space.detach(self._handle, self.conn_id)
 
     def _check_open(self) -> None:
+        """Raise on a detached connection.  The ops test ``_closed`` inline
+        and call this only when it is set."""
         if self._closed:
             raise ConnectionClosedError(
                 f"connection {self.conn_id} to channel "
-                f"{self.channel.channel_id} is detached"
+                f"{self._channel_id} is detached"
             )
 
     def __enter__(self):
@@ -215,14 +238,16 @@ class OutputConnection(_Connection):
         call blocks (or raises :class:`ChannelFullError` with
         ``block=False`` — the paper's immediate-error flag).
         """
-        self._check_open()
-        validate_timestamp(timestamp)
+        if self._closed:
+            self._check_open()
+        if timestamp.__class__ is not int or timestamp < 0:
+            validate_timestamp(timestamp)
         self.thread.check_put_timestamp(timestamp)
         stored, size = encode(value, self._policy, self._remote_home)
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
-        self.channel.space.put(
-            self.channel.handle,
+        self._space.put(
+            self._handle,
             self.conn_id,
             timestamp,
             stored,
@@ -257,13 +282,14 @@ class InputConnection(_Connection):
         collected or already-consumed timestamps raise immediately with the
         neighbouring available timestamps attached.
         """
-        self._check_open()
+        if self._closed:
+            self._check_open()
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
-        stored, ts, size = self.channel.space.get(
-            self.channel.handle, self.conn_id, request, block=block, timeout=timeout
+        stored, ts, size = self._space.get(
+            self._handle, self.conn_id, request, block=block, timeout=timeout
         )
-        self.thread.note_open(self.channel.channel_id, self.conn_id, ts)
+        self.thread.note_open(self._channel_id, self.conn_id, ts)
         value = decode(stored, self._policy)
         if rec is not None:
             dur = rec.complete(
@@ -271,19 +297,19 @@ class InputConnection(_Connection):
                 channel=self._obs_label, timestamp=ts, size=size,
             )
             _METRICS.histogram("stm_get_ns", channel=self._obs_label).observe(dur)
-        return Item(value=value, timestamp=ts, size=size)
+        return _item(value, ts, size)
 
     def consume(self, timestamp: int) -> None:
         """Declare the item garbage from this connection's perspective."""
-        self._check_open()
-        validate_timestamp(timestamp)
+        if self._closed:
+            self._check_open()
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
-        self.channel.space.consume(self.channel.handle, self.conn_id, timestamp)
+        self._space.consume(self._handle, self.conn_id, timestamp)
         # Order matters for GC safety: the channel stops counting the item
         # only once the consume is applied; only then may the thread's
         # visibility rise.
-        self.thread.note_closed(self.channel.channel_id, self.conn_id, timestamp)
+        self.thread.note_closed(self._channel_id, self.conn_id, timestamp)
         if rec is not None:
             rec.complete(
                 "stm", "consume", t0, self.thread.space.space_id,
@@ -292,13 +318,11 @@ class InputConnection(_Connection):
 
     def consume_until(self, timestamp: int) -> None:
         """Consume every item with timestamp <= ``timestamp`` (§4.2)."""
-        self._check_open()
-        validate_timestamp(timestamp)
+        if self._closed:
+            self._check_open()
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
-        self.channel.space.consume(
-            self.channel.handle, self.conn_id, timestamp, until=True
-        )
+        self._space.consume(self._handle, self.conn_id, timestamp, until=True)
         for chan_id, conn_id, ts in self.thread.open_items():
             if conn_id == self.conn_id and ts <= timestamp:
                 self.thread.note_closed(chan_id, conn_id, ts)

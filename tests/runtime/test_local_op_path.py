@@ -8,12 +8,15 @@ but runs outside tier-1; the budget test here keeps the count from rotting.
 """
 
 import asyncio
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.core import channel_state
 from repro.errors import ChannelDestroyedError, NoSuchChannelError
+from repro.obs import events as obs_events
 from repro.runtime import Cluster, sync
 from repro.runtime.aio import AioCluster
 from repro.runtime.messages import GetReq, PutReq
@@ -56,6 +59,97 @@ def counting_locks():
     finally:
         sync.clear_factories()
         _CountingLock.log.clear()
+
+
+@pytest.fixture
+def bare_op_path(monkeypatch):
+    """The op path with nothing armed, whatever the environment arms:
+    plain ``threading.Lock`` channel locks (so no sanitizer lock and no
+    kernel guards), no trace recorder and no reclaim hook."""
+    monkeypatch.setattr(obs_events, "recorder", None)
+    monkeypatch.setattr(channel_state, "_reclaim_hook", None)
+    sync.install_factories(lambda name: threading.Lock(), None)
+    try:
+        yield
+    finally:
+        sync.clear_factories()
+
+
+@pytest.mark.usefixtures("bare_op_path")
+class TestCallBudget:
+    """Python calls per warm local put → get → consume, on both facades.
+
+    ``sys.setprofile`` ``call`` events (coroutine starts included) over
+    100 cycles, each cycle one call of a small driver function.  It read
+    56 on both facades when every op re-ran its argument, liveness and
+    attachment helpers and built its results through keyword dataclass
+    constructors; those checks now cost a test each, and the count is 34.
+    ``STMOBS=1`` / ``STMSAN`` would add their own calls to every op, so the
+    ``bare_op_path`` fixture disarms them for the count.
+    """
+
+    CYCLES = 100
+    BUDGET = 38
+
+    @staticmethod
+    def _profiler(calls: list[int]):
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+        return profile
+
+    def test_thread_facade(self):
+        with Cluster(n_spaces=1, gc_period=None) as cluster:
+            me = cluster.space(0).adopt_current_thread(virtual_time=0)
+            try:
+                chan = STM(cluster.space(0)).create_channel("calls")
+                with chan.attach_output() as out, chan.attach_input() as inp:
+                    def cycle(ts):
+                        out.put(ts, b"x", refcount=1)
+                        inp.get(ts)
+                        inp.consume(ts)
+
+                    for ts in range(10):  # warm
+                        cycle(ts)
+                    calls = [0]
+                    sys.setprofile(self._profiler(calls))
+                    try:
+                        for ts in range(10, 10 + self.CYCLES):
+                            cycle(ts)
+                    finally:
+                        sys.setprofile(None)
+            finally:
+                me.exit()
+        assert calls[0] / self.CYCLES <= self.BUDGET, calls[0] / self.CYCLES
+
+    def test_aio_facade(self):
+        async def main() -> int:
+            async with AioCluster(n_spaces=1, gc_period=None) as cluster:
+                space = cluster.space(0)
+                me = space.adopt_current_task(virtual_time=0)
+                chan = await AioSTM(space).create_channel("acalls")
+                async with chan.attach_output() as out, \
+                        chan.attach_input() as inp:
+                    async def cycle(ts):
+                        await out.put(ts, b"x", refcount=1)
+                        await inp.get(ts)
+                        await inp.consume(ts)
+
+                    for ts in range(10):  # warm
+                        await cycle(ts)
+                    calls = [0]
+                    # nothing parks, so the loop runs nothing in between
+                    sys.setprofile(self._profiler(calls))
+                    try:
+                        for ts in range(10, 10 + self.CYCLES):
+                            await cycle(ts)
+                    finally:
+                        sys.setprofile(None)
+                me.exit()
+                return calls[0]
+
+        calls = asyncio.run(main(), debug=False)  # debug mode adds calls
+        assert calls / self.CYCLES <= self.BUDGET, calls / self.CYCLES
 
 
 class TestLockBudget:
