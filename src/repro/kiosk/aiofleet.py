@@ -1,152 +1,64 @@
-"""The kiosk fleet on the asyncio runtime (coroutine retelling of Fig. 2).
+"""The kiosk fleet on the asyncio runtime: launch code only.
 
-Same pipeline as :mod:`repro.kiosk.procfleet` — digitizer -> low-fi tracker
--> decision + GUI — with every stage an ``async def`` Stampede task on an
-:class:`~repro.runtime.aio.AioCluster`.  Stage logic, channel names, and
-the §4.2 timestamp discipline are identical to the thread/process fleets;
-only the blocking substrate differs, which is exactly what the conformance
-suite pins: the three drivers must produce the *same* tracking output.
-
-Deterministic by construction: stages synchronize column-by-column with
-specific-timestamp gets (no LATEST_UNSEEN skipping), so the analyzed-frame
-set does not depend on scheduling.
+The stages of :mod:`repro.kiosk.procfleet` are written against the
+awaitable surface of :class:`~repro.stm.aio.AioSTM`, so here they run as
+they are, as Stampede tasks on an :class:`~repro.runtime.aio.AioCluster`.
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
 
-import numpy as np
-
-from repro.core import INFINITY
-from repro.kiosk.blob_tracker import BlobTracker
-from repro.kiosk.decision import DecisionModule, GuiModule
-from repro.kiosk.frames import SyntheticScene
 from repro.kiosk.procfleet import (
-    FleetConfig,
-    FleetResult,
-    TRACK_CHANNEL,
-    VIDEO_CHANNEL,
+    FleetConfig, FleetResult, TRACK_CHANNEL, VIDEO_CHANNEL, fleet_decision,
+    fleet_digitizer, fleet_tracker, run_stage,
 )
-from repro.kiosk.records import VideoFrame
 from repro.runtime.aio import AioCluster
-from repro.runtime.threads import require_current_thread
+from repro.runtime.threads import current_thread, require_current_thread
 from repro.stm.aio import AioSTM
 
 __all__ = ["run_aio_fleet"]
 
 
-async def aio_digitizer(config: FleetConfig) -> int:
-    """Render synthetic camera frames into the video channel (awaitable)."""
-    stm = AioSTM.here()
-    me = require_current_thread()
-    out = await (await stm.lookup(VIDEO_CHANNEL, wait=True)).attach_output()
-    scene = SyntheticScene(seed=config.scene_seed, noise_sigma=config.noise_sigma)
-    try:
-        for ts in range(config.n_frames):
-            me.set_virtual_time(ts)
-            frame = VideoFrame(timestamp=ts, pixels=scene.render(ts))
-            await out.put(ts, frame, refcount=1)
-        me.set_virtual_time(config.n_frames)
-        await out.put(config.n_frames, None, refcount=1)  # end of stream
-    finally:
-        await out.detach()
-    return config.n_frames
-
-
-async def aio_tracker(config: FleetConfig) -> int:
-    """Blob-track every frame; forward records with inherited timestamps."""
-    stm = AioSTM.here()
-    me = require_current_thread()
-    inp = await (await stm.lookup(VIDEO_CHANNEL, wait=True)).attach_input()
-    out = await (await stm.lookup(TRACK_CHANNEL, wait=True)).attach_output()
-    me.set_virtual_time(INFINITY)
-    scene = SyntheticScene(seed=config.scene_seed, noise_sigma=config.noise_sigma)
-    tracker = BlobTracker(
-        scene.background, threshold=config.threshold, min_area=config.min_area
-    )
-    tracked = 0
-    try:
-        for ts in range(config.n_frames + 1):
-            item = await inp.get(ts)
-            if item.value is None:
-                await out.put(ts, None, refcount=1)
-                await inp.consume(ts)
-                break
-            record = tracker.analyze(ts, item.value.pixels)
-            # Put while the input item is open so the record inherits ts.
-            await out.put(ts, record, refcount=1)
-            await inp.consume(ts)
-            tracked += 1
-    finally:
-        await inp.detach()
-        await out.detach()
-    return tracked
+async def _spawned_stage(stage, config: FleetConfig):
+    """Task body: ``stage`` on this space's awaitable facade."""
+    return await run_stage(stage, AioSTM.here(), require_current_thread(), config)
 
 
 async def run_aio_fleet(
     cluster: AioCluster, config: FleetConfig | None = None
 ) -> FleetResult:
-    """Run the fleet as asyncio tasks on ``cluster`` and report.
-
-    The driver coroutine hosts the decision + GUI stage, mirroring
-    :func:`repro.kiosk.procfleet.run_fleet` line for line.
-    """
+    """Run the fleet as asyncio tasks on ``cluster`` and report, as
+    :func:`repro.kiosk.procfleet.run_fleet` does (decision + GUI here)."""
     config = config or FleetConfig()
     space = cluster.space(0)
+    was_adopted = current_thread()
     me = space.adopt_current_task()
-    result = FleetResult()
     t0 = time.perf_counter()
     stm = AioSTM(space)
-    video = await stm.create_channel(
-        VIDEO_CHANNEL,
-        capacity=config.frame_channel_capacity,
-        home=config.digitizer_space,
+    await stm.create_channel(
+        VIDEO_CHANNEL, config.frame_channel_capacity, config.digitizer_space
     )
-    tracks = await stm.create_channel(TRACK_CHANNEL, home=config.tracker_space)
-    inp = await tracks.attach_input()
-    digitizer = cluster.space(config.digitizer_space).spawn_task(
-        aio_digitizer, (config,), name="aio-fleet-digitizer"
-    )
-    tracker = cluster.space(config.tracker_space).spawn_task(
-        aio_tracker, (config,), name="aio-fleet-tracker"
-    )
-    decider = DecisionModule()
-    gui = GuiModule()
-    scene = SyntheticScene(seed=config.scene_seed, noise_sigma=config.noise_sigma)
-    errors: list[float] = []
+    await stm.create_channel(TRACK_CHANNEL, home=config.tracker_space)
+    stages = [
+        cluster.space(on).spawn_task(_spawned_stage, (stage, config), name=name)
+        for stage, on, name in (
+            (fleet_digitizer, config.digitizer_space, "aio-fleet-digitizer"),
+            (fleet_tracker, config.tracker_space, "aio-fleet-tracker"),
+        )
+    ]
     try:
-        for ts in range(config.n_frames + 1):
-            item = await inp.get_consume(ts)
-            me.set_virtual_time(ts + 1)
-            if item.value is None:
-                break
-            record = item.value
-            result.frames_tracked += 1
-            if record.detected:
-                result.frames_detected += 1
-                best = record.best()
-                truth = scene.ground_truth(ts)
-                if best is not None and truth:
-                    region, _score = best
-                    errors.append(
-                        min(
-                            float(np.hypot(region.cx - gx, region.cy - gy))
-                            for gx, gy in truth
-                        )
-                    )
-            decision = decider.decide(ts, record)
-            result.decisions.append(decision)
-            event = gui.react(decision)
-            if event is not None:
-                result.transcript.append(event)
-        await cluster.space(config.digitizer_space).ajoin(digitizer, timeout=30.0)
-        await cluster.space(config.tracker_space).ajoin(tracker, timeout=30.0)
+        result = await run_stage(fleet_decision, stm, me, config)
     finally:
-        await inp.detach()
-        me.exit()
-    result.frames_digitized = config.n_frames
+        joined = await asyncio.gather(
+            *(stage.space.ajoin(stage, timeout=30.0) for stage in stages),
+            return_exceptions=True,
+        )
+        if me is not was_adopted:
+            me.exit()
+    for outcome in joined:
+        if isinstance(outcome, BaseException):
+            raise outcome
     result.wall_seconds = time.perf_counter() - t0
-    if errors:
-        result.mean_tracking_error = float(np.mean(errors))
     return result

@@ -1,24 +1,23 @@
-"""The kiosk fleet on the simulated runtime (discrete-event retelling).
+"""The kiosk fleet on the simulated runtime: launch code only.
 
-Third retelling of the Fig. 2 fleet — digitizer -> low-fi tracker ->
-decision + GUI — as generator tasks on :class:`~repro.sim.SimStampede`.
-The simulator charges virtual microseconds for copies/transfers but runs
-the *real* trackers on *real* pixels, so its tracking output is directly
-comparable with the thread, process, and asyncio fleets: identical scene
-seed + identical column-by-column gets => identical records, regardless of
-the (simulated or wall-clock) scheduler.
+Each awaitable :mod:`repro.kiosk.procfleet`'s stages get here runs one
+:class:`~repro.sim.SimThread` operation generator, so a stage coroutine
+*is* a simulated task: :class:`~repro.sim.SimEngine` ``send``s to it and
+gets the ``("delay", us)`` commands.  The trackers run on real pixels.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import types
 
-from repro.core import INFINITY
-from repro.kiosk.blob_tracker import BlobTracker
-from repro.kiosk.decision import DecisionModule, GuiModule
-from repro.kiosk.frames import SyntheticScene
-from repro.kiosk.procfleet import FleetConfig, FleetResult
+from repro.errors import StampedeError
+from repro.kiosk.procfleet import (
+    FleetConfig, FleetResult, FleetStageError, TRACK_CHANNEL, VIDEO_CHANNEL,
+    fleet_decision, fleet_digitizer, fleet_tracker,
+)
+from repro.kiosk.records import VideoFrame
 from repro.sim import SimStampede
+from repro.stm.api import Item
 
 __all__ = ["run_sim_fleet"]
 
@@ -26,109 +25,100 @@ __all__ = ["run_sim_fleet"]
 RECORD_BYTES = 256
 
 
+class _SimSTM:
+    """A stage's STM, a channel (``channel`` set) or a connection
+    (``conn_id`` too) in the simulation.  Every operation is a
+    generator-based coroutine around the SimThread one."""
+
+    def __init__(self, thread, channels, channel=None, conn_id=None):
+        self._thread = thread
+        self._channels = channels
+        self._conn = (channel, conn_id)
+
+    @types.coroutine
+    def lookup(self, name: str, wait: bool = False):
+        yield from ()
+        return _SimSTM(self._thread, self._channels, self._channels[name])
+
+    @types.coroutine
+    def attach_input(self):
+        conn_id = yield from self._thread.attach_input(self._conn[0])
+        return _SimSTM(self._thread, self._channels, self._conn[0], conn_id)
+
+    @types.coroutine
+    def attach_output(self):
+        conn_id = yield from self._thread.attach_output(self._conn[0])
+        return _SimSTM(self._thread, self._channels, self._conn[0], conn_id)
+
+    @types.coroutine
+    def put(self, timestamp: int, value, *, refcount: int):
+        nbytes = (value.pixels.nbytes if isinstance(value, VideoFrame)
+                  else 1 if value is None else RECORD_BYTES)
+        yield from self._thread.put(
+            self._conn, timestamp, nbytes, value, refcount=refcount
+        )
+
+    @types.coroutine
+    def get(self, timestamp: int):
+        value, ts, size = yield from self._thread.get(self._conn, timestamp)
+        return Item(value=value, timestamp=ts, size=size)
+
+    @types.coroutine
+    def consume(self, timestamp: int):
+        yield from self._thread.consume(self._conn, timestamp)
+
+    @types.coroutine
+    def detach(self):
+        yield from self._thread.detach(*self._conn)
+
+
 def run_sim_fleet(
     config: FleetConfig | None = None, sim: SimStampede | None = None
 ) -> FleetResult:
     """Run the fleet inside a simulated cluster and report.
 
-    Spaces mirror the fleet defaults (driver stage on space 0, digitizer
-    and tracker on their configured spaces); ``sim`` may be passed in to
-    control topology/costs, otherwise a cluster wide enough for the
-    placement is built.
+    The decision stage runs on space 0, digitizer and tracker on their
+    configured spaces; pass ``sim`` to control topology and costs.
+    ``wall_seconds`` is *simulated* time.
     """
     config = config or FleetConfig()
-    n_spaces = max(1, config.digitizer_space, config.tracker_space) + 1
-    if sim is None:
-        sim = SimStampede(n_spaces=n_spaces)
-    result = FleetResult()
-    video = sim.create_channel(
-        home=config.digitizer_space,
-        capacity=config.frame_channel_capacity,
-        name="kiosk.fleet.video",
+    sim = sim or SimStampede(
+        n_spaces=max(1, config.digitizer_space, config.tracker_space) + 1
     )
-    tracks = sim.create_channel(
-        home=config.tracker_space, name="kiosk.fleet.tracks"
-    )
-    scene_cfg = dict(seed=config.scene_seed, noise_sigma=config.noise_sigma)
-
-    def digitizer(t):
-        out = yield from t.attach_output(video)
-        scene = SyntheticScene(**scene_cfg)
-        for ts in range(config.n_frames):
-            t.set_virtual_time(ts)
-            frame = scene.render(ts)
-            yield from t.put(out, ts, nbytes=frame.nbytes, payload=frame,
-                             refcount=1)
-        t.set_virtual_time(config.n_frames)
-        yield from t.put(out, config.n_frames, nbytes=1, payload=None,
-                         refcount=1)
-        yield from t.detach(video, out)
-        t.set_virtual_time(INFINITY)
-
-    def tracker_stage(t):
-        inp = yield from t.attach_input(video)
-        out = yield from t.attach_output(tracks)
-        t.set_virtual_time(INFINITY)
-        scene = SyntheticScene(**scene_cfg)
-        tracker = BlobTracker(
-            scene.background, threshold=config.threshold,
-            min_area=config.min_area,
+    channels = {
+        VIDEO_CHANNEL: sim.create_channel(
+            config.digitizer_space, config.frame_channel_capacity, VIDEO_CHANNEL
+        ),
+        TRACK_CHANNEL: sim.create_channel(config.tracker_space, name=TRACK_CHANNEL),
+    }
+    tasks = {
+        stage: sim.spawn(
+            lambda t, stage=stage: stage(_SimSTM(t, channels), t, config),
+            space=space, virtual_time=0, name=name,
         )
-        for ts in range(config.n_frames + 1):
-            pixels, got_ts, _size = yield from t.get(inp, ts)
-            if pixels is None:
-                yield from t.put(out, ts, nbytes=1, payload=None, refcount=1)
-                yield from t.consume(inp, ts)
-                break
-            record = tracker.analyze(ts, pixels)
-            yield from t.put(out, ts, nbytes=RECORD_BYTES, payload=record,
-                             refcount=1)
-            yield from t.consume(inp, ts)
-            result.frames_tracked += 1
-        yield from t.detach(video, inp)
-        yield from t.detach(tracks, out)
-
-    def decision_stage(t):
-        inp = yield from t.attach_input(tracks)
-        decider = DecisionModule()
-        gui = GuiModule()
-        scene = SyntheticScene(**scene_cfg)
-        errors: list[float] = []
-        for ts in range(config.n_frames + 1):
-            record, got_ts, _size = yield from t.get(inp, ts)
-            yield from t.consume(inp, ts)
-            t.set_virtual_time(ts + 1)
-            if record is None:
-                break
-            if record.detected:
-                result.frames_detected += 1
-                best = record.best()
-                truth = scene.ground_truth(ts)
-                if best is not None and truth:
-                    region, _score = best
-                    errors.append(
-                        min(
-                            float(np.hypot(region.cx - gx, region.cy - gy))
-                            for gx, gy in truth
-                        )
-                    )
-            decision = decider.decide(ts, record)
-            result.decisions.append(decision)
-            event = gui.react(decision)
-            if event is not None:
-                result.transcript.append(event)
-        yield from t.detach(tracks, inp)
-        t.set_virtual_time(INFINITY)
-        if errors:
-            result.mean_tracking_error = float(np.mean(errors))
-
-    sim.spawn(digitizer, space=config.digitizer_space, virtual_time=0,
-              name="sim-fleet-digitizer")
-    sim.spawn(tracker_stage, space=config.tracker_space, virtual_time=0,
-              name="sim-fleet-tracker")
-    sim.spawn(decision_stage, space=0, virtual_time=0,
-              name="sim-fleet-decision")
-    elapsed_us = sim.run()
-    result.frames_digitized = config.n_frames
+        for stage, space, name in (
+            (fleet_digitizer, config.digitizer_space, "sim-fleet-digitizer"),
+            (fleet_tracker, config.tracker_space, "sim-fleet-tracker"),
+            (fleet_decision, 0, "sim-fleet-decision"),
+        )
+    }
+    try:
+        elapsed_us = sim.run()
+    except Exception as exc:
+        for task in filter(lambda task: not task.done, tasks.values()):
+            # Run the teardown of a stage left parked (GC cannot: it yields).
+            try:
+                task.gen.throw(GeneratorExit)
+                while True:
+                    task.gen.send(None)
+            except (GeneratorExit, StopIteration, StampedeError):
+                pass
+        for stage, task in tasks.items():
+            if task.error is exc:
+                raise FleetStageError(
+                    f"kiosk fleet stage {stage.__name__} failed"
+                ) from exc
+        raise
+    result = tasks[fleet_decision].result
     result.wall_seconds = elapsed_us / 1e6  # *simulated* seconds
     return result

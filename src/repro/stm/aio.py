@@ -170,10 +170,22 @@ class _AioConnection:
         self._channel_id = channel.handle.channel_id
         self._policy = channel.handle.copy_policy
         self._obs_label = channel.handle.name or f"#{self._channel_id}"
+        self._histograms: dict = {}
 
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def _histogram(self, name: str):
+        """This connection's latency histogram ``name``: resolved once, and
+        again after ``REGISTRY.reset()``."""
+        key = (_METRICS.epoch, name)
+        hist = self._histograms.get(key)
+        if hist is None:
+            hist = self._histograms[key] = _METRICS.histogram(
+                name, channel=self._obs_label
+            )
+        return hist
 
     async def detach(self) -> None:
         """Release the connection (idempotent)."""
@@ -238,7 +250,7 @@ class AioOutputConnection(_AioConnection):
                 "stm", "put", t0, self.thread.space.space_id,
                 channel=self._obs_label, timestamp=timestamp, size=size,
             )
-            _METRICS.histogram("stm_put_ns", channel=self._obs_label).observe(dur)
+            self._histogram("stm_put_ns").observe(dur)
 
 
 class AioInputConnection(_AioConnection):
@@ -266,7 +278,7 @@ class AioInputConnection(_AioConnection):
                 "stm", "get", t0, self.thread.space.space_id,
                 channel=self._obs_label, timestamp=ts, size=size,
             )
-            _METRICS.histogram("stm_get_ns", channel=self._obs_label).observe(dur)
+            self._histogram("stm_get_ns").observe(dur)
         return _item(value, ts, size)
 
     async def consume(self, timestamp: int) -> None:

@@ -185,10 +185,22 @@ class _Connection:
         self._remote_home = channel.handle.home_space != channel.space.space_id
         #: stable label for trace spans and metric keys.
         self._obs_label = channel.handle.name or f"#{self._channel_id}"
+        self._histograms: dict = {}
 
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def _histogram(self, name: str):
+        """This connection's latency histogram ``name``: resolved once, and
+        again after ``REGISTRY.reset()``."""
+        key = (_METRICS.epoch, name)
+        hist = self._histograms.get(key)
+        if hist is None:
+            hist = self._histograms[key] = _METRICS.histogram(
+                name, channel=self._obs_label
+            )
+        return hist
 
     def detach(self) -> None:
         """Release the connection (idempotent).
@@ -261,7 +273,7 @@ class OutputConnection(_Connection):
                 "stm", "put", t0, self.thread.space.space_id,
                 channel=self._obs_label, timestamp=timestamp, size=size,
             )
-            _METRICS.histogram("stm_put_ns", channel=self._obs_label).observe(dur)
+            self._histogram("stm_put_ns").observe(dur)
 
 
 class InputConnection(_Connection):
@@ -296,7 +308,7 @@ class InputConnection(_Connection):
                 "stm", "get", t0, self.thread.space.space_id,
                 channel=self._obs_label, timestamp=ts, size=size,
             )
-            _METRICS.histogram("stm_get_ns", channel=self._obs_label).observe(dur)
+            self._histogram("stm_get_ns").observe(dur)
         return _item(value, ts, size)
 
     def consume(self, timestamp: int) -> None:

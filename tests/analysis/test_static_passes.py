@@ -8,6 +8,7 @@ is exact — no extra findings, none missing, none misplaced.
 
 from __future__ import annotations
 
+import inspect
 import re
 from pathlib import Path
 
@@ -74,18 +75,41 @@ def test_source_tree_and_examples_are_clean():
     assert findings == [], "\n".join(f.render() for f in findings)
 
 
+FLEET_MODULES = ["procfleet.py", "aiofleet.py", "simfleet.py"]
+
+
 def test_procfleet_worker_modules_are_protolint_clean():
-    """The spawn-picklable fleet workers (PR 6) follow the lookup ->
-    attach -> get/consume -> detach discipline through module-level
-    channel-name constants and ``STM.here()`` binding; STM201-205 must
-    produce zero false positives on these patterns."""
+    """The kiosk fleet's stages (``async def``s awaiting lookup -> attach
+    -> get/consume -> detach through module-level channel-name constants)
+    and its three drivers' adapters: STM201-205 must produce zero false
+    positives on these patterns."""
     repo = Path(__file__).resolve().parents[2]
     findings = run_static_passes(
-        [str(repo / "src" / "repro" / "kiosk" / "procfleet.py")],
+        [str(repo / "src" / "repro" / "kiosk" / name) for name in FLEET_MODULES],
         only=["protolint"],
         root=repo,
     )
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+@pytest.mark.parametrize("conn", ["inp", "out"])
+def test_fleet_stage_without_its_detach_is_stm205(tmp_path, conn):
+    """The clean result above has teeth: the same tracker stage minus one
+    detach is reported at that connection's attach line."""
+    from repro.kiosk.procfleet import fleet_tracker
+
+    source = inspect.getsource(fleet_tracker)
+    detach = f"    await {conn}.detach()\n"
+    assert detach in source
+    stage = tmp_path / "stage.py"
+    stage.write_text(source.replace(detach, ""))
+    attach_line = next(
+        lineno
+        for lineno, line in enumerate(source.splitlines(), start=1)
+        if line.lstrip().startswith(f"{conn} = ") and ".attach_" in line
+    )
+    findings = run_static_passes([str(stage)], only=["protolint"], root=tmp_path)
+    assert [(f.rule_id, f.line) for f in findings] == [("STM205", attach_line)]
 
 
 def test_inline_suppression_waives_a_rule(tmp_path):

@@ -5,17 +5,11 @@ a heap (thread runtime) or nothing (process runtime) — STM channels are the
 only coupling, so the runtimes cannot diverge semantically.
 """
 
-import pickle
-
 from repro.kiosk.procfleet import FleetConfig, run_fleet
 from repro.runtime import Cluster, ProcCluster
 
 
 class TestFleet:
-    def test_config_pickles(self):
-        config = FleetConfig(n_frames=3)
-        assert pickle.loads(pickle.dumps(config)) == config
-
     def test_fleet_on_thread_runtime(self):
         config = FleetConfig(n_frames=10)
         with Cluster(n_spaces=3, gc_period=0.05) as cluster:

@@ -127,6 +127,25 @@ class TestClusterTracing:
         gc_h = REGISTRY.find("gc_epoch_seconds")
         assert gc_h is not None and gc_h.count >= 1
 
+    def test_connection_histograms_follow_a_registry_reset(self):
+        # A connection keeps its latency histograms across ops; after
+        # REGISTRY.reset() it must record into the new registry's ones.
+        with obs_events.trace(), Cluster(n_spaces=1, gc_period=None) as cluster:
+            me = cluster.space(0).adopt_current_thread(virtual_time=0)
+            try:
+                chan = STM(cluster.space(0)).create_channel(name="reset")
+                with chan.attach_output() as out, chan.attach_input() as inp:
+                    out.put(1, b"a")
+                    inp.get(1)
+                    REGISTRY.reset()
+                    out.put(2, b"b")
+                    inp.get(2)
+            finally:
+                me.exit()
+        assert REGISTRY.find("stm_put_ns", channel="reset").count == 1
+        assert REGISTRY.find("stm_get_ns", channel="reset").count == 1
+        REGISTRY.reset()
+
     def test_disabled_run_records_nothing(self):
         assert obs_events.recorder is None
         with Cluster(n_spaces=1) as cluster:
