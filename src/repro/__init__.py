@@ -48,20 +48,24 @@ Quickstart
 b'frame-0'
 """
 
-from repro.core import (
-    INFINITY,
-    STM_LATEST,
-    STM_LATEST_UNSEEN,
-    STM_OLDEST,
-    STM_OLDEST_UNSEEN,
-    UNKNOWN_REFCOUNT,
-    CopyPolicy,
-    GetWildcard,
-)
-from repro.errors import StampedeError, STMError
-from repro.runtime import Cluster, Pacer, ProcCluster, StampedeThread, current_thread
-from repro.stm import STM, Channel, InputConnection, Item, OutputConnection
-from repro.transport import MEMORY_CHANNEL, SHARED_MEMORY, UDP_LAN
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core": (
+        "INFINITY",
+        "STM_LATEST",
+        "STM_LATEST_UNSEEN",
+        "STM_OLDEST",
+        "STM_OLDEST_UNSEEN",
+        "UNKNOWN_REFCOUNT",
+        "CopyPolicy",
+        "GetWildcard",
+    ),
+    "repro.errors": ("StampedeError", "STMError"),
+    "repro.runtime": ("Cluster", "Pacer", "ProcCluster", "StampedeThread", "current_thread"),
+    "repro.stm": ("STM", "Channel", "InputConnection", "Item", "OutputConnection"),
+    "repro.transport": ("MEMORY_CHANNEL", "SHARED_MEMORY", "UDP_LAN"),
+})
 
 __version__ = "1.0.0"
 

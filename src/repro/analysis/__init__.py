@@ -24,7 +24,11 @@ grandfathering documented findings, and :mod:`repro.analysis.sarif` renders
 any finding list as SARIF 2.1.0 for code-scanning upload.
 """
 
-from repro.analysis.findings import Finding, Rule, RULES, Severity
-from repro.analysis.cli import main, run_static_passes
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.findings": ("Finding", "Rule", "RULES", "Severity"),
+    "repro.analysis.cli": ("main", "run_static_passes"),
+})
 
 __all__ = ["Finding", "Rule", "RULES", "Severity", "main", "run_static_passes"]

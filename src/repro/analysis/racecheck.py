@@ -39,6 +39,7 @@ finish; harnesses assert ``findings() == []`` afterwards.  Enable with
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from typing import Any
 
@@ -138,6 +139,7 @@ def enable() -> None:
 
     if not sanitizer.enabled():
         sanitizer.enable()
+    sanitizer.racecheck = sys.modules[__name__]  # SanLock and guard_kernel feed us
     _enabled = True
 
 

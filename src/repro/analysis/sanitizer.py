@@ -36,12 +36,13 @@ import os
 import sys
 import threading
 import traceback
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.analysis import racecheck
-from repro.analysis.findings import Finding
 from repro.core.payload import Parts
 from repro.errors import StmSanError
+
+if TYPE_CHECKING:
+    from repro.analysis.findings import Finding
 
 __all__ = [
     "enabled",
@@ -64,6 +65,9 @@ _seen: set[tuple[str, str, int]] = set()
 _graph: dict[str, set[str]] = {}  # lock-class name -> names taken under it
 _edge_site: dict[tuple[str, str], str] = {}
 _tls = threading.local()
+#: the race detector, :mod:`repro.analysis.racecheck`, once something enabled
+#: it (its ``enable`` sets this): a process that never races does not load it.
+racecheck: Any = None
 
 #: ChannelKernel methods that mutate channel state (guarded by STM302).
 KERNEL_MUTATORS = (
@@ -81,6 +85,25 @@ KERNEL_MUTATORS = (
 
 def enabled() -> bool:
     return _enabled
+
+
+def mode() -> str:
+    """What this process runs under, as ``STMSAN`` spells it: ``""`` (off),
+    ``"1"`` (the sanitizer) or ``"race"`` (the sanitizer + race detector)."""
+    if not _enabled:
+        return ""
+    return "race" if racecheck is not None and racecheck.enabled() else "1"
+
+
+def arm(mode: str) -> None:
+    """Arm this process as ``STMSAN=<mode>`` would (``""`` / ``"0"``: leave
+    it as it is)."""
+    if mode == "race":
+        from repro.analysis import racecheck
+
+        racecheck.enable()
+    elif mode not in ("", "0"):
+        enable()
 
 
 def enable() -> None:
@@ -131,6 +154,8 @@ def _call_site(skip_self: bool = True) -> tuple[str, int, str]:
 
 
 def _record(rule_id: str, message: str, detail: str = "") -> None:
+    from repro.analysis.findings import Finding
+
     file, line, stack = _call_site()
     with _meta:
         key = (rule_id, file, line)
@@ -202,7 +227,8 @@ class SanLock:
         if got:
             self._owner = me
             held.append(self)
-            racecheck.lock_acquired(self)
+            if racecheck is not None:
+                racecheck.lock_acquired(self)
         return got
 
     def _note_order(self, held: list["SanLock"]) -> None:
@@ -219,6 +245,8 @@ class SanLock:
                     other = _edge_site.get((self.name, outer.name), "?")
                     key = ("STM301", file, line)
                     if key not in _seen:
+                        from repro.analysis.findings import Finding
+
                         _seen.add(key)
                         _findings.append(
                             Finding(
@@ -236,7 +264,8 @@ class SanLock:
                 _edge_site.setdefault(edge, site)
 
     def release(self) -> None:
-        racecheck.lock_released(self)
+        if racecheck is not None:
+            racecheck.lock_released(self)
         self._owner = None
         held = _held()
         for i in range(len(held) - 1, -1, -1):
@@ -301,7 +330,7 @@ def guard_kernel(kernel: Any, lock: Any) -> None:
                     f"ChannelKernel.{__n} called without holding "
                     f"'{lock.name}'",
                 )
-            if racecheck.enabled():
+            if racecheck is not None and racecheck.enabled():
                 file, line, _stack = _call_site()
                 racecheck.on_write(
                     kernel, var_name, f"{__n} at {file}:{line}"
@@ -315,7 +344,7 @@ def guard_kernel(kernel: Any, lock: Any) -> None:
             continue
 
         def reading(*args: Any, __m=method, __n=name, **kwargs: Any) -> Any:
-            if racecheck.enabled():
+            if racecheck is not None and racecheck.enabled():
                 file, line, _stack = _call_site()
                 racecheck.on_read(
                     kernel, var_name, f"{__n} at {file}:{line}"
@@ -405,9 +434,4 @@ def _on_reclaim(kernel: Any, timestamp: int, record: Any) -> None:
     )
 
 
-_stmsan_env = os.environ.get("STMSAN", "")
-if _stmsan_env not in ("", "0"):
-    enable()
-    # STMSAN=race additionally turns on the vector-clock race detector.
-    if _stmsan_env == "race":
-        racecheck.enable()
+arm(os.environ.get("STMSAN", ""))

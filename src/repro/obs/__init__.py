@@ -38,50 +38,54 @@ Command line: ``python -m repro.obs`` (see :mod:`repro.obs.cli`), plus a
 benchmark suite (``pytest benchmarks --trace OUT.json``).
 """
 
-from repro.obs.collect import (
-    ClusterTelemetry,
-    ProcessTelemetry,
-    estimate_clock_offset,
-    snapshot_local,
-)
-from repro.obs.events import (
-    Recorder,
-    Ring,
-    TraceEvent,
-    armed,
-    disable,
-    enable,
-    get_recorder,
-    trace,
-)
-from repro.obs.export import (
-    add_flow_events,
-    lag_report,
-    lag_report_from_doc,
-    render_lag_report,
-    summarize_trace,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.metrics import (
-    REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    OnlineStats,
-    dump_as_snapshot,
-    merge_dumps,
-    percentile,
-    summarize,
-)
-from repro.obs.promtext import (
-    CONTENT_TYPE,
-    ExpositionServer,
-    render_prometheus,
-    render_top,
-)
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.collect": (
+        "ClusterTelemetry",
+        "ProcessTelemetry",
+        "estimate_clock_offset",
+        "snapshot_local",
+    ),
+    "repro.obs.events": (
+        "Recorder",
+        "Ring",
+        "TraceEvent",
+        "armed",
+        "disable",
+        "enable",
+        "get_recorder",
+        "trace",
+    ),
+    "repro.obs.export": (
+        "add_flow_events",
+        "lag_report",
+        "lag_report_from_doc",
+        "render_lag_report",
+        "summarize_trace",
+        "to_chrome_trace",
+        "validate_chrome_trace",
+        "write_chrome_trace",
+    ),
+    "repro.obs.metrics": (
+        "REGISTRY",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "OnlineStats",
+        "dump_as_snapshot",
+        "merge_dumps",
+        "percentile",
+        "summarize",
+    ),
+    "repro.obs.promtext": (
+        "CONTENT_TYPE",
+        "ExpositionServer",
+        "render_prometheus",
+        "render_top",
+    ),
+})
 
 __all__ = [
     "CONTENT_TYPE",

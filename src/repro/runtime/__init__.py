@@ -1,20 +1,28 @@
 """Stampede runtime: address spaces, cluster-wide threads, GC daemon, pacing."""
 
-from repro.runtime.address_space import AddressSpace, ChannelHandle, LocalChannel
-from repro.runtime.aio import AioAddressSpace, AioCluster, AioEvent
-from repro.runtime.cluster import Cluster
-from repro.runtime.gc_daemon import GcDaemon, GcStats
-from repro.runtime.procs import ProcCluster
-from repro.runtime.placement import (
-    KIOSK_PIPELINE,
-    PipelineModel,
-    PlacementPrediction,
-    Stage,
-    optimal_placement,
-    predict,
-)
-from repro.runtime.realtime import Pacer, TickReport, TickStatus
-from repro.runtime.threads import StampedeThread, current_thread, require_current_thread
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.runtime.address_space": ("AddressSpace", "ChannelHandle", "LocalChannel"),
+    "repro.runtime.aio": ("AioAddressSpace", "AioCluster", "AioEvent"),
+    "repro.runtime.cluster": ("Cluster",),
+    "repro.runtime.gc_daemon": ("GcDaemon", "GcStats"),
+    "repro.runtime.procs": ("ProcCluster",),
+    "repro.runtime.placement": (
+        "KIOSK_PIPELINE",
+        "PipelineModel",
+        "PlacementPrediction",
+        "Stage",
+        "optimal_placement",
+        "predict",
+    ),
+    "repro.runtime.realtime": ("Pacer", "TickReport", "TickStatus"),
+    "repro.runtime.threads": (
+        "StampedeThread",
+        "current_thread",
+        "require_current_thread",
+    ),
+})
 
 __all__ = [
     "AddressSpace",

@@ -126,9 +126,10 @@ class NameService:
         """Abort the rendezvous; waiting registrants get a connection error."""
         self._closed = True
         try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes its accept()
+        except OSError:
+            pass  # already shut down
+        self._listener.close()
         with self._lock:
             waiting, self._waiting = self._waiting, []
         for sock in waiting:

@@ -28,7 +28,10 @@ every process (parent included) binds its listeners, registers its TCP
 port (0 when no other node dials it: same-node peers dial an address
 derived from the session and the space id) and blocks for the directory;
 then everyone meshes up.  The rendezvous is a barrier, so no process
-serves traffic before all can.
+serves traffic before all can.  A child that exits before the mesh is up
+(say, its re-import of the main module failed) fails the constructor at
+once, naming the space and its exit code; a live but slow one has until
+``mesh_timeout``.
 
 Supervision: children heartbeat the parent over their control connection.
 The parent's supervisor thread watches process liveness and heartbeat ages;
@@ -50,15 +53,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.analysis import racecheck, sanitizer
+from repro.analysis import sanitizer
 from repro.errors import StampedeError, TransportClosedError, TransportError
 from repro.obs import events as _obs_events
-from repro.obs.collect import (
-    ClusterTelemetry,
-    estimate_clock_offset,
-    snapshot_local,
-)
 from repro.runtime.address_space import AddressSpace, ChannelHandle
 from repro.runtime.gc_daemon import GcDaemon
 from repro.runtime.messages import (
@@ -73,6 +72,9 @@ from repro.transport.clf import ClusterTopology
 from repro.transport.serialization import encode_message_sg, frame_stats
 from repro.transport.shm_ring import DEFAULT_RING_BYTES, ShmRing
 from repro.transport.sockets import SocketEndpoint, ring_name
+
+if TYPE_CHECKING:
+    from repro.obs.collect import ClusterTelemetry
 
 __all__ = ["ProcCluster"]
 
@@ -133,10 +135,7 @@ def _space_main(spec: _ChildSpec) -> None:
         _obs_events.enable(capacity=spec.obs_capacity)
     else:
         _obs_events.disable()
-    if spec.san_mode:
-        sanitizer.enable()
-        if spec.san_mode == "race":
-            racecheck.enable()
+    sanitizer.arm(spec.san_mode)
     topology = ClusterTopology(spec.n_spaces, spec.spaces_per_node)
     endpoint = SocketEndpoint(
         spec.space,
@@ -235,6 +234,10 @@ class ProcCluster:
         self._procs: dict[int, multiprocessing.Process] = {}
         self._ns: NameService | None = None
         self.endpoint: SocketEndpoint | None = None
+        #: set by the start-up watch when a child exits before the mesh is up
+        self._start_failure: TransportError | None = None
+        watch: threading.Thread | None = None
+        wake_r, wake_w = os.pipe()
         try:
             for src in range(n_spaces):
                 for dst in range(n_spaces):
@@ -248,9 +251,7 @@ class ProcCluster:
             ctx = multiprocessing.get_context("spawn")
             rec = _obs_events.recorder
             obs_capacity = rec.capacity if rec is not None else None
-            san_mode = ""
-            if sanitizer.enabled():
-                san_mode = "race" if racecheck.enabled() else "1"
+            san_mode = sanitizer.mode()
             for space in range(1, n_spaces):
                 spec = _ChildSpec(
                     space=space,
@@ -271,6 +272,11 @@ class ProcCluster:
                 )
                 proc.start()
                 self._procs[space] = proc
+            watch = threading.Thread(
+                target=self._watch_start, args=(wake_r,),
+                name="stm-start-watch", daemon=True,
+            )
+            watch.start()
             self.endpoint = SocketEndpoint(
                 self.registry_space, self.topology, session=self.session
             )
@@ -280,9 +286,16 @@ class ProcCluster:
                 timeout=mesh_timeout,
             )
             self.endpoint.connect_mesh(directory, timeout=mesh_timeout)
-        except BaseException:
+        except BaseException as exc:
+            self._end_start_watch(watch, wake_r, wake_w)
             self._emergency_teardown()
+            if self._start_failure is not None:
+                raise self._start_failure from exc
             raise
+        self._end_start_watch(watch, wake_r, wake_w)
+        if self._start_failure is not None:  # exited as the mesh completed
+            self._emergency_teardown()
+            raise self._start_failure
         self._space = AddressSpace(self, self.registry_space, self.endpoint)
         self._space.start()
         self.gc_daemon: GcDaemon | None = None
@@ -359,6 +372,12 @@ class ProcCluster:
         timeline.  Usable mid-run (a live snapshot) or at shutdown
         (``disarm=True`` also disarms the children's tracers).
         """
+        from repro.obs.collect import (
+            ClusterTelemetry,
+            estimate_clock_offset,
+            snapshot_local,
+        )
+
         processes = [snapshot_local(space=self.registry_space)]
         for space in sorted(self._procs):
             offset = self._probe_clock_offset(space)
@@ -387,6 +406,8 @@ class ProcCluster:
         a loaded dispatcher queue then costs accuracy on the slow probes
         without poisoning the estimate.  None if every probe failed.
         """
+        from repro.obs.collect import estimate_clock_offset
+
         best_rtt: int | None = None
         best_offset: int | None = None
         for _ in range(n_probes):
@@ -414,6 +435,40 @@ class ProcCluster:
     # ==================================================================
     # supervision
     # ==================================================================
+    def _watch_start(self, wake: int) -> None:
+        """Until start-up ends (``wake`` turns readable), fail it the moment a
+        child exits: the rendezvous and the mesh would wait for that child
+        until ``mesh_timeout``."""
+        from multiprocessing.connection import wait  # a child never needs it
+
+        sentinels = {proc.sentinel: space for space, proc in self._procs.items()}
+        ready = wait([wake, *sentinels])
+        if wake in ready:
+            return
+        space = sentinels[ready[0]]
+        proc = self._procs[space]
+        proc.join(timeout=1.0)  # the sentinel turns readable just before exit
+        self._start_failure = TransportError(
+            f"address space {space} process exited with code {proc.exitcode} "
+            "during start-up"
+        )
+        # A closed name service fails register(), a failed endpoint fails
+        # connect_mesh(): whichever the constructor is in returns now.
+        self._ns.close()
+        endpoint = self.endpoint
+        if endpoint is not None:
+            endpoint.fail(self._start_failure)
+
+    @staticmethod
+    def _end_start_watch(
+        watch: threading.Thread | None, wake_r: int, wake_w: int
+    ) -> None:
+        os.write(wake_w, b"x")
+        if watch is not None:
+            watch.join()
+        os.close(wake_r)
+        os.close(wake_w)
+
     def _peer_lost(self, space: int, exc: BaseException) -> None:
         self._on_space_failure(space, exc)
 

@@ -6,10 +6,14 @@ structure of the 1998 AlphaServer/Memory Channel platform; see
 for the simulated runtime.
 """
 
-from repro.sim.costs import DEFAULT_COSTS, SimCosts
-from repro.sim.engine import SimEngine, SimEvent, SimTaskHandle
-from repro.sim.sim_stampede import SimChannel, SimGcReport, SimStampede, SimThread
-from repro.sim.trace import SimTrace, SpanRecord
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.costs": ("DEFAULT_COSTS", "SimCosts"),
+    "repro.sim.engine": ("SimEngine", "SimEvent", "SimTaskHandle"),
+    "repro.sim.sim_stampede": ("SimChannel", "SimGcReport", "SimStampede", "SimThread"),
+    "repro.sim.trace": ("SimTrace", "SpanRecord"),
+})
 
 __all__ = [
     "DEFAULT_COSTS",

@@ -1,15 +1,19 @@
 """Space-Time Memory: the user-facing API (Pythonic and spd_* C-style)."""
 
-from repro.stm.aio import (
-    AioChannel,
-    AioInputConnection,
-    AioOutputConnection,
-    AioSTM,
-)
-from repro.stm.api import Channel, InputConnection, Item, OutputConnection, STM
-from repro.stm.dataparallel import DataParallelResult, run_data_parallel
-from repro.stm.monitor import ChannelProbe, ChannelSnapshot, SpaceTimeView
-from repro.stm.ticker import Ticker
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.stm.aio": (
+        "AioChannel",
+        "AioInputConnection",
+        "AioOutputConnection",
+        "AioSTM",
+    ),
+    "repro.stm.api": ("Channel", "InputConnection", "Item", "OutputConnection", "STM"),
+    "repro.stm.dataparallel": ("DataParallelResult", "run_data_parallel"),
+    "repro.stm.monitor": ("ChannelProbe", "ChannelSnapshot", "SpaceTimeView"),
+    "repro.stm.ticker": ("Ticker",),
+})
 
 __all__ = [
     "AioChannel",

@@ -217,7 +217,8 @@ class SocketEndpoint(Delivery):
 
         This endpoint dials every peer with a *higher* space id and waits for
         every lower-id peer to dial in; rings for intra-node pairs are
-        attached on both sides.  Blocks until the mesh is complete.
+        attached on both sides.  Blocks until the mesh is complete, or
+        raises once ``timeout`` passes or the endpoint is closed or failed.
         """
         for peer in sorted(directory):
             if peer == self.space:
@@ -237,6 +238,7 @@ class SocketEndpoint(Delivery):
             with self._lock:
                 if len(self._peers) == len(directory) - 1:
                     break
+            self._check_meshing()
             if time.monotonic() > deadline:
                 with self._lock:
                     have = sorted(self._peers)
@@ -268,6 +270,7 @@ class SocketEndpoint(Delivery):
                 break
             except OSError:
                 sock.close()
+                self._check_meshing()
                 if time.monotonic() > deadline:
                     raise TransportError(
                         f"space {self.space} could not reach space {peer} "
@@ -276,6 +279,13 @@ class SocketEndpoint(Delivery):
                 time.sleep(0.02)
         sock.sendall(_HELLO.pack(self.space))
         self._register_peer(peer, sock)
+
+    def _check_meshing(self) -> None:
+        if self._closed:
+            raise TransportClosedError(
+                f"space {self.space}: endpoint closed before the mesh was up"
+                + (f": {self.failure}" if self.failure else "")
+            )
 
     def _accept_loop(self, listener: socket.socket) -> None:
         while not self._closed:

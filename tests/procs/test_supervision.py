@@ -17,6 +17,7 @@ import pytest
 from repro.errors import TransportClosedError
 from repro.runtime.procs import ProcCluster
 from repro.stm import STM
+from tests.procs import _import_probe
 
 
 class TestCrashPropagation:
@@ -80,3 +81,54 @@ class TestCrashPropagation:
             assert cluster.wait_failed(timeout=5.0)
             with pytest.raises(TransportClosedError):
                 cluster.endpoint_stats(1)
+
+
+# A main script whose re-import in a spawned child (as ``__mp_main__``) runs
+# CHILD, then builds a two-space cluster and prints how that went.
+_STARTUP_SCRIPT = """
+import sys, time
+if __name__ == "__mp_main__":
+    {child}
+if __name__ == "__main__":
+    from repro.runtime.procs import ProcCluster
+    t0 = time.monotonic()
+    try:
+        ProcCluster(n_spaces=2, gc_period=None{kwargs}).shutdown()
+        print("started")
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+    print(time.monotonic() - t0)
+"""
+
+
+def _start_cluster(tmp_path, child: str, kwargs: str = "") -> tuple[str, float]:
+    """(outcome line, seconds the constructor took) of one script run."""
+    script = tmp_path / "startup_main.py"
+    script.write_text(_STARTUP_SCRIPT.format(child=child, kwargs=kwargs))
+    done = _import_probe.python(str(script))
+    outcome, seconds = done.stdout.strip().splitlines()[-2:]
+    return outcome, float(seconds)
+
+
+class TestStartUp:
+    def test_a_child_that_dies_fails_start_up_at_once(self, tmp_path):
+        """The rendezvous used to wait out mesh_timeout (35 s) and then
+        blame the name service."""
+        outcome, seconds = _start_cluster(tmp_path, "sys.exit(3)")
+        assert outcome == (
+            "TransportError address space 1 process exited with code 3 "
+            "during start-up"
+        )
+        assert seconds < 5.0
+
+    def test_a_slow_child_still_gets_mesh_timeout(self, tmp_path):
+        outcome, seconds = _start_cluster(
+            tmp_path, "time.sleep(4)", ", mesh_timeout=1.0"
+        )
+        assert outcome.startswith("TransportError space 0: name service "
+                                  "rendezvous failed")
+        assert 1.0 <= seconds < 4.0
+
+    def test_a_slow_child_within_mesh_timeout_joins(self, tmp_path):
+        outcome, _ = _start_cluster(tmp_path, "time.sleep(1)")
+        assert outcome == "started"

@@ -10,6 +10,7 @@ rest — and what a single send and receive account for.
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -174,6 +175,31 @@ class TestMedium:
         assert threading.active_count() <= threads_before
         for session in sessions:
             assert _abstract_sockets(session) == []
+
+
+class TestMeshSetUp:
+    """Failing an endpoint ends its ``connect_mesh`` at once, on the side
+    that dials and on the side that waits to be dialled."""
+
+    @pytest.mark.parametrize("space", [0, 1], ids=["dialling", "dialled"])
+    def test_a_failed_endpoint_stops_waiting_for_the_mesh(self, space):
+        from repro.errors import TransportClosedError
+
+        endpoint = SocketEndpoint(
+            space, ClusterTopology(2, spaces_per_node=1), session=_session()
+        )
+        with socket.socket() as unused:  # a port nobody listens on
+            unused.bind(("127.0.0.1", 0))
+            nobody = unused.getsockname()[1]
+        directory = {0: 0, 1: nobody if space == 0 else endpoint.port}
+        threading.Timer(
+            0.2, endpoint.fail, (TransportClosedError("peer died"),)
+        ).start()
+        t0 = time.monotonic()
+        with pytest.raises(TransportClosedError, match="peer died"):
+            endpoint.connect_mesh(directory, timeout=30.0)
+        assert time.monotonic() - t0 < 5.0
+        endpoint.close()
 
 
 class TestSendReceive:
