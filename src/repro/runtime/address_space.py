@@ -1126,6 +1126,19 @@ class AddressSpace:
                 if not events:
                     del self._local_name_events[body.name]
 
+    def _local_lookup_left(self, body: LookupNameReq, event: Any,
+                           deadline: float | None) -> float | None:
+        """How long a name wait may sleep (None: no deadline).  Both drivers'
+        lookup loops raise only here, so a wait that merely timed out loops
+        back and still finds a name registered while it slept."""
+        if deadline is None:
+            return None
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            self._local_lookup_withdraw(body, event)
+            raise TimeoutError(f"channel name {body.name!r} never registered")
+        return remaining
+
     def _local_lookup_wait(self, body: LookupNameReq, timeout: float | None):
         """Blocking lookup when the registry is this very space."""
         deadline = (time.monotonic() + timeout) if timeout is not None else None
@@ -1133,18 +1146,8 @@ class AddressSpace:
             handle, event = self._local_lookup_start(body)
             if handle is not None:
                 return handle
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self._local_lookup_withdraw(body, event)
-                    raise TimeoutError(
-                        f"channel name {body.name!r} never registered"
-                    )
-            woke = event.wait(remaining)
+            event.wait(self._local_lookup_left(body, event, deadline))
             self._local_lookup_withdraw(body, event)
-            if not woke and deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(f"channel name {body.name!r} never registered")
 
     def _require_registry(self) -> None:
         if not self.is_registry:
@@ -1258,17 +1261,9 @@ class AddressSpace:
         virtual_time: VirtualTime,
         parent: StampedeThread | None,
     ) -> StampedeThread:
-        if name is None:
-            name = f"spd-{self.space_id}-{self._thread_seq.next()}"
-        with self._threads_lock:
-            if name in self._threads:
-                raise StampedeError(
-                    f"thread name {name!r} already in use on space {self.space_id}"
-                )
-            thread = StampedeThread(self, name, virtual_time, parent=parent)
-            self._threads[name] = thread
+        thread = self._register_thread(name, "spd", virtual_time, parent)
         os_thread = threading.Thread(
-            target=thread._run, args=(fn, args, kwargs), name=name, daemon=True
+            target=thread._run, args=(fn, args, kwargs), name=thread.name, daemon=True
         )
         thread.os_thread = os_thread
         os_thread.start()
@@ -1283,27 +1278,46 @@ class AddressSpace:
         timestamp; remember to advance it (or jump to INFINITY once the
         thread only inherits timestamps) so GC can progress (§4.2).
         """
-        existing = current_thread()
-        if existing is not None and existing.alive:
-            if existing.space is self:
-                return existing
-            if existing.space.cluster is self.cluster:
-                raise StampedeError(
-                    f"this OS thread is already adopted by space "
-                    f"{existing.space.space_id}; call exit() on that "
-                    f"StampedeThread before adopting into space {self.space_id}"
-                )
-            # The binding points into a different (likely shut down) cluster:
-            # a stale leftover.  Unbind it and adopt fresh.
-            existing.exit()
-        if name is None:
-            name = f"adopted-{self.space_id}-{self._thread_seq.next()}"
-        with self._threads_lock:
-            thread = StampedeThread(self, name, virtual_time)
-            self._threads[name] = thread
-        thread.os_thread = threading.current_thread()
-        thread._bind()
+        thread = self._adopted_binding()
+        if thread is None:
+            thread = self._register_thread(name, "adopted", virtual_time)
+            thread.os_thread = threading.current_thread()
+            thread._bind()
         return thread
+
+    def _register_thread(self, name: str | None, prefix: str, virtual_time: VirtualTime,
+                         parent: StampedeThread | None = None) -> StampedeThread:
+        """Every spawn and adoption, of threads and tasks, registers here: under
+        ``name`` (default ``<prefix>-<space>-<n>``), refused if a live thread holds it."""
+        if name is None:
+            name = f"{prefix}-{self.space_id}-{self._thread_seq.next()}"
+        with self._threads_lock:
+            if name in self._threads:
+                raise StampedeError(
+                    f"thread name {name!r} already in use on space {self.space_id}"
+                )
+            thread = StampedeThread(self, name, virtual_time, parent=parent)
+            self._threads[name] = thread
+        return thread
+
+    def _adopted_binding(self) -> StampedeThread | None:
+        """The caller's live thread in this space, if any.  A live binding
+        in another space of this cluster is refused (it would stay there,
+        pinning that space's GC horizon); one into another, likely shut
+        down, cluster is a stale leftover and is dropped."""
+        existing = current_thread()
+        if existing is None or not existing.alive:
+            return None
+        if existing.space is self:
+            return existing
+        if existing.space.cluster is self.cluster:
+            raise StampedeError(
+                f"this thread or task is already adopted by space "
+                f"{existing.space.space_id}; call exit() on that "
+                f"StampedeThread before adopting into space {self.space_id}"
+            )
+        existing.exit()
+        return None
 
     def _thread_exited(self, thread: StampedeThread) -> None:
         # Auto-detach any connections the thread left attached so they stop

@@ -49,12 +49,12 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import time
 from asyncio import _get_running_loop
 from typing import Any, Callable, Coroutine
 
 from repro.core.flags import GetWildcard, UNKNOWN_REFCOUNT
 from repro.core.time import VirtualTime
-from repro.errors import StampedeError
 from repro.obs import events as _obs
 from repro.runtime.address_space import (
     AddressSpace,
@@ -210,21 +210,12 @@ class AioAddressSpace(AddressSpace):
     async def _alocal_lookup_wait(
         self, body: LookupNameReq, timeout: float | None
     ) -> ChannelHandle:
-        deadline = (
-            (self.loop.time() + timeout) if timeout is not None else None
-        )
+        deadline = (time.monotonic() + timeout) if timeout is not None else None
         while True:
             handle, event = self._local_lookup_start(body)
             if handle is not None:
                 return handle
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - self.loop.time()
-                if remaining <= 0:
-                    self._local_lookup_withdraw(body, event)
-                    raise TimeoutError(
-                        f"channel name {body.name!r} never registered"
-                    )
+            remaining = self._local_lookup_left(body, event, deadline)
             wait_async = getattr(event, "wait_async", None)
             if wait_async is not None:
                 await wait_async(remaining)
@@ -344,18 +335,9 @@ class AioAddressSpace(AddressSpace):
         parent = current_thread()
         if virtual_time is None:
             virtual_time = parent.visibility() if parent is not None else 0
-        if name is None:
-            name = f"aio-{self.space_id}-{self._thread_seq.next()}"
-        with self._threads_lock:
-            if name in self._threads:
-                raise StampedeError(
-                    f"thread name {name!r} already in use on space "
-                    f"{self.space_id}"
-                )
-            thread = StampedeThread(self, name, virtual_time, parent=parent)
-            self._threads[name] = thread
+        thread = self._register_thread(name, "aio", virtual_time, parent)
         task = self.loop.create_task(
-            self._run_task(thread, coro_fn, args, kwargs or {}), name=name
+            self._run_task(thread, coro_fn, args, kwargs or {}), name=thread.name
         )
         thread.aio_task = task
         return thread
@@ -373,9 +355,7 @@ class AioAddressSpace(AddressSpace):
         try:
             return await coro_fn(*args, **kwargs)
         finally:
-            thread._unbind_context()
-            self._thread_exited(thread)
-            thread._alive = False
+            thread.exit()
 
     async def ajoin(
         self, thread: StampedeThread, timeout: float | None = None
@@ -398,23 +378,14 @@ class AioAddressSpace(AddressSpace):
         """Bind STM thread state to the calling asyncio task.
 
         The coroutine analogue of :meth:`AddressSpace
-        .adopt_current_thread` — for driver coroutines that operate on STM
-        directly instead of going through :meth:`spawn_task`.
+        .adopt_current_thread`, under the same adoption and naming rules —
+        for driver coroutines that operate on STM directly instead of going
+        through :meth:`spawn_task`.
         """
-        existing = current_thread()
-        if existing is not None and existing.alive and existing.space is self:
-            return existing
-        if name is None:
-            name = f"adopted-aio-{self.space_id}-{self._thread_seq.next()}"
-        with self._threads_lock:
-            if name in self._threads:
-                raise StampedeError(
-                    f"thread name {name!r} already in use on space "
-                    f"{self.space_id}"
-                )
-            thread = StampedeThread(self, name, virtual_time)
-            self._threads[name] = thread
-        thread._bind_context()
+        thread = self._adopted_binding()
+        if thread is None:
+            thread = self._register_thread(name, "adopted-aio", virtual_time)
+            thread._bind_context()
         return thread
 
 

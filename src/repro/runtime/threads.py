@@ -77,8 +77,8 @@ class StampedeThread:
     Concurrency contract — single writer, one published value (DESIGN.md
     §5d).  The virtual time and the open set are written only by the owner,
     the OS thread or asyncio task that runs this Stampede thread
-    (``set_virtual_time``; ``note_open`` / ``note_closed`` /
-    ``note_conn_closed`` from the connection layer), so no lock guards them.
+    (``set_virtual_time``; ``note_open`` / ``note_closed`` / ``note_closed_until``
+    / ``note_conn_closed`` from the connection layer), so no lock guards them.
     After every change the owner publishes ``min(virtual time, open
     timestamps)`` as one attribute, ``_visibility``, which
     :meth:`visibility`, :meth:`check_put_timestamp` and the one foreign
@@ -192,6 +192,12 @@ class StampedeThread:
         self._open = {entry for entry in self._open if entry[1] != conn_id}
         self._publish()
 
+    def note_closed_until(self, conn_id: int, timestamp: int) -> None:
+        """Drop ``conn_id``'s open entries up to ``timestamp`` (consume_until)."""
+        self._open = {entry for entry in self._open
+                      if entry[1] != conn_id or entry[2] > timestamp}
+        self._publish()
+
     def open_items(self) -> set[tuple[int, int, int]]:
         return set(self._open)
 
@@ -233,13 +239,13 @@ class StampedeThread:
         try:
             fn(*args, **kwargs)
         finally:
-            self._unbind()
-            self.space._thread_exited(self)
-            self._alive = False
+            self.exit()
 
     def exit(self) -> None:
-        """Deregister an adopted thread (spawned threads exit automatically)."""
+        """Drop the binding and deregister (an adopted thread or task calls
+        this; spawned threads and tasks exit through it automatically)."""
         self._unbind()
+        self._unbind_context()
         self.space._thread_exited(self)
         self._alive = False
 

@@ -1,9 +1,9 @@
 """The asyncio Space-Time Memory facade (awaitable twin of §4.1's API).
 
-Everything here mirrors :mod:`repro.stm.api` one-for-one — same visibility
-discipline, same copy semantics, same observability spans — with every
-potentially blocking operation awaitable and attachments usable as async
-context managers::
+Only the verbs that await live here; the rest (bindings, ``here``,
+``closed``, the detached-connection error, the ``stm`` spans) comes from
+private bases shared with :mod:`repro.stm.api`, so the two facades cannot
+drift.  Attachments are async context managers::
 
     stm = AioSTM(cluster.space(0))
     chan = await stm.create_channel("frames", capacity=4)
@@ -34,13 +34,10 @@ from repro.core.flags import (
 )
 from repro.core.payload import CopyPolicy, decode, encode
 from repro.core.time import validate_timestamp
-from repro.errors import ConnectionClosedError
 from repro.obs import events as _obs
-from repro.obs.metrics import REGISTRY as _METRICS
 from repro.runtime.address_space import ChannelHandle
-from repro.runtime.aio import AioAddressSpace
 from repro.runtime.threads import StampedeThread, require_current_thread
-from repro.stm.api import Item, _item
+from repro.stm.api import Item, _ChannelBase, _ConnectionBase, _item, _STMBase
 
 __all__ = [
     "AioSTM",
@@ -50,16 +47,9 @@ __all__ = [
 ]
 
 
-class AioSTM:
-    """Asyncio entry point to Space-Time Memory for one address space."""
-
-    def __init__(self, space: AioAddressSpace):
-        self.space = space
-
-    @classmethod
-    def here(cls) -> "AioSTM":
-        """The facade of the calling Stampede task's own address space."""
-        return cls(require_current_thread().space)
+class AioSTM(_STMBase):
+    """Asyncio entry point to Space-Time Memory for one address space
+    (an :class:`~repro.runtime.aio.AioAddressSpace`)."""
 
     async def create_channel(
         self,
@@ -115,20 +105,8 @@ class _Attach:
             await self._conn.detach()
 
 
-class AioChannel:
+class AioChannel(_ChannelBase):
     """A (location-transparent) reference to one STM channel."""
-
-    def __init__(self, space: AioAddressSpace, handle: ChannelHandle):
-        self.space = space
-        self.handle = handle
-
-    @property
-    def channel_id(self) -> int:
-        return self.handle.channel_id
-
-    @property
-    def name(self) -> str | None:
-        return self.handle.name
 
     def attach_input(self, thread: StampedeThread | None = None) -> _Attach:
         """Attach an input connection (items below the thread's visibility
@@ -151,41 +129,9 @@ class AioChannel:
     async def destroy(self) -> None:
         await self.space.adestroy_channel(self.handle)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        label = self.handle.name or self.handle.channel_id
-        return f"<AioChannel {label!r} home={self.handle.home_space}>"
 
-
-class _AioConnection:
-    """Shared plumbing of async input and output connections."""
-
-    def __init__(self, channel: AioChannel, conn_id: int, thread: StampedeThread):
-        self.channel = channel
-        self.conn_id = conn_id
-        self.thread = thread
-        self._closed = False
-        # Bound once, at attach (as in repro.stm.api).
-        self._space = channel.space
-        self._handle = channel.handle
-        self._channel_id = channel.handle.channel_id
-        self._policy = channel.handle.copy_policy
-        self._obs_label = channel.handle.name or f"#{self._channel_id}"
-        self._histograms: dict = {}
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _histogram(self, name: str):
-        """This connection's latency histogram ``name``: resolved once, and
-        again after ``REGISTRY.reset()``."""
-        key = (_METRICS.epoch, name)
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = self._histograms[key] = _METRICS.histogram(
-                name, channel=self._obs_label
-            )
-        return hist
+class _AioConnection(_ConnectionBase):
+    """Awaitable detach and ``async with`` of input and output connections."""
 
     async def detach(self) -> None:
         """Release the connection (idempotent)."""
@@ -194,15 +140,6 @@ class _AioConnection:
         self._closed = True
         self.thread.note_conn_closed(self._channel_id, self.conn_id)
         await self._space.adetach(self._handle, self.conn_id)
-
-    def _check_open(self) -> None:
-        """Raise on a detached connection.  The ops test ``_closed`` inline
-        and call this only when it is set."""
-        if self._closed:
-            raise ConnectionClosedError(
-                f"connection {self.conn_id} to channel "
-                f"{self._channel_id} is detached"
-            )
 
     async def __aenter__(self):
         return self
@@ -246,11 +183,7 @@ class AioOutputConnection(_AioConnection):
             timeout=timeout,
         )
         if rec is not None:
-            dur = rec.complete(
-                "stm", "put", t0, self.thread.space.space_id,
-                channel=self._obs_label, timestamp=timestamp, size=size,
-            )
-            self._histogram("stm_put_ns").observe(dur)
+            self._stm_span(rec, "put", t0, timestamp, "stm_put_ns", size=size)
 
 
 class AioInputConnection(_AioConnection):
@@ -274,11 +207,7 @@ class AioInputConnection(_AioConnection):
         self.thread.note_open(self._channel_id, self.conn_id, ts)
         value = decode(stored, self._policy)
         if rec is not None:
-            dur = rec.complete(
-                "stm", "get", t0, self.thread.space.space_id,
-                channel=self._obs_label, timestamp=ts, size=size,
-            )
-            self._histogram("stm_get_ns").observe(dur)
+            self._stm_span(rec, "get", t0, ts, "stm_get_ns", size=size)
         return _item(value, ts, size)
 
     async def consume(self, timestamp: int) -> None:
@@ -292,10 +221,7 @@ class AioInputConnection(_AioConnection):
         # channel stops counting the item before visibility may rise.
         self.thread.note_closed(self._channel_id, self.conn_id, timestamp)
         if rec is not None:
-            rec.complete(
-                "stm", "consume", t0, self.thread.space.space_id,
-                channel=self._obs_label, timestamp=timestamp,
-            )
+            self._stm_span(rec, "consume", t0, timestamp)
 
     async def consume_until(self, timestamp: int) -> None:
         """Consume every item with timestamp <= ``timestamp`` (§4.2)."""
@@ -306,14 +232,9 @@ class AioInputConnection(_AioConnection):
         await self._space.aconsume(
             self._handle, self.conn_id, timestamp, until=True
         )
-        for chan_id, conn_id, ts in self.thread.open_items():
-            if conn_id == self.conn_id and ts <= timestamp:
-                self.thread.note_closed(chan_id, conn_id, ts)
+        self.thread.note_closed_until(self.conn_id, timestamp)
         if rec is not None:
-            rec.complete(
-                "stm", "consume", t0, self.thread.space.space_id,
-                channel=self._obs_label, timestamp=timestamp, until=True,
-            )
+            self._stm_span(rec, "consume", t0, timestamp, until=True)
 
     async def get_consume(
         self,

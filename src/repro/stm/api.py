@@ -75,15 +75,18 @@ def _item(value: Any, timestamp: int, size: int) -> Item:
     return item
 
 
-class STM:
-    """Entry point to Space-Time Memory for threads of one address space."""
+# The asyncio facade (repro.stm.aio) keeps only its awaiting verbs and takes
+# the rest from these bases.  They are private so that an ``AioChannel`` is
+# not an ``isinstance`` of the ``Channel`` whose verbs it overrides.
+class _STMBase:
+    """The space an entry point is bound to."""
 
     def __init__(self, space: AddressSpace):
         self.space = space
 
     @classmethod
-    def here(cls) -> "STM":
-        """The facade of the calling Stampede thread's own address space.
+    def here(cls):
+        """The facade of the calling Stampede thread's (or task's) space.
 
         The natural entry point inside a spawned thread function.  In the
         process runtime (:mod:`repro.runtime.procs`) such functions arrive
@@ -92,6 +95,10 @@ class STM:
         ``STM.here()``.
         """
         return cls(require_current_thread().space)
+
+
+class STM(_STMBase):
+    """Entry point to Space-Time Memory for threads of one address space."""
 
     def create_channel(
         self,
@@ -126,8 +133,8 @@ class STM:
         return Channel(self.space, handle)
 
 
-class Channel:
-    """A (location-transparent) reference to one STM channel."""
+class _ChannelBase:
+    """The handle a channel reference wraps, and what it names."""
 
     def __init__(self, space: AddressSpace, handle: ChannelHandle):
         self.space = space
@@ -140,6 +147,14 @@ class Channel:
     @property
     def name(self) -> str | None:
         return self.handle.name
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        label = self.handle.name or self.handle.channel_id
+        return f"<{type(self).__name__} {label!r} home={self.handle.home_space}>"
+
+
+class Channel(_ChannelBase):
+    """A (location-transparent) reference to one STM channel."""
 
     def attach_input(self, thread: StampedeThread | None = None) -> "InputConnection":
         """Attach an input connection for the calling Stampede thread.
@@ -159,15 +174,11 @@ class Channel:
     def destroy(self) -> None:
         self.space.destroy_channel(self.handle)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        label = self.handle.name or self.handle.channel_id
-        return f"<Channel {label!r} home={self.handle.home_space}>"
 
+class _ConnectionBase:
+    """The bindings an op passes on, the closed flag and an op's span."""
 
-class _Connection:
-    """Shared plumbing of input and output connections."""
-
-    def __init__(self, channel: Channel, conn_id: int, thread: StampedeThread):
+    def __init__(self, channel: _ChannelBase, conn_id: int, thread: StampedeThread):
         self.channel = channel
         self.conn_id = conn_id
         self.thread = thread
@@ -202,6 +213,27 @@ class _Connection:
             )
         return hist
 
+    def _check_open(self) -> None:
+        """Raise on a detached connection.  The ops test ``_closed`` inline
+        and call this only when it is set."""
+        if self._closed:
+            raise ConnectionClosedError(
+                f"connection {self.conn_id} to channel "
+                f"{self._channel_id} is detached"
+            )
+
+    def _stm_span(self, rec, op: str, t0: int, timestamp: int,
+                  histogram: str | None = None, **args: Any) -> None:
+        """Record an op's ``stm`` span and latency ``histogram`` (armed only)."""
+        dur = rec.complete("stm", op, t0, self.thread.space.space_id,
+                           channel=self._obs_label, timestamp=timestamp, **args)
+        if histogram is not None:
+            self._histogram(histogram).observe(dur)
+
+
+class _Connection(_ConnectionBase):
+    """Blocking detach and ``with`` of input and output connections."""
+
     def detach(self) -> None:
         """Release the connection (idempotent).
 
@@ -213,15 +245,6 @@ class _Connection:
         self._closed = True
         self.thread.note_conn_closed(self._channel_id, self.conn_id)
         self._space.detach(self._handle, self.conn_id)
-
-    def _check_open(self) -> None:
-        """Raise on a detached connection.  The ops test ``_closed`` inline
-        and call this only when it is set."""
-        if self._closed:
-            raise ConnectionClosedError(
-                f"connection {self.conn_id} to channel "
-                f"{self._channel_id} is detached"
-            )
 
     def __enter__(self):
         return self
@@ -269,11 +292,7 @@ class OutputConnection(_Connection):
             timeout=timeout,
         )
         if rec is not None:
-            dur = rec.complete(
-                "stm", "put", t0, self.thread.space.space_id,
-                channel=self._obs_label, timestamp=timestamp, size=size,
-            )
-            self._histogram("stm_put_ns").observe(dur)
+            self._stm_span(rec, "put", t0, timestamp, "stm_put_ns", size=size)
 
 
 class InputConnection(_Connection):
@@ -304,11 +323,7 @@ class InputConnection(_Connection):
         self.thread.note_open(self._channel_id, self.conn_id, ts)
         value = decode(stored, self._policy)
         if rec is not None:
-            dur = rec.complete(
-                "stm", "get", t0, self.thread.space.space_id,
-                channel=self._obs_label, timestamp=ts, size=size,
-            )
-            self._histogram("stm_get_ns").observe(dur)
+            self._stm_span(rec, "get", t0, ts, "stm_get_ns", size=size)
         return _item(value, ts, size)
 
     def consume(self, timestamp: int) -> None:
@@ -323,10 +338,7 @@ class InputConnection(_Connection):
         # visibility rise.
         self.thread.note_closed(self._channel_id, self.conn_id, timestamp)
         if rec is not None:
-            rec.complete(
-                "stm", "consume", t0, self.thread.space.space_id,
-                channel=self._obs_label, timestamp=timestamp,
-            )
+            self._stm_span(rec, "consume", t0, timestamp)
 
     def consume_until(self, timestamp: int) -> None:
         """Consume every item with timestamp <= ``timestamp`` (§4.2)."""
@@ -335,14 +347,9 @@ class InputConnection(_Connection):
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
         self._space.consume(self._handle, self.conn_id, timestamp, until=True)
-        for chan_id, conn_id, ts in self.thread.open_items():
-            if conn_id == self.conn_id and ts <= timestamp:
-                self.thread.note_closed(chan_id, conn_id, ts)
+        self.thread.note_closed_until(self.conn_id, timestamp)
         if rec is not None:
-            rec.complete(
-                "stm", "consume", t0, self.thread.space.space_id,
-                channel=self._obs_label, timestamp=timestamp, until=True,
-            )
+            self._stm_span(rec, "consume", t0, timestamp, until=True)
 
     def get_consume(
         self,

@@ -1,6 +1,7 @@
 """Edge cases of the runtime: destroy-with-waiters, registry placement,
 multi-space-per-node topologies, auto-detach, and error surfaces."""
 
+import asyncio
 import threading
 import time
 
@@ -12,6 +13,7 @@ from repro.errors import (
     StampedeError,
 )
 from repro.runtime import Cluster
+from repro.runtime.aio import AioCluster
 from repro.stm import STM
 
 
@@ -146,6 +148,87 @@ class TestAdoptConflicts:
             assert adopted is not stale
             assert adopted.space is fresh.space(0)
             adopted.exit()
+
+    # The asyncio driver adopts through the same code, so the same rule holds
+    # for a task: a second space of its cluster is refused (the first thread
+    # would stay registered and pin that space's GC horizon), a stale binding
+    # into a dead cluster is dropped.
+    def test_aio_adopting_second_space_of_same_cluster_rejected(self):
+        async def main():
+            async with AioCluster(n_spaces=2, gc_period=None) as cluster:
+                me = cluster.space(0).adopt_current_task(virtual_time=0)
+                with pytest.raises(StampedeError, match="already adopted"):
+                    cluster.space(1).adopt_current_task()
+                assert cluster.space(1).threads() == []
+                assert cluster.space(0).threads() == [me]
+                me.exit()
+                other = cluster.space(1).adopt_current_task()
+                assert other.space is cluster.space(1)
+                other.exit()
+
+        asyncio.run(main())
+
+    def test_aio_stale_binding_from_dead_cluster_rebinds(self):
+        async def main():
+            old = AioCluster(n_spaces=1, gc_period=None)
+            stale = old.space(0).adopt_current_task(virtual_time=0)
+            await old.ashutdown()
+            async with AioCluster(n_spaces=1, gc_period=None) as fresh:
+                adopted = fresh.space(0).adopt_current_task(virtual_time=0)
+                assert adopted is not stale
+                assert adopted.space is fresh.space(0)
+                assert not stale.alive
+                adopted.exit()
+
+        asyncio.run(main())
+
+
+class _LateRegistration:
+    """An injected name-wait event: the name is registered while the waiter
+    sleeps, but the sleep runs past the timeout and reports one."""
+
+    def __init__(self, space, name):
+        self.space, self.name = space, name
+
+    def set(self):
+        pass
+
+    def is_set(self):
+        return False
+
+    def wait(self, timeout=None):
+        self.space.create_channel(self.name)
+        time.sleep(timeout + 0.05)
+        return False
+
+    async def wait_async(self, timeout=None):
+        self.space.create_channel(self.name)
+        await asyncio.sleep(timeout + 0.05)
+        return False
+
+
+class TestLookupAtItsDeadline:
+    """A blocking lookup on the registry space whose wait times out after
+    the name was registered returns the handle on both drivers: each checks
+    the registry once more and raises only from its deadline test."""
+
+    def test_threads(self, monkeypatch):
+        with Cluster(n_spaces=1, gc_period=None) as cluster:
+            space = cluster.space(0)
+            monkeypatch.setattr(space, "_make_event",
+                                lambda: _LateRegistration(space, "late"))
+            handle = space.lookup_channel("late", wait=True, timeout=0.05)
+            assert handle.name == "late"
+
+    def test_aio(self, monkeypatch):
+        async def main():
+            async with AioCluster(n_spaces=1, gc_period=None) as cluster:
+                space = cluster.space(0)
+                monkeypatch.setattr(space, "_make_event",
+                                    lambda: _LateRegistration(space, "late"))
+                return await space.alookup_channel("late", wait=True, timeout=0.05)
+
+        assert asyncio.run(main()).name == "late"
 
 
 class TestWildcardOverRpc:

@@ -176,11 +176,18 @@ class TestBinding:
     def test_duplicate_thread_name_rejected(self, cluster):
         import threading
 
+        space = cluster.space(0)
         release = threading.Event()
-        h = cluster.space(0).spawn(release.wait, (10,), name="dup")
+        h = space.spawn(release.wait, (10,), name="dup", virtual_time=3)
         try:
             with pytest.raises(StampedeError):
-                cluster.space(0).spawn(lambda: None, name="dup")
+                space.spawn(lambda: None, name="dup")
+            # Adoption registers through the same code: it may not replace
+            # the live "dup" either, whose visibility must still reach GC.
+            with pytest.raises(StampedeError, match="already in use"):
+                space.adopt_current_thread(virtual_time=9, name="dup")
+            assert current_thread() is None
+            assert space.gc_summary().thread_visibilities == [3]
         finally:
             release.set()
             h.join(5)
@@ -196,6 +203,7 @@ _STEPS = st.lists(
         st.tuples(st.just("open"), _CONN, _TS),
         st.tuples(st.just("close"), _CONN, _TS),
         st.tuples(st.just("conn_closed"), _CONN),
+        st.tuples(st.just("close_until"), _CONN, _TS),
     ),
     max_size=40,
 )
@@ -206,7 +214,7 @@ class TestPublishedVisibility:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_brute_force_minimum_after_every_step(self, initial, steps):
         """Random set_virtual_time / note_open / note_closed /
-        note_conn_closed sequences: few timestamps and two connections, so
+        note_conn_closed / note_closed_until sequences: few timestamps and two connections, so
         duplicates across connections, closing a non-minimum item, closing
         one never opened and INFINITY all come up."""
         thread = StampedeThread(None, "oracle", initial)
@@ -226,6 +234,10 @@ class TestPublishedVisibility:
             elif step[0] == "close":
                 thread.note_closed(7, step[1], step[2])
                 opened.discard((step[1], step[2]))
+            elif step[0] == "close_until":
+                thread.note_closed_until(step[1], step[2])
+                opened = {(conn, ts) for conn, ts in opened
+                          if conn != step[1] or ts > step[2]}
             else:
                 thread.note_conn_closed(7, step[1])
                 opened = {(conn, ts) for conn, ts in opened if conn != step[1]}

@@ -5,7 +5,8 @@ The local op path tests its common case inline (an exact non-negative
 the raising helper only when that test fails; these tests pin that every
 bad timestamp still raises the helper's exception and message, on a local
 home, a remote home and the asyncio facade.  A declared refcount is
-validated the same way before anything is stored.  A gotten ``Item`` is
+validated the same way before anything is stored, and an op on a detached
+connection raises the same error text on both facades.  A gotten ``Item`` is
 built without its frozen ``__init__`` and must still be indistinguishable
 from one built by it.
 """
@@ -16,6 +17,7 @@ import dataclasses
 import pytest
 
 from repro.core.channel_state import ChannelKernel, Status
+from repro.errors import ConnectionClosedError
 from repro.runtime import Cluster
 from repro.runtime.aio import AioCluster
 from repro.stm import STM
@@ -158,6 +160,46 @@ class TestBadRefcounts:
         # 0 is dead on arrival, 1 reached zero, 2 and UNKNOWN stay
         assert kernel.timestamps() == [2, 3]
         assert kernel.items.get(2).refcount == 1
+
+
+def _detached(conn) -> tuple[type, str]:
+    """What any op on ``conn`` raises once it is detached."""
+    return ConnectionClosedError, (
+        f"connection {conn.conn_id} to channel {conn.channel.channel_id} "
+        "is detached"
+    )
+
+
+class TestDetachedConnection:
+    def test_threads(self, conns):
+        out, inp, kernel = conns
+        out.detach()
+        inp.detach()
+        for op in OPS:
+            conn = out if op == "put" else inp
+            assert _outcome(lambda: _call(op, out, inp, 0)) == _detached(conn)
+        assert len(kernel) == 0
+
+    def test_aio(self):
+        seen, expected = [], []
+
+        async def body(out, inp, kernel):
+            await out.detach()
+            await inp.detach()
+            for op in OPS:
+                conn = out if op == "put" else inp
+                expected.append(_detached(conn))
+                try:
+                    if op == "put":
+                        await out.put(0, b"x")
+                    else:
+                        await getattr(inp, op)(0)
+                except Exception as exc:  # noqa: BLE001 - the subject
+                    seen.append((type(exc), str(exc)))
+            assert len(kernel) == 0
+
+        asyncio.run(_aio_conns(body))
+        assert seen == expected and len(seen) == len(OPS)
 
 
 class TestGottenItem:
