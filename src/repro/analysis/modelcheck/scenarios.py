@@ -25,6 +25,7 @@ from repro.analysis.modelcheck.scheduler import InvariantViolation
 from repro.core.channel_state import ChannelKernel, Status
 from repro.core.time import INFINITY, vt_min
 from repro.errors import ChannelDestroyedError, NoSuchChannelError
+from repro.runtime.address_space import _unframed
 from repro.runtime.cluster import Cluster
 from repro.runtime.messages import (
     AttachReq,
@@ -495,7 +496,9 @@ class DrainReplyVsCallerTimeout(Scenario):
     def final_invariant(self, ctx):
         _require(len(ctx.first) == 1, f"the caller did not finish: {ctx.first!r}")
         done, value, error = ctx.first[0]
-        got_item = value is not None and bytes(value[0].data) == b"item"
+        # the reply's payload, whichever form it crossed in (a 4-byte item
+        # rides in-band; a frame-sized one would arrive as a ``Frame``)
+        got_item = value is not None and bytes(_unframed(value[0])) == b"item"
         cancelled = isinstance(error, TimeoutError)
         _require(
             (got_item + cancelled == 1) if done else (value is None and error is None),

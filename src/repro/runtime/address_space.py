@@ -82,6 +82,7 @@ from repro.runtime.messages import (
 from repro.runtime.sync import make_event, make_lock
 from repro.runtime.threads import StampedeThread, current_thread
 from repro.transport.clf import ClfEndpoint
+from repro.transport.packets import max_payload
 from repro.transport.serialization import (
     Frame,
     decode_message,
@@ -95,16 +96,25 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ChannelHandle", "LocalChannel", "AddressSpace"]
 
+#: the largest payload that crosses spaces in-band (see ``_framed``)
+_INBAND_MAX = max_payload()
+
 
 def _framed(payload: Any) -> Any:
     """A stored payload as it travels inside a message.
 
-    Encoded bytes are marked for out-of-band framing (one memcpy each way);
-    a :class:`~repro.core.payload.Parts` frames its own buffers when the
+    Encoded bytes larger than one CLF packet's payload (``max_payload()``,
+    8 120 B: what the media send inline) are marked for out-of-band framing
+    (one memcpy each way); smaller ones ride in-band, as ``bytes`` inside
+    the message's pickle, where two more memcpys of at most 8 KB cost less
+    than a ``Frame``, its buffer and its extra wire segment.  A
+    :class:`~repro.core.payload.Parts` frames its own buffers when the
     message is pickled; anything else crosses by value.
     """
     if isinstance(payload, (bytes, bytearray, memoryview)):
-        return Frame(payload)
+        if memoryview(payload).nbytes > _INBAND_MAX:
+            return Frame(payload)
+        return payload if payload.__class__ is bytes else bytes(payload)
     return payload
 
 

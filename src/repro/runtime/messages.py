@@ -136,11 +136,13 @@ class DetachReq:
 class PutReq:
     """Insert ``payload`` (already copy-in encoded) at ``timestamp``.
 
-    Payload forms under the SERIALIZE policy: a ``Frame`` around the in-band
-    pickle ``bytes``, or a :class:`~repro.core.payload.Parts` — pickle
-    stream plus views of the putter's own buffers — which frames its buffers
-    itself.  Either way the payload bytes leave as out-of-band segments and
-    arrive as views of the received message, which is what the home stores.
+    Payload forms under the SERIALIZE policy: the in-band pickle ``bytes``
+    — as they are up to ``max_payload()`` (8 120 B), in a ``Frame`` above —
+    or a :class:`~repro.core.payload.Parts` — pickle stream plus views of
+    the putter's own buffers — which frames its buffers itself.  Framed
+    bytes leave as out-of-band segments and arrive as views of the received
+    message, which is what the home stores; small ``bytes`` cross inside the
+    pickle and arrive as ``bytes``.
     """
 
     channel_id: int
@@ -306,9 +308,10 @@ class CachePushMsg:
     Sent at put time to every space holding an input connection on a
     push-enabled channel.  The receiving space stores the payload in its
     push cache; a later payload-free get reply resolves against it.
-    ``payload`` is the stored form re-framed as it lies — a ``Frame`` around
-    bytes or a view, or a :class:`~repro.core.payload.Parts` whose parts are
-    gathered into the message without being joined first.
+    ``payload`` is the stored form re-framed as it lies — ``bytes`` up to
+    ``max_payload()``, a ``Frame`` around bytes or a view above it, or a
+    :class:`~repro.core.payload.Parts` whose parts are gathered into the
+    message without being joined first.
     """
 
     channel_id: int

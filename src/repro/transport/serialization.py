@@ -83,9 +83,10 @@ _BUF_HEADER = struct.Struct("<Q")  # per-buffer length
 class Frame:
     """Marks a bytes-like payload for out-of-band (zero-copy) framing.
 
-    The runtime wraps already-encoded SERIALIZE payloads in a Frame before
-    placing them in a ``PutReq``/reply/push message; the codec then ships
-    the bytes as a separate wire segment instead of re-pickling them.  After
+    The runtime wraps already-encoded SERIALIZE payloads larger than one
+    packet's payload in a Frame before placing them in a
+    ``PutReq``/reply/push message; the codec then ships the bytes as a
+    separate wire segment instead of re-pickling them.  After
     decoding, ``data`` is a memoryview into the received message buffer —
     still zero-copy — so consumers must treat it as read-only bytes-like.
     """

@@ -32,6 +32,18 @@ write/write race; the doorbell's trip through the kernel orders the data
 writes before the consumer's reads.  The producer blocks (bounded backoff
 poll of "read") when the ring lacks space; messages larger than the ring
 go inline on the socket, like the small ones.
+
+Restart: a third counter, "origin" (also written only by the producer), is
+the byte count that sits at data offset 0; counter ``c`` lives at offset
+``(c - origin) % capacity``.  When the producer finds the ring empty
+(shared "read" == "written") it moves "origin" up to "written", so the next
+message starts at offset 0 again.  A pair that carries one frame at a time
+therefore keeps rewriting the same hot pages instead of walking the whole
+segment.  Moving "origin" is safe only because the ring is empty: the
+consumer reads it at the start of each :meth:`ShmRing.read`, and the next
+message it can be reading was written after the move.
+
+Segment layout: ``read(8) | written(8) | origin(8) | data(capacity)``.
 """
 
 from __future__ import annotations
@@ -45,13 +57,15 @@ from repro.errors import TransportError
 __all__ = ["RING_HEADER_BYTES", "DEFAULT_RING_BYTES", "ShmRing"]
 
 _COUNTER = struct.Struct("<Q")
-#: segment bytes reserved for the two counters (8 "read" + 8 "written").
-RING_HEADER_BYTES: int = 16
+#: segment bytes reserved for the three counters ("read", "written",
+#: "origin"; 8 bytes each).
+RING_HEADER_BYTES: int = 24
 #: default data capacity of one directed ring (per same-node space pair).
 DEFAULT_RING_BYTES: int = 4 * 1024 * 1024
 
 _READ_OFF = 0
 _WRITTEN_OFF = 8
+_ORIGIN_OFF = 16
 
 
 class ShmRing:
@@ -68,11 +82,11 @@ class ShmRing:
         self._owner = owner
         self.capacity = shm.size - RING_HEADER_BYTES
         self._buf = shm.buf
-        # Local mirrors of the side this process drives; both start from the
-        # shared counters so late attachment (never happens today) stays
-        # correct.
+        # Local mirrors of the counters this process drives; all start from
+        # the shared ones, so a late attachment stays correct.
         self._written = _COUNTER.unpack_from(self._buf, _WRITTEN_OFF)[0]
         self._read = _COUNTER.unpack_from(self._buf, _READ_OFF)[0]
+        self._origin = _COUNTER.unpack_from(self._buf, _ORIGIN_OFF)[0]
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -123,20 +137,6 @@ class ShmRing:
                 f"message of {nbytes} bytes exceeds ring capacity "
                 f"{self.capacity}"
             )
-        if self.free_bytes() < nbytes:
-            deadline = time.monotonic() + timeout
-            delay = 50e-6
-            while self.free_bytes() < nbytes:
-                if self._closed:
-                    raise TransportError("shm ring closed while blocked on space")
-                if time.monotonic() > deadline:
-                    raise TransportError(
-                        f"shm ring full for {timeout}s "
-                        f"({nbytes} B wanted, {self.free_bytes()} B free)"
-                    )
-                time.sleep(delay)
-                delay = min(delay * 2, 0.002)
-        pos = self._written % self.capacity
         # Snapshot: close() from another thread nulls the attribute; going
         # through the local name turns the race into ValueError (released
         # memoryview), which transport readers treat as orderly shutdown.
@@ -144,6 +144,17 @@ class ShmRing:
         if buf is None:
             raise TransportError("shm ring closed")
         capacity = self.capacity
+        written = self._written
+        read = _COUNTER.unpack_from(buf, _READ_OFF)[0]
+        if capacity - (written - read) < nbytes:
+            self._wait_for_space(nbytes, timeout)
+            read = _COUNTER.unpack_from(buf, _READ_OFF)[0]
+        if read == written and self._origin != written:
+            # empty: nothing of the old origin is left to read, so the
+            # message starts at data offset 0, on pages still hot
+            self._origin = written
+            _COUNTER.pack_into(buf, _ORIGIN_OFF, written)
+        pos = (written - self._origin) % capacity
         for seg in segments:
             # bytes and flat byte views (what the codec emits) are assigned
             # as they are; anything else is cast to one first
@@ -162,8 +173,22 @@ class ShmRing:
                 buf[start:start + first] = view[:first]
                 buf[RING_HEADER_BYTES:RING_HEADER_BYTES + size - first] = view[first:]
             pos = (pos + size) % capacity
-        self._written += nbytes
+        self._written = written + nbytes
         _COUNTER.pack_into(buf, _WRITTEN_OFF, self._written)
+
+    def _wait_for_space(self, nbytes: int, timeout: float) -> None:
+        deadline = time.monotonic() + timeout
+        delay = 50e-6
+        while self.free_bytes() < nbytes:
+            if self._closed:
+                raise TransportError("shm ring closed while blocked on space")
+            if time.monotonic() > deadline:
+                raise TransportError(
+                    f"shm ring full for {timeout}s "
+                    f"({nbytes} B wanted, {self.free_bytes()} B free)"
+                )
+            time.sleep(delay)
+            delay = min(delay * 2, 0.002)
 
     # ------------------------------------------------------------------
     # consumer side
@@ -172,16 +197,24 @@ class ShmRing:
         """Copy the next ``nbytes`` out of the ring (the receive-side memcpy).
 
         The caller learns ``nbytes`` from the doorbell, which arrives after
-        the producer's write — the bytes are guaranteed present.
+        the producer's write.  A claim beyond what the producer has
+        published (a corrupt or forged doorbell) raises
+        :class:`TransportError` instead of handing out stale ring bytes.
         """
         if nbytes > self.capacity:
             raise TransportError(
                 f"doorbell claims {nbytes} B, ring capacity {self.capacity}"
             )
-        pos = self._read % self.capacity
         buf = self._buf
         if buf is None:
             raise TransportError("shm ring closed")
+        read = self._read
+        published = _COUNTER.unpack_from(buf, _WRITTEN_OFF)[0] - read
+        if nbytes > published:
+            raise TransportError(
+                f"doorbell claims {nbytes} B, producer published {published} B"
+            )
+        pos = (read - _COUNTER.unpack_from(buf, _ORIGIN_OFF)[0]) % self.capacity
         first = min(nbytes, self.capacity - pos)
         start = RING_HEADER_BYTES + pos
         # built from the ring slice, so the buffer is written exactly once
@@ -189,7 +222,7 @@ class ShmRing:
         out = bytearray(buf[start:start + first])
         if first < nbytes:
             out += buf[RING_HEADER_BYTES:RING_HEADER_BYTES + nbytes - first]
-        self._read += nbytes
+        self._read = read + nbytes
         _COUNTER.pack_into(buf, _READ_OFF, self._read)
         return out
 
@@ -212,5 +245,5 @@ class ShmRing:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<ShmRing {self._shm.name} cap={self.capacity} "
-            f"written={self._written} read={self._read}>"
+            f"written={self._written} read={self._read} origin={self._origin}>"
         )

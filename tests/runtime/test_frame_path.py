@@ -29,6 +29,7 @@ from repro.kiosk.records import VideoFrame
 from repro.runtime import AioCluster, Cluster, ProcCluster
 from repro.stm import STM
 from repro.stm.aio import AioSTM
+from repro.transport.packets import max_payload
 from repro.transport.serialization import frame_stats
 from tests.runtime._frame_cost_worker import (
     COST_SEED,
@@ -362,6 +363,61 @@ def test_an_item_that_arrived_by_remote_put_travels_on_intact(cluster, me, push)
         assert 4 <= copies <= 4 * 1.01, frame_stats.snapshot()
     out.detach()
     rep.detach()
+
+
+# ----------------------------------------------------------------------
+# (f) the size rule: a payload of at most one packet's payload rides in-band
+# ----------------------------------------------------------------------
+INBAND_MAX = max_payload()  # 8 120 B
+
+
+def _reset_frame_stats(cluster) -> None:
+    if isinstance(cluster, ProcCluster):
+        for space in range(3):
+            cluster.endpoint_stats(space, reset_frames=True)
+    else:
+        frame_stats.reset()
+
+
+def _frame_stats(cluster) -> dict:
+    """``frame_stats`` summed over the cluster's processes."""
+    if not isinstance(cluster, ProcCluster):
+        return frame_stats.snapshot()
+    total: dict = {}
+    for space in range(3):
+        for key, value in cluster.endpoint_stats(space)["frames"].items():
+            total[key] = total.get(key, 0) + value
+    return total
+
+
+@pytest.mark.parametrize("push", [False, True], ids=["get_reply", "cache_push"])
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_the_in_band_boundary(cluster, me, kind, push):
+    """An 8 120 B stored payload crosses in the message's pickle, as
+    ``bytes``, with no frame; 8 121 B is framed, one copy per side.  The put
+    carries it to the home, and the get reply or the cache push back."""
+    space = cluster.space(0)
+    handle = space.create_channel(f"fp.{next(_names)}", home=1, push=push)
+    out = space.attach(handle, is_input=False, thread=me)
+    inp = space.attach(handle, is_input=True, thread=me)
+    pattern = bytes(range(251)) * (INBAND_MAX // 251 + 1)
+    for ts, nbytes in enumerate((INBAND_MAX, INBAND_MAX + 1)):
+        payload = pattern[:nbytes]
+        _reset_frame_stats(cluster)
+        space.put(handle, out, ts, kind(payload), nbytes, refcount=1)
+        got, got_ts, size = space.get(handle, inp, ts)
+        space.consume(handle, inp, ts)
+        assert (bytes(got), got_ts, size) == (payload, ts, nbytes)
+        stats = _frame_stats(cluster)
+        if nbytes == INBAND_MAX:
+            assert got.__class__ is bytes
+            assert stats == dict.fromkeys(stats, 0), stats
+        else:
+            assert stats["frames_encoded"] == stats["frames_decoded"] == 2
+            assert stats["payload_bytes_framed"] == 2 * nbytes
+            assert stats["payload_bytes_copied"] / stats["payload_bytes_framed"] == 2.0
+    space.detach(handle, out)
+    space.detach(handle, inp)
 
 
 # ----------------------------------------------------------------------

@@ -8,12 +8,14 @@ but runs outside tier-1; the budget test here keeps the count from rotting.
 """
 
 import asyncio
+import itertools
 import sys
 import threading
 import time
 
 import pytest
 
+from repro.analysis import sanitizer
 from repro.core import channel_state
 from repro.errors import ChannelDestroyedError, NoSuchChannelError
 from repro.obs import events as obs_events
@@ -150,6 +152,50 @@ class TestCallBudget:
 
         calls = asyncio.run(main(), debug=False)  # debug mode adds calls
         assert calls / self.CYCLES <= self.BUDGET, calls / self.CYCLES
+
+    #: a remote put round trip, caller and home dispatcher together
+    #: (64 while a 1-byte item crossed as an out-of-band ``Frame``)
+    REMOTE_PUT_CALLS = 60
+
+    def test_remote_put_round_trip(self, monkeypatch):
+        """Python calls per put to a channel homed in the other space of a
+        thread-driver cluster: the caller encodes and sends, the home's
+        dispatcher serves and replies, the reply completes the call on the
+        delivering thread.  Every thread started from here on is profiled
+        (``threading.setprofile``), so the count covers both sides; a call
+        that strays into some other cycle is tolerated, one more call per
+        cycle is not."""
+        monkeypatch.setattr(sanitizer, "_enabled", False)  # plain CLF locks
+        counter = itertools.count()
+        counting = False
+
+        def profile(frame, event, arg):
+            if counting and event == "call":
+                next(counter)
+
+        threading.setprofile(profile)
+        try:
+            with Cluster(n_spaces=2, gc_period=None) as cluster:
+                me = cluster.space(0).adopt_current_thread(virtual_time=0)
+                try:
+                    chan = STM(cluster.space(0)).create_channel("rcalls", home=1)
+                    with chan.attach_output() as out:
+                        for ts in range(10):  # warm
+                            out.put(ts, b"x", refcount=1)
+                        sys.setprofile(profile)
+                        counting = True
+                        try:
+                            for ts in range(10, 10 + self.CYCLES):
+                                out.put(ts, b"x", refcount=1)
+                        finally:
+                            counting = False
+                            sys.setprofile(None)
+                finally:
+                    me.exit()
+        finally:
+            threading.setprofile(None)
+        calls = next(counter) / self.CYCLES
+        assert calls < self.REMOTE_PUT_CALLS + 1, calls
 
 
 class TestLockBudget:
