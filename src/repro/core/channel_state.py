@@ -20,6 +20,7 @@ construction: the serial order is the order of kernel calls.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Any
@@ -79,7 +80,7 @@ class BlockReason(enum.Enum):
     NO_MATCHING_ITEM = "no_matching_item"
 
 
-@dataclass
+@dataclass(slots=True)
 class GetResult:
     status: Status
     payload: Any = None
@@ -219,12 +220,9 @@ class ChannelKernel:
             )
         self.version += 1
 
-    def has_connection(self, conn_id: int) -> bool:
-        return conn_id in self.inputs or conn_id in self.outputs
-
-    # The op paths (put / get / consume) test the common case inline — a
-    # live kernel, an attached connection, an exact non-negative int — and
-    # call these raising helpers only when that test fails.
+    # put / get / consume each run in one frame on the item index and the
+    # view's sets, testing the common case inline (a live kernel, an attached
+    # connection, an exact non-negative int); these raise when it fails.
     def _input(self, conn_id: int) -> InputConnState:
         try:
             return self.inputs[conn_id]
@@ -271,11 +269,12 @@ class ChannelKernel:
                 f"on channel {self.channel_id} (visibility rules should make "
                 f"this impossible; check virtual-time management)"
             )
-        if timestamp in self.items:
+        data = self.items._data
+        if timestamp in data:
             raise DuplicateTimestampError(
                 f"channel {self.channel_id} already holds timestamp {timestamp}"
             )
-        if self.capacity is not None and len(self.items) >= self.capacity:
+        if self.capacity is not None and len(data) >= self.capacity:
             return _PUT_FULL
         self.total_puts += 1
         self.bytes_put += size
@@ -285,7 +284,12 @@ class ChannelKernel:
             self.total_refcount_collected += 1
             self.total_collected += 1
         else:
-            self.items[timestamp] = ItemRecord(timestamp, payload, size, refcount, conn_id)
+            data[timestamp] = ItemRecord(timestamp, payload, size, refcount, conn_id)
+            keys = self.items._keys
+            if keys and timestamp < keys[-1]:
+                insort(keys, timestamp)
+            else:
+                keys.append(timestamp)  # in order: the common case
             self._stored_bytes += size
             if refcount != UNKNOWN_REFCOUNT:
                 self._refcounted += 1
@@ -322,19 +326,21 @@ class ChannelKernel:
                     f"garbage collected (horizon {self.gc_horizon})",
                     timestamp_range=self._visible_neighbours(view, ts),
                 )
-            if view.is_consumed(ts):
+            if ts < view.consumed_below or ts in view.consumed_explicit:
                 raise AlreadyConsumedError(
                     f"timestamp {ts} was already consumed on connection {conn_id}",
                     timestamp_range=self._visible_neighbours(view, ts),
                 )
-            record = self.items.get(ts)
+            record = self.items._data.get(ts)
             if record is None:
                 return GetResult(
                     Status.BLOCKED,
                     timestamp_range=self._visible_neighbours(view, ts),
                     reason=BlockReason.NO_MATCHING_ITEM,
                 )
-        view.note_get(ts)
+        view.open_ts.add(ts)  # the item is OPEN; LATEST_UNSEEN moves past it
+        if view.last_gotten is None or ts > view.last_gotten:
+            view.last_gotten = ts
         record.get_count += 1
         self.total_gets += 1
         self.bytes_got += record.size
@@ -353,7 +359,7 @@ class ChannelKernel:
             while key is not None:
                 if floor is not None and key <= floor:
                     return None
-                if view.is_unconsumed(key):
+                if not view.is_consumed(key):
                     return key
                 key = self.items.lower_key(key)
             return None
@@ -364,7 +370,7 @@ class ChannelKernel:
                 if wc is GetWildcard.OLDEST_UNSEEN:
                     if view.state_of(key) is ItemState.UNSEEN:
                         return key
-                elif view.is_unconsumed(key):
+                elif not view.is_consumed(key):
                     return key
                 key = self.items.higher_key(key)
             return None
@@ -404,17 +410,46 @@ class ChannelKernel:
             # Fold the GC horizon into the watermark (attach_input's rule), so
             # a frame-skipping consumer's explicit entries do not pile up.
             view.consume_upto(self.gc_horizon - 1)
-        state = view.state_of(timestamp)
-        if state is ItemState.CONSUMED:
-            return  # idempotent
-        if strict and state is not ItemState.OPEN:
+        open_ts, explicit = view.open_ts, view.consumed_explicit
+        below = view.consumed_below
+        if timestamp in open_ts:
+            open_ts.remove(timestamp)
+        elif timestamp < below or timestamp in explicit:
+            return  # already CONSUMED: idempotent
+        elif strict:
             raise NotOpenError(
-                f"timestamp {timestamp} is {state.value}, not open, on "
+                f"timestamp {timestamp} is {ItemState.UNSEEN.value}, not open, on "
                 f"connection {conn_id} (strict consume)"
             )
-        view.consume_one(timestamp)
+        if timestamp == below:
+            # in order: the mark moves and folds the explicit run it touches
+            below += 1
+            while below in explicit:
+                explicit.remove(below)
+                below += 1
+            view.consumed_below = below
+        elif timestamp > below:
+            explicit.add(timestamp)
         self.total_consumes += 1
-        self._after_consume([timestamp])
+        if self._refcounted:
+            data = self.items._data
+            record = data.get(timestamp)
+            if record is not None and record.refcount != UNKNOWN_REFCOUNT:
+                # ItemRecord.dec_refcount, clamped at zero; zero reclaims.
+                if record.refcount > 1:
+                    record.refcount -= 1
+                else:
+                    record.refcount = 0
+                    del data[timestamp]
+                    keys = self.items._keys  # the oldest, for in-order consumers
+                    del keys[0 if keys[0] == timestamp else bisect_left(keys, timestamp)]
+                    self._stored_bytes -= record.size
+                    self._refcounted -= 1
+                    self.total_collected += 1
+                    self.total_refcount_collected += 1
+                    if _reclaim_hook is not None:
+                        _reclaim_hook(self, timestamp, record)
+        self.version += 1
 
     def consume_until(self, conn_id: int, timestamp: int) -> None:
         """Mark every timestamp <= ``timestamp`` consumed on this connection.

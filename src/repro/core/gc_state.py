@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.time import INFINITY, VirtualTime, vt_min
+from repro.core.time import VirtualTime, vt_min
 
 __all__ = ["LocalGCSummary", "compute_global_min", "merge_summaries"]
 
@@ -55,9 +55,7 @@ class LocalGCSummary:
     epoch: int = 0
 
     def local_min(self) -> VirtualTime:
-        return vt_min(
-            list(self.thread_visibilities) + list(self.channel_mins.values())
-        )
+        return compute_global_min(self.thread_visibilities, self.channel_mins.values())
 
 
 def compute_global_min(
@@ -74,9 +72,4 @@ def compute_global_min(
 
 def merge_summaries(summaries: Iterable[LocalGCSummary]) -> VirtualTime:
     """Global minimum across per-space summaries (the coordinator's step)."""
-    best: VirtualTime = INFINITY
-    for summary in summaries:
-        local = summary.local_min()
-        if local is not INFINITY and (best is INFINITY or local < best):
-            best = local
-    return best
+    return vt_min(summary.local_min() for summary in summaries)

@@ -31,7 +31,7 @@ class ItemState(enum.Enum):
     CONSUMED = "consumed"
 
 
-@dataclass
+@dataclass(slots=True)
 class ItemRecord:
     """One timestamped item stored in a channel.
 
@@ -123,47 +123,18 @@ class InputConnState:
     def is_consumed(self, ts: int) -> bool:
         return ts < self.consumed_below or ts in self.consumed_explicit
 
-    def is_unconsumed(self, ts: int) -> bool:
-        return not self.is_consumed(ts)
-
-    def note_get(self, ts: int) -> None:
-        """Record a successful get: item becomes OPEN, LATEST_UNSEEN advances."""
-        self.open_ts.add(ts)
-        if self.last_gotten is None or ts > self.last_gotten:
-            self.last_gotten = ts
-
-    def consume_one(self, ts: int) -> None:
-        """Move ``ts`` to CONSUMED (from OPEN or UNSEEN)."""
-        self.open_ts.discard(ts)
-        if ts == self.consumed_below:
-            # In order: the watermark moves, and may now touch a run of
-            # explicit consumes above it.
-            self.consumed_below = ts + 1
-            if self.consumed_explicit:
-                self._compact()
-        elif ts > self.consumed_below:
-            self.consumed_explicit.add(ts)
-
     def consume_upto(self, ts: int) -> None:
-        """Move every timestamp <= ``ts`` to CONSUMED."""
+        """Move every timestamp <= ``ts`` to CONSUMED, folding into the
+        watermark the run of explicit consumes it now touches (so it is never
+        in ``consumed_explicit``; ``ChannelKernel.consume`` folds inline)."""
         bound = ts + 1
         if bound <= self.consumed_below:
             return
-        self.consumed_below = bound
         if self.consumed_explicit:
-            self.consumed_explicit = {t for t in self.consumed_explicit if t >= bound}
-            self._compact()
+            explicit = self.consumed_explicit = {t for t in self.consumed_explicit if t >= bound}
+            while bound in explicit:
+                explicit.remove(bound)
+                bound += 1
+        self.consumed_below = bound
         if self.open_ts:
-            self.open_ts = {t for t in self.open_ts if t >= bound}
-
-    def _compact(self) -> None:
-        """Fold a contiguous run of explicit consumes into the watermark.
-
-        Keeps ``consumed_explicit`` small when a connection consumes items
-        out of order and then fills the gap.  Afterwards ``consumed_below``
-        is not in ``consumed_explicit``, so a consume above the watermark
-        cannot start a run and needs no fold.
-        """
-        while self.consumed_below in self.consumed_explicit:
-            self.consumed_explicit.discard(self.consumed_below)
-            self.consumed_below += 1
+            self.open_ts = {t for t in self.open_ts if t > ts}

@@ -12,11 +12,11 @@ never copies; this module decides *what* gets stored, under three policies:
     and remote channels behave identically.  Two stored forms exist:
 
     * **in-band** — plain ``bytes``, the whole pickle.  Every local put
-      stores this.  For a frame-sized numpy array it is not one memcpy:
-      ``pickle.dumps`` grows its output to 1.5 x the payload (~345 KB for a
-      230 400-byte frame, above glibc's mmap threshold), faults it in,
-      shrinks it and frees it, so each put maps a fresh buffer — measured
-      ~100 us and 58 minor page faults per frame.
+      stores this.  A frame's pickle grows to ~345 KB; while glibc's mmap
+      threshold is at its default each put maps, faults in and frees a fresh
+      buffer (~160 us, 58 minor faults per 230 400-byte frame, fresh process).
+      One free of a larger mapped block lifts the threshold for good: then
+      ~19 us and 0 faults, as a running kiosk digitizer sees (EXPERIMENTS.md).
     * **out-of-band** — :class:`Parts`: the (small) pickle stream plus the
       value's buffers, collected with protocol 5's ``buffer_callback``
       (~8 us, 0 faults).  ``encode(value, policy, True)`` produces it with

@@ -762,8 +762,9 @@ class AddressSpace:
                     self._push(channel, timestamp)
                 # A put only adds an item: it can satisfy blocked gets (and
                 # only those parked on this timestamp or a wildcard), never
-                # unblock another put.
-                if channel.get_waiters:
+                # unblock another put.  (``_all`` directly: no ``__bool__``
+                # call on the hot path.)
+                if channel.get_waiters._all:
                     self._drain_locked(channel, puts=False, gets=True,
                                        put_ts=timestamp)
                 return None

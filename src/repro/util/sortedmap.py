@@ -22,7 +22,12 @@ __all__ = ["SortedIntMap"]
 
 
 class SortedIntMap:
-    """Mapping from int keys to values with ordered queries."""
+    """Mapping from int keys to values with ordered queries.
+
+    Invariant: ``_keys`` is the sorted list of ``_data``'s keys.  The channel
+    kernel's put / get / consume work both directly, keeping it, so that each
+    runs in one Python frame.
+    """
 
     __slots__ = ("_keys", "_data")
 

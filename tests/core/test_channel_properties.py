@@ -19,6 +19,7 @@ from repro.core.flags import (
 from repro.core.item import ItemState
 from repro.core.time import INFINITY, vt_le
 from repro.errors import AlreadyConsumedError, StampedeError
+from tests._hypothesis import examples
 
 OUT = 0
 INPUTS = [1, 2, 3]
@@ -38,7 +39,7 @@ def op(draw):
 
 
 @given(st.lists(op(), max_size=120), st.one_of(st.none(), st.integers(1, 8)))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 # Regression seeds found while building the runtime-parametrized
 # conformance suite (PR 8): interleavings whose intermediate states once
 # looked suspicious are pinned so they run on every build, not only when
@@ -252,7 +253,7 @@ class ChannelComparison(RuleBasedStateMachine):
 
 TestChannelComparison = ChannelComparison.TestCase
 TestChannelComparison.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
+    max_examples=examples(60), stateful_step_count=40, deadline=None
 )
 
 
@@ -266,7 +267,7 @@ TestChannelComparison.settings = settings(
     ),
     st.lists(st.tuples(st.sampled_from(INPUTS), st.integers(0, 15)), max_size=40),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @example(puts=[(0, 1)], consumes=[(1, 0), (2, 0)])       # reclaim on 1st, not 2nd
 @example(puts=[(0, 3)], consumes=[(1, 0), (1, 0), (2, 0)])  # same conn counts once
 def test_refcount_reclamation_is_exact(puts, consumes):
@@ -319,7 +320,7 @@ def test_refcount_reclamation_is_exact(puts, consumes):
     st.sets(st.integers(0, 20), min_size=1, max_size=10),
     st.integers(0, 25),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @example(timestamps={0, 5, 10}, visibility=5)   # boundary: ts == visibility stays
 @example(timestamps={3}, visibility=25)         # everything pre-consumed
 def test_attach_implicitly_consumes_below_visibility(timestamps, visibility):
@@ -359,7 +360,7 @@ def test_attach_implicitly_consumes_below_visibility(timestamps, visibility):
     st.sets(st.integers(0, 20), min_size=1, max_size=10),
     st.integers(0, 20),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @example(timestamps={0, 1, 2}, consume_below=1)
 def test_gc_never_reclaims_unconsumed_minimum(timestamps, consume_below):
     """Collecting at the self-reported horizon always preserves the oldest

@@ -5,9 +5,12 @@ against a brute-force reference that keeps, per connection, the plain set of
 consumed timestamps and recomputes everything from scratch.  After every step
 the two must agree on the op's outcome, on ``unconsumed_min()`` (reference:
 min over connections of the smallest stored unconsumed timestamp), on
-``total_consumes`` / ``total_collected`` / ``stored_bytes()`` and on the
-resident timestamp set; the index's own invariant (one entry per live input
-connection, never above its watermark) is checked white-box alongside.
+``total_consumes`` / ``total_collected`` / ``stored_bytes()``, on the
+resident timestamp set and on the timestamps the reclaim hook was shown.
+White-box alongside: the index's own invariant (one entry per live input
+connection, never above its watermark) and each view's (its explicit
+consumes all above a watermark they were folded into, its OPEN set and
+``last_gotten`` as the reference's).
 """
 
 import time
@@ -15,6 +18,7 @@ import time
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import channel_state
 from repro.core.channel_state import ChannelKernel, Status
 from repro.core.flags import STM_LATEST_UNSEEN, UNKNOWN_REFCOUNT
 from repro.core.time import INFINITY
@@ -24,7 +28,9 @@ from repro.errors import (
     ConnectionClosedError,
     DuplicateTimestampError,
     ItemGarbageCollectedError,
+    NotOpenError,
 )
+from tests._hypothesis import examples
 
 OUT = 0
 CONNS = [1, 2, 3]
@@ -39,7 +45,9 @@ class Reference:
         self.capacity = capacity
         self.stored: dict[int, list[int]] = {}  # ts -> [size, refcount]
         self.consumed: dict[int, set[int]] = {}  # conn -> consumed timestamps
+        self.open: dict[int, set[int]] = {}  # conn -> gotten, not consumed
         self.last_gotten: dict[int, int] = {}
+        self.reclaimed: list[int] = []  # what the reclaim hook must be shown
         self.horizon = 0
         self.destroyed = False
         self.total_consumes = 0
@@ -67,6 +75,7 @@ class Reference:
             if entry[1] == 0:
                 del self.stored[ts]
                 self.total_collected += 1
+                self.reclaimed.append(ts)
 
     # -- ops ------------------------------------------------------------
     def attach(self, conn, visibility):
@@ -78,6 +87,7 @@ class Reference:
         else:
             below = max(visibility, self.horizon)
         self.consumed[conn] = set(range(below))
+        self.open[conn] = set()
         self.last_gotten.pop(conn, None)
 
     def detach(self, conn):
@@ -114,14 +124,18 @@ class Reference:
         elif ts not in self.stored:
             return Status.BLOCKED
         self.last_gotten[conn] = max(self.last_gotten.get(conn, -1), ts)
+        self.open[conn].add(ts)
         return ts
 
-    def consume(self, conn, ts):
+    def consume(self, conn, ts, strict=False):
         self._alive()
         view = self._view(conn)
         if self._is_consumed(conn, ts):
             return
+        if strict and ts not in self.open[conn]:
+            raise NotOpenError("unseen")
         view.add(ts)
+        self.open[conn].discard(ts)
         self.total_consumes += 1
         self._dec([ts])
 
@@ -132,6 +146,7 @@ class Reference:
             t for t in self.stored if t <= ts and not self._is_consumed(conn, t)
         )
         view.update(range(ts + 1))
+        self.open[conn] = {t for t in self.open[conn] if t > ts}
         self.total_consumes += len(newly)
         self._dec(newly)
 
@@ -144,11 +159,13 @@ class Reference:
         for t in dead:
             del self.stored[t]
         self.total_collected += len(dead)
+        self.reclaimed.extend(dead)
         self.horizon = max(self.horizon, bound)
         return dead
 
     def destroy(self):
         self.destroyed = True
+        self.reclaimed.extend(sorted(self.stored))
         self.stored.clear()
         self.consumed.clear()
 
@@ -184,6 +201,8 @@ def _apply_kernel(kernel, op):
         return result.timestamp if result.status is Status.OK else result.status
     if kind == "consume":
         return kernel.consume(*args)
+    if kind == "consume_strict":
+        return kernel.consume(*args, strict=True)
     if kind == "consume_until":
         return kernel.consume_until(*args)
     if kind == "collect":
@@ -199,6 +218,8 @@ def _apply_reference(ref, op):
     if kind == "collect_min":
         owed = ref.unconsumed_min()
         return ref.collect(INF if owed is INFINITY else owed)
+    if kind == "consume_strict":
+        return ref.consume(*args, strict=True)
     return getattr(ref, kind)(*args)
 
 
@@ -217,19 +238,40 @@ def _check_index(kernel):
     assert len(kernel._marks) <= 2 * len(CONNS) + 64  # detached entries stay bounded
 
 
+def _check_views(kernel, ref):
+    """Each live view: explicit consumes folded into the watermark as far as
+    they reach, and the OPEN set and ``last_gotten`` of the reference.  OPEN
+    is compared at and above the GC horizon only: below it everything is
+    consumed, and a view drops its stale entries at its next consume (a real
+    horizon never passes an open item; the ``collect`` op forces one)."""
+    for conn, view in kernel.inputs.items():
+        assert all(t > view.consumed_below for t in view.consumed_explicit), view
+        live = {t for t in view.open_ts if t >= kernel.gc_horizon}
+        assert live == {t for t in ref.open[conn] if t >= ref.horizon}, view
+        assert view.last_gotten == ref.last_gotten.get(conn), view
+
+
 def run_differential(ops, capacity=None):
     kernel = ChannelKernel(1, capacity=capacity)
     kernel.attach_output(OUT)
     ref = Reference(capacity)
-    for step, op in enumerate(ops):
-        where = f"step {step}: {op}"
-        assert _outcome(_apply_kernel, kernel, op) == _outcome(_apply_reference, ref, op), where
-        assert kernel.unconsumed_min() == ref.unconsumed_min(), where
-        assert kernel.total_consumes == ref.total_consumes, where
-        assert kernel.total_collected == ref.total_collected, where
-        assert kernel.stored_bytes() == ref.stored_bytes(), where
-        assert kernel.timestamps() == sorted(ref.stored), where
-        _check_index(kernel)
+    hooked: list[int] = []
+    armed = channel_state._reclaim_hook  # the sanitizer's, under STMSAN
+    channel_state.set_reclaim_hook(lambda _kernel, ts, _record: hooked.append(ts))
+    try:
+        for step, op in enumerate(ops):
+            where = f"step {step}: {op}"
+            assert _outcome(_apply_kernel, kernel, op) == _outcome(_apply_reference, ref, op), where
+            assert kernel.unconsumed_min() == ref.unconsumed_min(), where
+            assert kernel.total_consumes == ref.total_consumes, where
+            assert kernel.total_collected == ref.total_collected, where
+            assert kernel.stored_bytes() == ref.stored_bytes(), where
+            assert kernel.timestamps() == sorted(ref.stored), where
+            assert hooked == ref.reclaimed, where
+            _check_index(kernel)
+            _check_views(kernel, ref)
+    finally:
+        channel_state.set_reclaim_hook(armed)
 
 
 _conn = st.sampled_from(CONNS)
@@ -240,6 +282,7 @@ _op = st.one_of(
     st.tuples(st.just("put"), _ts, st.sampled_from([UNKNOWN_REFCOUNT, 0, 1, 2, 3])),
     st.tuples(st.just("get"), _conn, st.one_of(_ts, st.just("unseen"))),
     st.tuples(st.just("consume"), _conn, _ts),
+    st.tuples(st.just("consume_strict"), _conn, _ts),
     st.tuples(st.just("consume_until"), _conn, _ts),
     st.tuples(st.just("collect"), st.one_of(_ts, st.just(INF))),
     st.tuples(st.just("collect_min")),
@@ -249,7 +292,7 @@ _ops = st.lists(st.one_of(*[_op] * 30, st.just(("destroy",))), max_size=80)
 
 
 @given(_ops, st.one_of(st.none(), st.integers(1, 6)))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @example(
     # detach of the connection that sets the minimum: its heap entry is at
     # the top and must be dropped, not answered from.
@@ -312,6 +355,31 @@ _ops = st.lists(st.one_of(*[_op] * 30, st.just(("destroy",))), max_size=80)
         ("attach", 1, 0), ("put", 10, UNKNOWN_REFCOUNT), ("consume", 1, 10),
         ("collect", 15), ("consume", 1, 3), ("put", 20, UNKNOWN_REFCOUNT),
         ("consume", 1, 20),
+    ],
+    capacity=None,
+)
+@example(
+    # the branches put / get / consume take inline: a refcount-0 put is
+    # not stored; a get opens its item and moves LATEST_UNSEEN past it; a
+    # strict consume refuses an UNSEEN item; the last declared consumer
+    # reclaims an item that is not the oldest (and the reclaim hook sees
+    # it), then the oldest; consumes that fill a gap fold into the mark.
+    ops=[
+        ("attach", 1, 0), ("put", 2, 0), ("get", 1, 2),
+        ("put", 1, UNKNOWN_REFCOUNT), ("put", 4, 1), ("put", 6, UNKNOWN_REFCOUNT),
+        ("consume_strict", 1, 1), ("get", 1, 4), ("get", 1, "unseen"),
+        ("consume_strict", 1, 6),
+        ("consume_strict", 1, 4), ("put", 0, 1), ("consume", 1, 0),
+        ("consume", 1, 3), ("consume", 1, 2), ("consume", 1, 1),
+    ],
+    capacity=None,
+)
+@example(
+    # a forced collect passes an open item: the view keeps it in its OPEN
+    # set until its next consume folds the horizon in.
+    ops=[
+        ("attach", 1, 0), ("put", 3, UNKNOWN_REFCOUNT), ("get", 1, 3),
+        ("collect", 5), ("consume", 1, 7), ("consume_strict", 1, 3),
     ],
     capacity=None,
 )

@@ -124,11 +124,17 @@ class TestNoConditionOnTheParkedPath:
         assert seen == {"condition": 0, "asyncio.Event": 0}
 
 
+@pytest.mark.usefixtures("bare_op_path")
 def test_python_calls_of_one_parked_aio_put_and_its_wake():
     """``sys.setprofile`` ``call`` events (coroutine resumes included) from
     starting a put that parks to its return after the consume that wakes
     it.  With a ``threading.Event`` + ``asyncio.Event`` pair awaited through
-    ``wait_for`` this was 118; one loop future awaited directly is 104."""
+    ``wait_for`` this was 118 and one loop future awaited directly made it
+    104; later trims of the op path brought it to 91, and a kernel put /
+    consume that no longer calls into the item index and the connection's
+    state to 80.  The bound is that count: one more call fails it.
+    ``STMOBS=1`` / ``STMSAN`` add their own calls, so ``bare_op_path``
+    disarms them."""
 
     async def main():
         async with AioCluster(n_spaces=1, gc_period=None) as cluster:
@@ -160,7 +166,7 @@ def test_python_calls_of_one_parked_aio_put_and_its_wake():
             return counts
 
     counts = asyncio.run(main(), debug=False)  # debug mode adds calls
-    assert max(counts[1:]) < 111, counts
+    assert max(counts[1:]) < 81, counts
 
 
 def test_both_space_classes_keep_their_attributes_inline():
