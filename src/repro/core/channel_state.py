@@ -562,14 +562,19 @@ class ChannelKernel:
             return []
         dead = self.items.pop_below(bound)
         self.total_collected += len(dead)
-        self._stored_bytes -= sum(rec.size for _, rec in dead)
-        if self._refcounted:
-            self._refcounted -= sum(1 for _, rec in dead if rec.refcounted)
-        if _reclaim_hook is not None:
-            for ts, rec in dead:
+        collected: list[int] = []
+        nbytes = refcounted = 0
+        for ts, rec in dead:  # one pass, no generator to resume per item
+            nbytes += rec.size
+            if rec.refcount != UNKNOWN_REFCOUNT:
+                refcounted += 1
+            if _reclaim_hook is not None:
                 _reclaim_hook(self, ts, rec)
+            collected.append(ts)
+        self._stored_bytes -= nbytes
+        self._refcounted -= refcounted
         self.version += 1
-        return [ts for ts, _ in dead]
+        return collected
 
     # ------------------------------------------------------------------
     # introspection

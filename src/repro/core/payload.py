@@ -6,17 +6,28 @@ copy of the object that it received."  The kernel stores opaque payloads and
 never copies; this module decides *what* gets stored, under three policies:
 
 ``SERIALIZE``
-    The payload is pickled at put and unpickled at get.  This is the only
-    policy usable across address spaces (the representation is exactly what
-    CLF ships over the wire), and it is the default because it makes local
-    and remote channels behave identically.  Two stored forms exist:
+    The payload is serialized at put and deserialized at get.  This is the
+    only policy usable across address spaces (the representation is exactly
+    what CLF ships over the wire), and it is the default because it makes
+    local and remote channels behave identically.  Three stored forms exist:
 
-    * **in-band** — plain ``bytes``, the whole pickle.  Every local put
-      stores this.  A frame's pickle grows to ~345 KB; while glibc's mmap
-      threshold is at its default each put maps, faults in and frees a fresh
-      buffer (~160 us, 58 minor faults per 230 400-byte frame, fresh process).
-      One free of a larger mapped block lifts the threshold for good: then
-      ~19 us and 0 faults, as a running kiosk digitizer sees (EXPERIMENTS.md).
+    * **raw bytes** — an exact ``bytes`` payload is stored as the object
+      itself.  It cannot change, so the putter's re-use and the getter's
+      modification are both safe without a copy: a local get returns the
+      very object put, and a remote put frames the caller's own ``bytes``.
+      The exception is a payload whose first byte is ``0x80``, the pickle
+      PROTO opcode that begins every stored pickle (the opcode
+      ``transport.serialization`` tests to tell a framed message from a
+      plain one): it is pickled like any other value, so a stored pickle and
+      a stored raw payload never look alike.  Subclasses of ``bytes``,
+      ``bytearray`` and the rest take the pickle path.
+    * **in-band** — plain ``bytes``, the whole pickle.  Every other local
+      put stores this.  A frame's pickle grows to ~345 KB; while glibc's
+      mmap threshold is at its default each put maps, faults in and frees a
+      fresh buffer (~160 us, 58 minor faults per 230 400-byte frame, fresh
+      process).  One free of a larger mapped block lifts the threshold for
+      good: then ~19 us and 0 faults, as a running kiosk digitizer sees
+      (EXPERIMENTS.md).
     * **out-of-band** — :class:`Parts`: the (small) pickle stream plus the
       value's buffers, collected with protocol 5's ``buffer_callback``
       (~8 us, 0 faults).  ``encode(value, policy, True)`` produces it with
@@ -26,9 +37,13 @@ never copies; this module decides *what* gets stored, under three policies:
       The home stores the received views; get replies and cache pushes ship
       them on unjoined.  A value that exports no buffer stays in-band.
 
-    ``decode`` copies each part of a :class:`Parts` once into a fresh
-    ``bytearray`` and unpickles over them — the one consumer-side memcpy,
-    and what makes every get an independent writable copy.
+    A stored ``bytes`` may arrive at a home as a view of the received
+    message; the first byte still tells the two ``bytes`` forms apart.
+    ``decode`` returns a stored raw ``bytes`` as it is and a received view
+    as one ``bytes(view)`` copy, unpickles an in-band pickle, and copies
+    each part of a :class:`Parts` once into a fresh ``bytearray`` and
+    unpickles over them — the one consumer-side memcpy, and what makes every
+    get of a mutable value an independent writable copy.
 
 ``DEEPCOPY``
     The payload is deep-copied at put *and* at get.  Local-only; useful when
@@ -42,7 +57,8 @@ never copies; this module decides *what* gets stored, under three policies:
 
 The reported ``size`` feeds bandwidth accounting and the simulator's
 transport cost model, so it must be faithful: serialized length for
-SERIALIZE, a recursive estimate otherwise.
+SERIALIZE — for raw bytes, ``len(payload)``, which is what crosses the
+wire — a recursive estimate otherwise.
 """
 
 from __future__ import annotations
@@ -54,6 +70,9 @@ import sys
 from typing import Any
 
 __all__ = ["CopyPolicy", "Parts", "encode", "decode", "estimate_size"]
+
+#: the pickle PROTO opcode: the first byte of every stored pickle
+_PROTO = b"\x80"
 
 
 class CopyPolicy(enum.Enum):
@@ -132,6 +151,8 @@ def encode(
     copied onward before the caller gets control back.
     """
     if policy is CopyPolicy.SERIALIZE:
+        if payload.__class__ is bytes and payload[:1] != _PROTO:
+            return payload, len(payload)  # immutable: its own stored form
         if not out_of_band:
             data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             return data, len(data)
@@ -156,7 +177,10 @@ def decode(stored: Any, policy: CopyPolicy) -> Any:
         if stored.__class__ is Parts:
             return pickle.loads(
                 stored.stream, buffers=[bytearray(b) for b in stored.buffers])
-        return pickle.loads(stored)
+        if stored[:1] == _PROTO:
+            return pickle.loads(stored)
+        # raw bytes: the object put, or a view of the message it came in
+        return stored if stored.__class__ is bytes else bytes(stored)
     if policy is CopyPolicy.DEEPCOPY:
         return copy.deepcopy(stored)
     if policy is CopyPolicy.REFERENCE:

@@ -64,7 +64,7 @@ from repro.runtime.address_space import (
 )
 from repro.runtime.cluster import Cluster
 from repro.runtime.messages import LookupNameReq
-from repro.runtime.sync import OneSleeperEvent, factories_installed, make_event
+from repro.runtime.sync import OneSleeperEvent, event_factory_installed, make_event
 from repro.runtime.threads import StampedeThread, current_thread
 
 __all__ = ["AioEvent", "AioAddressSpace", "AioCluster"]
@@ -165,7 +165,7 @@ class AioAddressSpace(AddressSpace):
 
     # -- the event seam -------------------------------------------------
     def _make_event(self) -> Any:
-        if factories_installed():  # model checker: honour its factories
+        if event_factory_installed():  # model checker: honour its events
             return make_event()
         return AioEvent(self.loop)
 

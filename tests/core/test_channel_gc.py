@@ -1,7 +1,10 @@
 """Unit tests for consume semantics and kernel-level GC (paper §4.2, §6)."""
 
+import sys
+
 import pytest
 
+from repro.core import channel_state
 from repro.core.channel_state import ChannelKernel
 from repro.core.flags import STM_OLDEST
 from repro.core.item import ItemState
@@ -151,6 +154,38 @@ class TestCollectBelow:
         chan.consume_until(A, 4)
         chan.collect_below(5)
         assert chan.total_collected == 5
+
+    @pytest.mark.parametrize("refcount", [-1, 2])
+    def test_python_calls_do_not_grow_with_the_items_reclaimed(
+            self, monkeypatch, refcount):
+        """``sys.setprofile`` ``call`` events of one ``collect_below``: the
+        same for 1 and for 15 reclaimed items (21 for 15 when the byte and
+        refcount sums ran over generator expressions), with the refcounted
+        count and the stored bytes kept right."""
+        monkeypatch.setattr(channel_state, "_reclaim_hook", None)
+
+        def calls_to_collect(d):
+            k = ChannelKernel(1)
+            k.attach_output(OUT)
+            k.attach_input(A, visibility=0)
+            fill(k, d + 1, refcount)
+            calls = [0]
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    calls[0] += 1
+
+            sys.setprofile(profile)
+            try:
+                dead = k.collect_below(d)
+            finally:
+                sys.setprofile(None)
+            assert dead == list(range(d))
+            assert k.stored_bytes() == 1
+            assert k._refcounted == (1 if refcount > 0 else 0)
+            return calls[0]
+
+        assert calls_to_collect(1) == calls_to_collect(15) <= 4
 
 
 class TestSparseTimestamps:

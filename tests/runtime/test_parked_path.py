@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.runtime import Cluster
+from repro.runtime import Cluster, sync
 from repro.runtime.address_space import AddressSpace
 from repro.runtime.aio import AioAddressSpace, AioCluster
 from repro.runtime.messages import ClockProbeReq
@@ -124,21 +124,23 @@ class TestNoConditionOnTheParkedPath:
         assert seen == {"condition": 0, "asyncio.Event": 0}
 
 
-@pytest.mark.usefixtures("bare_op_path")
-def test_python_calls_of_one_parked_aio_put_and_its_wake():
-    """``sys.setprofile`` ``call`` events (coroutine resumes included) from
-    starting a put that parks to its return after the consume that wakes
-    it.  With a ``threading.Event`` + ``asyncio.Event`` pair awaited through
-    ``wait_for`` this was 118 and one loop future awaited directly made it
-    104; later trims of the op path brought it to 91, and a kernel put /
-    consume that no longer calls into the item index and the connection's
-    state to 80.  The bound is that count: one more call fails it.
-    ``STMOBS=1`` / ``STMSAN`` add their own calls, so ``bare_op_path``
-    disarms them."""
+def _parked_aio_put_calls() -> tuple[list[int], int]:
+    """``sys.setprofile`` ``call`` events (coroutine resumes included) of
+    four parked asyncio puts, each from its start to its return after the
+    consume that wakes it, and how often the loop's default executor was
+    asked for a thread meanwhile."""
+    executor_calls = [0]
 
     async def main():
         async with AioCluster(n_spaces=1, gc_period=None) as cluster:
             space = cluster.space(0)
+            loop = asyncio.get_running_loop()
+            run_in_executor = loop.run_in_executor
+
+            def counting_run_in_executor(*args):
+                executor_calls[0] += 1
+                return run_in_executor(*args)
+
             me = space.adopt_current_task(virtual_time=0)
             handle, out, inp, _ = _parked_channel(space, me)
             counts = []
@@ -150,6 +152,7 @@ def test_python_calls_of_one_parked_aio_put_and_its_wake():
                     if event == "call":
                         calls[0] += 1
 
+                loop.run_in_executor = counting_run_in_executor
                 sys.setprofile(profile)
                 try:
                     put = asyncio.ensure_future(
@@ -159,6 +162,7 @@ def test_python_calls_of_one_parked_aio_put_and_its_wake():
                     await put
                 finally:
                     sys.setprofile(None)
+                    del loop.run_in_executor
                 counts.append(calls[0])
                 await space.aget(handle, inp, ts + 1)
                 await space.aconsume(handle, inp, ts + 1)
@@ -166,7 +170,35 @@ def test_python_calls_of_one_parked_aio_put_and_its_wake():
             return counts
 
     counts = asyncio.run(main(), debug=False)  # debug mode adds calls
+    return counts, executor_calls[0]
+
+
+@pytest.mark.usefixtures("bare_op_path")
+def test_python_calls_of_one_parked_aio_put_and_its_wake():
+    """With a ``threading.Event`` + ``asyncio.Event`` pair awaited through
+    ``wait_for`` this was 118 calls and one loop future awaited directly made
+    it 104; later trims of the op path brought it to 91, and a kernel put /
+    consume that no longer calls into the item index and the connection's
+    state to 80.  The bound is that count: one more call fails it.
+    ``STMOBS=1`` / ``STMSAN`` add their own calls, so ``bare_op_path``
+    disarms them."""
+    counts, executor_calls = _parked_aio_put_calls()
     assert max(counts[1:]) < 81, counts
+    assert executor_calls == 0
+
+
+@pytest.mark.usefixtures("bare_op_path")
+def test_a_lock_factory_alone_keeps_tasks_on_their_loop_future():
+    """Installing only a lock factory changes no event: a parked task still
+    awaits one loop future, not a thread ``OneSleeperEvent`` waited on
+    through the default executor (136 calls when it did)."""
+    sync.install_factories(lambda name: threading.Lock(), None)
+    try:
+        counts, executor_calls = _parked_aio_put_calls()
+    finally:
+        sync.clear_factories()
+    assert max(counts[1:]) <= 80, counts
+    assert executor_calls == 0
 
 
 def test_both_space_classes_keep_their_attributes_inline():
