@@ -17,7 +17,10 @@ guard reads, so the overhead fraction is::
     guards_per_cycle * guard_ns  /  cycle_disabled_ns
 
 which overestimates (the guard microbenchmark includes its own loop
-bookkeeping).  ``python -m repro.bench.obs_overhead --check`` exits
+bookkeeping).  Both the cycle and the guard run wholly on the calling
+thread, so both are timed in that thread's CPU time
+(``time.thread_time_ns``): time the thread spends descheduled on a busy
+host does not count against either mode.  ``python -m repro.bench.obs_overhead --check`` exits
 non-zero when the bound exceeds 5% — CI runs exactly that.
 """
 
@@ -46,7 +49,8 @@ GUARDS_PER_CYCLE = 4
 
 
 def measure_cycle_us(items: int = 2000, *, payload_size: int = 128) -> float:
-    """Microseconds per local put/get/consume cycle (single address space).
+    """Microseconds of the calling thread's CPU time per local
+    put/get/consume cycle (single address space).
 
     Mirrors ``benchmarks/test_micro_ops.py::test_facade_local_put_get_consume``
     — the workload the <5% criterion is defined over.  Tracing state is
@@ -65,16 +69,16 @@ def measure_cycle_us(items: int = 2000, *, payload_size: int = 128) -> float:
                     inp.get(i)
                     inp.consume(i)
                 base = min(100, items)
-                t0 = time.perf_counter()
+                t0 = time.thread_time_ns()
                 for i in range(base, base + items):
                     me.set_virtual_time(i)
                     out.put(i, payload)
                     inp.get(i)
                     inp.consume(i)
-                elapsed = time.perf_counter() - t0
+                elapsed_ns = time.thread_time_ns() - t0
         finally:
             me.exit()
-    return elapsed / items * 1e6
+    return elapsed_ns / items / 1e3
 
 
 def measure_guard_ns(reps: int = 200_000) -> float:
@@ -84,11 +88,11 @@ def measure_guard_ns(reps: int = 200_000) -> float:
     module global, compare against None — including the measuring loop's
     own bookkeeping, so the figure is an overestimate.
     """
-    t0 = time.perf_counter_ns()
+    t0 = time.thread_time_ns()
     for _ in range(reps):
         if obs_events.recorder is not None:  # pragma: no cover - never armed
             raise RuntimeError("guard benchmark must run disarmed")
-    return (time.perf_counter_ns() - t0) / reps
+    return (time.thread_time_ns() - t0) / reps
 
 
 def run(items: int = 2000, guard_reps: int = 200_000) -> dict:

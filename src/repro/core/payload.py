@@ -19,7 +19,9 @@ never copies; this module decides *what* gets stored, under three policies:
       PROTO opcode that begins every stored pickle (the opcode
       ``transport.serialization`` tests to tell a framed message from a
       plain one): it is pickled like any other value, so a stored pickle and
-      a stored raw payload never look alike.  Subclasses of ``bytes``,
+      a stored raw payload never look alike.  A ``memoryview``, which pickle
+      refuses, is copied into ``bytes`` at the put and stored by the same
+      rule, so a get returns ``bytes``.  Subclasses of ``bytes``,
       ``bytearray`` and the rest take the pickle path.
     * **in-band** — plain ``bytes``, the whole pickle.  Every other local
       put stores this.  A frame's pickle grows to ~345 KB; while glibc's
@@ -153,6 +155,12 @@ def encode(
     if policy is CopyPolicy.SERIALIZE:
         if payload.__class__ is bytes and payload[:1] != _PROTO:
             return payload, len(payload)  # immutable: its own stored form
+        if payload.__class__ is memoryview:
+            # Copy-in: the exporter may change after the put.  The copy is
+            # an exact ``bytes``, stored by that rule.
+            payload = payload.tobytes()
+            if payload[:1] != _PROTO:
+                return payload, len(payload)
         if not out_of_band:
             data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             return data, len(data)

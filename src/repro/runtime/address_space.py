@@ -99,6 +99,9 @@ __all__ = ["ChannelHandle", "LocalChannel", "AddressSpace"]
 #: the largest payload that crosses spaces in-band (see ``_framed``)
 _INBAND_MAX = max_payload()
 
+#: the ``(src, call_id)`` of an operation a local caller runs itself
+_LOCAL = (None, None)
+
 
 def _framed(payload: Any) -> Any:
     """A stored payload as it travels inside a message.
@@ -136,31 +139,46 @@ class ChannelHandle:
     push: bool = False
 
 
-@dataclass(eq=False)
 class _Waiter:
     """A blocked put or get parked at the channel home.
 
-    Covers both kinds of blocker: a *remote* waiter carries the RPC routing
-    (``call_id``/``src_space``) so the completed result can be sent as a
-    reply; a *local* waiter carries the event its one blocked caller sleeps
-    on (:meth:`AddressSpace._make_event`) plus result/error slots.  Either
-    way the operation is finished *by the thread that changed channel
-    state* — the waiter never retries anything itself.
+    It carries what the drains replay: the connection, ``request`` (the
+    timestamp a put stores at, or the timestamp or wildcard a get asks for),
+    a put's payload, size and refcount, and a get's ``cache_ok``.  A local
+    park builds only this object; a served request has its fields copied
+    in.  Covers both kinds of blocker: a
+    *remote* waiter carries the RPC routing (``call_id``/``src_space``) so
+    the completed result can be sent as a reply; a *local* waiter carries
+    the event its one blocked caller sleeps on
+    (:meth:`AddressSpace._make_event`) plus result/error slots.  Either way
+    the operation is finished *by the thread that changed channel state* —
+    the waiter never retries anything itself.
     """
 
-    body: Any  # PutReq | GetReq: the drains replay it
-    channel: "LocalChannel"  # where it is parked
-    # remote waiters:
-    call_id: int | None = None
-    src_space: int | None = None
-    # local waiters (a OneSleeperEvent, an AioEvent or a model-checker event):
-    event: Any = None
-    result: Any = None
-    error: BaseException | None = None
+    __slots__ = ("op", "channel", "conn_id", "request", "payload", "size",
+                 "refcount", "cache_ok", "src_space", "call_id", "event",
+                 "result", "error")
 
-    @property
-    def op(self) -> str:
-        return "put" if isinstance(self.body, PutReq) else "get"
+    def __init__(self, op: str, channel: "LocalChannel", conn_id: int,
+                 request: Any, payload: Any, size: int, refcount: int,
+                 cache_ok: bool, src_space: int | None,
+                 call_id: int | None):
+        self.op = op  # "put" | "get"
+        self.channel = channel  # where it is parked
+        self.conn_id = conn_id
+        self.request = request
+        self.payload = payload
+        self.size = size
+        self.refcount = refcount
+        self.cache_ok = cache_ok
+        # remote waiters:
+        self.src_space = src_space
+        self.call_id = call_id
+        # local waiters (a OneSleeperEvent, an AioEvent or a model-checker
+        # event; set by ``_park``):
+        self.event: Any = None
+        self.result: Any = None
+        self.error: BaseException | None = None
 
 
 class _GetWaitSet:
@@ -201,7 +219,7 @@ class _GetWaitSet:
     def append(self, waiter: "_Waiter") -> None:
         self._all[id(waiter)] = (self._seq, waiter)
         self._seq += 1
-        request = waiter.body.request
+        request = waiter.request
         if isinstance(request, int):
             self._by_ts.setdefault(request, {})[id(waiter)] = waiter
         else:
@@ -210,7 +228,7 @@ class _GetWaitSet:
     def remove(self, waiter: "_Waiter") -> None:
         if self._all.pop(id(waiter), None) is None:
             raise ValueError("waiter is not parked here")
-        request = waiter.body.request
+        request = waiter.request
         if isinstance(request, int):
             bucket = self._by_ts.get(request)
             if bucket is not None:
@@ -228,13 +246,18 @@ class _GetWaitSet:
     def candidates(self, timestamps: list[int]) -> list["_Waiter"]:
         """Waiters an item arrival at these timestamps could satisfy, in
         park order: the matching specific buckets plus every wildcard."""
+        if len(timestamps) == 1 and not self._wild:
+            # The common arrival: one bucket, already in park order.
+            bucket = self._by_ts.get(timestamps[0])
+            return list(bucket.values()) if bucket is not None else []
         picked: dict[int, tuple[int, "_Waiter"]] = {}
         for ts in timestamps:
             for wid in self._by_ts.get(ts, ()):
                 picked[wid] = self._all[wid]
         for wid in self._wild:
             picked[wid] = self._all[wid]
-        return [w for _seq, w in sorted(picked.values(), key=lambda e: e[0])]
+        # (seq, waiter) pairs: the seqs are unique, so no waiter is compared
+        return [w for _seq, w in sorted(picked.values())]
 
 
 class LocalChannel:
@@ -747,10 +770,9 @@ class AddressSpace:
     # parked.  Local callers (:meth:`put`/:meth:`get`/:meth:`consume` and
     # their ``a*`` twins in :mod:`repro.runtime.aio`) and the handlers that
     # serve requests all run these.  A handler passes ``served``, its
-    # ``(body, src, call_id)``: the request is parked as it came and, when it
-    # came from another space (``call_id`` set), answered by an RPC reply; a
-    # local caller's request is built only if it parks, and it sleeps on the
-    # waiter's event.
+    # ``(src, call_id)``: when the request came from another space
+    # (``call_id`` set), a parked operation is answered by an RPC reply; a
+    # local caller sleeps on its waiter's event.
     def _put_start(self, channel: LocalChannel, conn_id: int, timestamp: int,
                    payload: Any, size: int, refcount: int, block: bool,
                    served: tuple | None = None) -> _Waiter | None:
@@ -773,11 +795,10 @@ class AddressSpace:
                     f"channel {channel.kernel.channel_id} is full "
                     f"(capacity {channel.kernel.capacity})"
                 )
-            if served is not None:
-                return self._park(channel, result.reason, *served)
-            return self._park(channel, result.reason, PutReq(
-                channel.kernel.channel_id, conn_id, timestamp, payload, size,
-                refcount, block))
+            src, call_id = served or _LOCAL
+            return self._park(result.reason, _Waiter(
+                "put", channel, conn_id, timestamp, payload, size, refcount,
+                False, src, call_id))
 
     def _get_start(self, channel: LocalChannel, conn_id: int,
                    request: int | GetWildcard, block: bool,
@@ -791,7 +812,7 @@ class AddressSpace:
                 # to drain, nobody to wake.
                 return self._get_reply(
                     channel, cache_ok, result,
-                    self.space_id if served is None else served[1],
+                    self.space_id if served is None else served[0],
                 )
             if not block:
                 raise ChannelEmptyError(
@@ -799,10 +820,10 @@ class AddressSpace:
                     f"{channel.kernel.channel_id}; neighbours "
                     f"{result.timestamp_range}"
                 )
-            if served is not None:
-                return self._park(channel, result.reason, *served)
-            return self._park(channel, result.reason, GetReq(
-                channel.kernel.channel_id, conn_id, request, block, cache_ok))
+            src, call_id = served or _LOCAL
+            return self._park(result.reason, _Waiter(
+                "get", channel, conn_id, request, None, 0, UNKNOWN_REFCOUNT,
+                cache_ok, src, call_id))
 
     def _consume_apply(self, channel: LocalChannel, conn_id: int,
                        timestamp: int, until: bool) -> None:
@@ -817,19 +838,18 @@ class AddressSpace:
                 self._drain_locked(channel, puts=True, gets=False)
 
     def _h_put(self, body: PutReq, src: int, call_id) -> _Waiter | None:
-        # Store the received bytes themselves.  Mutating the body keeps
-        # drain retries (which replay it) unwrapped too.
-        body.payload = _unframed(body.payload)
+        # Store the received bytes themselves (a parked waiter keeps them
+        # unwrapped for its drain retries too).
         return self._put_start(
             self._channel(body.channel_id), body.conn_id, body.timestamp,
-            body.payload, body.size, body.refcount, body.block,
-            (body, src, call_id),
+            _unframed(body.payload), body.size, body.refcount, body.block,
+            (src, call_id),
         )
 
     def _h_get(self, body: GetReq, src: int, call_id) -> tuple | _Waiter:
         return self._get_start(
             self._channel(body.channel_id), body.conn_id, body.request,
-            body.block, body.cache_ok, (body, src, call_id),
+            body.block, body.cache_ok, (src, call_id),
         )
 
     def _h_consume(self, body: ConsumeReq, src: int, cid) -> None:
@@ -838,20 +858,20 @@ class AddressSpace:
             body.until,
         )
 
-    def _park(self, channel: LocalChannel, reason: BlockReason | None,
-              body: Any, src: int | None = None,
-              call_id: int | None = None) -> _Waiter:
-        """File a blocked operation in the wait set its BlockReason selects."""
+    def _park(self, reason: BlockReason | None, waiter: _Waiter) -> _Waiter:
+        """File a blocked operation in the wait set its BlockReason selects:
+        a local one with the event its caller sleeps on, a remote one in the
+        index a cancel finds it by."""
+        call_id = waiter.call_id
         if call_id is None:
-            waiter = _Waiter(body, channel, event=self._make_event())
+            waiter.event = self._make_event()
         else:
-            waiter = _Waiter(body, channel, call_id=call_id, src_space=src)
             with self._parked_lock:
                 self._parked_index[call_id] = waiter
         if reason is BlockReason.CHANNEL_FULL:
-            channel.put_waiters.append(waiter)
+            waiter.channel.put_waiters.append(waiter)
         else:  # NO_MATCHING_ITEM
-            channel.get_waiters.append(waiter)
+            waiter.channel.get_waiters.append(waiter)
         return waiter
 
     @staticmethod
@@ -893,7 +913,7 @@ class AddressSpace:
         landed: list[int] = [put_ts] if put_ts is not None else []
         if puts and channel.put_waiters:
             landed += self._drain_puts(channel)
-        if not channel.get_waiters:
+        if not channel.get_waiters._all:
             return
         if full_gets:
             candidates: list[_Waiter] = list(channel.get_waiters)
@@ -909,23 +929,22 @@ class AddressSpace:
         still_parked: list[_Waiter] = []
         landed: list[int] = []
         for waiter in channel.put_waiters:
-            body = waiter.body
             try:
                 result = channel.kernel.put(
-                    body.conn_id,
-                    body.timestamp,
-                    body.payload,
-                    body.size,
-                    body.refcount,
+                    waiter.conn_id,
+                    waiter.request,
+                    waiter.payload,
+                    waiter.size,
+                    waiter.refcount,
                 )
             except BaseException as exc:  # noqa: BLE001 - forwarded
                 self._fail_waiter(channel, waiter, exc)
                 continue
             if result.status is Status.OK:
                 if channel.handle.push:
-                    self._push(channel, body.timestamp)
+                    self._push(channel, waiter.request)
                 self._complete_waiter(channel, waiter, None)
-                landed.append(body.timestamp)
+                landed.append(waiter.request)
             else:
                 still_parked.append(waiter)
         channel.put_waiters[:] = still_parked
@@ -935,16 +954,16 @@ class AddressSpace:
                     candidates: list[_Waiter]) -> None:
         """Retry candidate parked gets, unparking the ones that finish."""
         for waiter in candidates:
-            body = waiter.body
             try:
-                result = channel.kernel.get(body.conn_id, body.request)
+                result = channel.kernel.get(waiter.conn_id, waiter.request)
                 if result.status is not Status.OK:
                     continue  # still blocked; stays parked
                 requester = (
                     waiter.src_space if waiter.src_space is not None
                     else self.space_id
                 )
-                reply = self._get_reply(channel, body.cache_ok, result, requester)
+                reply = self._get_reply(channel, waiter.cache_ok, result,
+                                        requester)
             except BaseException as exc:  # noqa: BLE001 - forwarded
                 channel.get_waiters.remove(waiter)
                 self._fail_waiter(channel, waiter, exc)
@@ -1055,7 +1074,13 @@ class AddressSpace:
     def _await_local(self, waiter: _Waiter, timeout: float | None) -> Any:
         """Sleep until a drain completes this thread's parked operation."""
         rec = _obs.recorder
-        t0 = rec.now() if rec is not None else None
+        if rec is None:
+            if waiter.event.wait(timeout):  # completed: the outcome is final
+                if waiter.error is not None:
+                    raise waiter.error
+                return waiter.result
+            return self._parked_outcome(waiter, False, None)
+        t0 = rec.now()
         return self._parked_outcome(waiter, waiter.event.wait(timeout), t0)
 
     def _parked_outcome(self, waiter: _Waiter, woke: bool,

@@ -56,6 +56,7 @@ from typing import Any, Callable, Coroutine
 from repro.core.flags import GetWildcard, UNKNOWN_REFCOUNT
 from repro.core.time import VirtualTime
 from repro.obs import events as _obs
+from repro.runtime import sync as _sync
 from repro.runtime.address_space import (
     AddressSpace,
     ChannelHandle,
@@ -64,7 +65,7 @@ from repro.runtime.address_space import (
 )
 from repro.runtime.cluster import Cluster
 from repro.runtime.messages import LookupNameReq
-from repro.runtime.sync import OneSleeperEvent, event_factory_installed, make_event
+from repro.runtime.sync import OneSleeperEvent
 from repro.runtime.threads import StampedeThread, current_thread
 
 __all__ = ["AioEvent", "AioAddressSpace", "AioCluster"]
@@ -79,7 +80,8 @@ class AioEvent:
     """The event a parked operation sleeps on in an asyncio space.
 
     One flag, which is the event's state, plus at most one sleeper: the
-    loop future of the task that awaits (:meth:`wait_async`) or, for an OS
+    loop future of the task that awaits (:meth:`wait_async`, or published
+    by ``aput`` / ``aget`` themselves on their common park) or, for an OS
     thread parked in this space, a :class:`~repro.runtime.sync
     .OneSleeperEvent` (:meth:`wait`).  Both are made only when somebody
     actually sleeps, and the flag is re-checked after publishing them, so a
@@ -110,7 +112,8 @@ class AioEvent:
         if future is None:
             return
         if _get_running_loop() is self._loop:
-            _resolve(future)
+            if not future.done():  # a cancelled await leaves nothing to wake
+                future.set_result(None)
         else:
             try:
                 self._loop.call_soon_threadsafe(_resolve, future)
@@ -140,11 +143,15 @@ class AioEvent:
         if timeout is None:
             await future
             return True
+        # The timeout resolves the same future.  Not ``wait_for``: on
+        # Python 3.11 it swallows a cancellation that arrives after the
+        # future is done.
+        timer = self._loop.call_later(timeout, _resolve, future)
         try:
-            await asyncio.wait_for(asyncio.shield(future), timeout)
-        except asyncio.TimeoutError:
-            return self._flag  # a set that raced the timeout is honoured
-        return True
+            await future
+        finally:
+            timer.cancel()
+        return self._flag  # a set that raced the timeout is honoured
 
 
 class AioAddressSpace(AddressSpace):
@@ -165,9 +172,11 @@ class AioAddressSpace(AddressSpace):
 
     # -- the event seam -------------------------------------------------
     def _make_event(self) -> Any:
-        if event_factory_installed():  # model checker: honour its events
-            return make_event()
-        return AioEvent(self.loop)
+        # The factory global and the cluster's loop read directly: this runs
+        # on every park.
+        if _sync._event_factory is not None:  # model checker: its events
+            return _sync.make_event()
+        return AioEvent(self.cluster.loop)
 
     # -- async RPC client ----------------------------------------------
     async def acall(
@@ -191,21 +200,44 @@ class AioAddressSpace(AddressSpace):
             return await self._in_executor(self._local_join, body, timeout)
         result = self._handle(body, self.space_id, None)
         if result.__class__ is _Waiter:
-            return await self._await_local_async(result, timeout)
+            return await self._await_parked(result, timeout)
         return result
 
-    async def _await_local_async(
+    # -- sleeping on a parked local operation ---------------------------
+    #
+    # ``aput`` and ``aget`` await the common park themselves: no timeout, no
+    # recorder, an AioEvent — the event's loop future, awaited in their own
+    # frame, then the outcome the drain left in the waiter.  Everything else
+    # (a timeout, the ``block(put|get)`` span, a model-checker event) goes
+    # through ``_await_parked``.  On either path a task cancelled while
+    # parked withdraws its operation under the channel lock before
+    # ``CancelledError`` propagates; if a drain completed the operation
+    # first, that completion stands — as it does against a timeout — and
+    # ``CancelledError`` propagates all the same.
+    async def _await_parked(
         self, waiter: _Waiter, timeout: float | None
     ) -> Any:
         """Awaitable twin of ``_await_local`` (same completion contract)."""
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else None
-        wait_async = getattr(waiter.event, "wait_async", None)
-        if wait_async is not None:
-            woke = await wait_async(timeout)
-        else:  # model-checker factories: plain event, wait off-loop
-            woke = await self._in_executor(waiter.event.wait, timeout)
+        event = waiter.event
+        wait_async = getattr(event, "wait_async", None)
+        try:
+            if wait_async is not None:
+                woke = await wait_async(timeout)
+            else:  # model-checker factories: plain event, wait off-loop
+                woke = await self._in_executor(event.wait, timeout)
+        except asyncio.CancelledError:
+            self._withdraw(waiter)
+            raise
         return self._parked_outcome(waiter, woke, t0)
+
+    def _withdraw(self, waiter: _Waiter) -> None:
+        """Take a cancelled task's operation out of its wait set, unless a
+        drain completed it first."""
+        with waiter.channel.lock:
+            if self._unpark(waiter):
+                waiter.event.set()  # releases an executor thread still waiting
 
     async def _alocal_lookup_wait(
         self, body: LookupNameReq, timeout: float | None
@@ -263,8 +295,23 @@ class AioAddressSpace(AddressSpace):
                    or self._channel(handle.channel_id))
         waiter = self._put_start(channel, conn_id, timestamp, payload, size,
                                  refcount, block)
-        if waiter is not None:
-            await self._await_local_async(waiter, timeout)
+        if waiter is None:
+            return
+        event = waiter.event
+        if (timeout is not None or _obs.recorder is not None
+                or event.__class__ is not AioEvent):
+            await self._await_parked(waiter, timeout)
+            return
+        if not event._flag:
+            future = event._future = self.cluster.loop.create_future()
+            if not event._flag:  # not set off-loop meanwhile
+                try:
+                    await future
+                except asyncio.CancelledError:
+                    self._withdraw(waiter)
+                    raise
+        if waiter.error is not None:
+            raise waiter.error
 
     async def aget(
         self,
@@ -282,9 +329,23 @@ class AioAddressSpace(AddressSpace):
         channel = (self._channels.get(handle.channel_id)
                    or self._channel(handle.channel_id))
         reply = self._get_start(channel, conn_id, request, block)
-        if reply.__class__ is _Waiter:
-            reply = await self._await_local_async(reply, timeout)
-        return reply[:3]
+        if reply.__class__ is not _Waiter:
+            return reply[:3]
+        waiter, event = reply, reply.event
+        if (timeout is not None or _obs.recorder is not None
+                or event.__class__ is not AioEvent):
+            return (await self._await_parked(waiter, timeout))[:3]
+        if not event._flag:  # as in ``aput``
+            future = event._future = self.cluster.loop.create_future()
+            if not event._flag:
+                try:
+                    await future
+                except asyncio.CancelledError:
+                    self._withdraw(waiter)
+                    raise
+        if waiter.error is not None:
+            raise waiter.error
+        return waiter.result[:3]
 
     async def aconsume(
         self,

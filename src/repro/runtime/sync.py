@@ -30,7 +30,6 @@ __all__ = [
     "install_factories",
     "clear_factories",
     "factories_installed",
-    "event_factory_installed",
 ]
 
 _lock_factory: Callable[[str], Any] | None = None
@@ -136,12 +135,3 @@ def factories_installed() -> bool:
     see the default factories regardless of the parent's state.
     """
     return _lock_factory is not None or _event_factory is not None
-
-
-def event_factory_installed() -> bool:
-    """True while a non-default event factory is active.
-
-    What an asyncio space asks before it parks a task: a lock factory alone
-    changes no event, so the task still awaits its own loop future.
-    """
-    return _event_factory is not None

@@ -235,16 +235,37 @@ def test_other_bytes_like_values_come_back_as_copies_of_their_own(
         assert _same(second.get_consume(ts).value, want)
 
 
+MEMORYVIEW_PATHS = {
+    "local": ({"home": 0}, 12_000),
+    "in_band": ({"home": 1}, 4_000),
+    "framed": ({"home": 1}, INBAND_MAX + 1_000),
+}
+
+
+@pytest.mark.parametrize("head", [b"abcd", b"\x80abc"], ids=["raw", "proto"])
+@pytest.mark.parametrize("path", sorted(MEMORYVIEW_PATHS))
+def test_a_memoryview_round_trips_as_bytes(threads, path, head):
+    """A ``memoryview`` is copied into ``bytes`` at the put (pickle cannot
+    serialize one): the putter may re-use the buffer under it at once, and
+    the get returns exact ``bytes``, a ``0x80`` head included."""
+    where, n = MEMORYVIEW_PATHS[path]
+    buffer = bytearray((head * n)[:n])
+    want = bytes(buffer)
+    with _channel(threads, **where) as (out, (inp,)):
+        ts = next(_stamps)
+        out.put(ts, memoryview(buffer), refcount=1)
+        buffer[:4] = b"XXXX"  # the putter re-uses its buffer
+        assert _exact(inp.get_consume(ts).value, want)
+    array = np.arange(6, dtype=np.int16)
+    assert encode(memoryview(array), CopyPolicy.SERIALIZE) == (
+        array.tobytes(), 12)
+
+
 @pytest.mark.parametrize("home", [0, 1], ids=["local", "remote"])
-def test_a_memoryview_is_refused_at_the_put(threads, home):
-    """Pickle cannot serialize a ``memoryview``, so SERIALIZE refuses one
-    before anything is stored: no getter can see the putter's buffer."""
-    buffer = bytearray(b"abcd" * 3000)
-    with _channel(threads, home=home) as (out, (inp,)):
-        with pytest.raises(TypeError, match="memoryview"):
-            out.put(next(_stamps), memoryview(buffer), refcount=1)
-        with pytest.raises(ChannelEmptyError):
-            inp.get(block=False)
+def test_a_memoryview_round_trips_through_the_asyncio_facade(home):
+    payloads = [b"abcd" * 3000, b"\x80abc" * 3000]
+    got = _aio_through([memoryview(p) for p in payloads], home)
+    assert all(_exact(g, w) for g, w in zip(got, payloads))
 
 
 # ----------------------------------------------------------------------
