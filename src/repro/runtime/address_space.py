@@ -36,8 +36,9 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, ClassVar
+from dataclasses import dataclass, replace
+from functools import update_wrapper
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Generator
 
 from repro.analysis.sanitizer import guard_kernel
 from repro.core.channel_state import BlockReason, ChannelKernel, Status
@@ -124,6 +125,29 @@ def _framed(payload: Any) -> Any:
 def _unframed(payload: Any) -> Any:
     """A received payload as it is stored: the view under a ``Frame``."""
     return payload.data if payload.__class__ is Frame else payload
+
+
+def _run(steps: Generator) -> Any:
+    """Run an entry point's steps on the calling thread: block in each wait
+    they yield, send back whether it ended set, return what they return."""
+    woke = None
+    try:
+        while True:
+            event, timeout = steps.send(woke)
+            woke = event.wait(timeout)
+    except StopIteration as done:
+        return done.value
+    finally:
+        steps.close()  # a wait that raised: the steps clean up now
+
+
+def _blocking(steps: Callable) -> Callable:
+    """The entry point that runs the ``steps`` method with :func:`_run`."""
+
+    def entry(self: "AddressSpace", *args: Any, **kwargs: Any) -> Any:
+        return _run(steps(self, *args, **kwargs))
+
+    return update_wrapper(entry, steps)
 
 
 @dataclass(frozen=True)
@@ -311,8 +335,8 @@ class _Call:
 
     __slots__ = ("event", "value", "error", "done", "call_id")
 
-    def __init__(self) -> None:
-        self.event = make_event()
+    def __init__(self, event: Any = None) -> None:
+        self.event = make_event() if event is None else event
         self.value: Any = None
         self.error: BaseException | None = None
         self.done = False
@@ -360,10 +384,9 @@ class AddressSpace:
         self._pending_joins: dict[str, list[tuple[int, int]]] = {}
         # registry space only:
         self._names: dict[str, ChannelHandle] = {}
-        self._name_waiters: dict[str, list[tuple[int, int]]] = {}
-        #: name -> events of threads of THIS space blocked in a wait=True
-        #: lookup (remote blockers park as RPCs in _name_waiters instead).
-        self._local_name_events: dict[str, list[Any]] = {}
+        #: name -> who waits for it: the ``(call_id, src)`` of a parked
+        #: remote lookup, or ``(None, event)`` for a caller of this space.
+        self._name_waiters: dict[str, list[tuple]] = {}
         self._registry_lock = make_lock("AddressSpace.registry")
         self._gc_horizon_applied: VirtualTime = 0
         # Guards the horizon watermark: concurrent GC applies (daemon round
@@ -485,41 +508,39 @@ class AddressSpace:
         """Serve one queued message; False once the space was told to stop."""
         cls = msg.__class__
         if cls is RpcRequest:
-            self._serve_request(msg)
+            try:
+                result = self._handle(msg.body, msg.src_space, msg.call_id)
+            except BaseException as exc:  # noqa: BLE001 - forwarded to caller
+                self._reply(msg.src_space, RpcReply(msg.call_id, error=exc))
+                return True
+            if result is not _PARKED and result.__class__ is not _Waiter:
+                self._reply(msg.src_space, RpcReply(msg.call_id, value=result))
+            # else: parked, the reply comes later, from a drain
         elif cls is RpcCancel:
             self._serve_cancel(msg)
         elif cls is ShutdownMsg:
             return False
         return True
 
-    def _serve_request(self, req: RpcRequest) -> None:
-        try:
-            result = self._handle(req.body, req.src_space, req.call_id)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to caller
-            self._reply_error(req.src_space, req.call_id, exc)
-            return
-        if result is _PARKED or result.__class__ is _Waiter:
-            return  # reply comes later, from a drain
-        self._reply_value(req.src_space, req.call_id, result)
-
     def _serve_cancel(self, msg: RpcCancel) -> None:
+        cancelled = RpcReply(msg.call_id, error=TimeoutError(
+            "operation cancelled by caller timeout"))
         with self._parked_lock:
             waiter = self._parked_index.pop(msg.call_id, None)
-        if waiter is None:
-            return  # already completed; the reply won the race
-        with waiter.channel.lock:
-            if self._unpark(waiter):
-                self._reply_error(
-                    waiter.src_space,
-                    waiter.call_id,
-                    TimeoutError("operation cancelled by caller timeout"),
-                )
-
-    def _reply_value(self, dst: int, call_id: int, value: Any) -> None:
-        self._reply(dst, RpcReply(call_id, value=value))
-
-    def _reply_error(self, dst: int, call_id: int, error: BaseException) -> None:
-        self._reply(dst, RpcReply(call_id, error=error))
+        if waiter is not None:
+            with waiter.channel.lock:
+                if self._unpark(waiter):
+                    self._reply(waiter.src_space, cancelled)
+            return
+        # A name lookup parked at the registry is withdrawn the same way;
+        # found nowhere, the request completed and its reply won the race.
+        with self._registry_lock:
+            parked = [(waiters, entry) for waiters in self._name_waiters.values()
+                      for entry in waiters if entry[0] == msg.call_id]
+            for waiters, entry in parked:
+                waiters.remove(entry)
+        for _waiters, (_call_id, src) in parked:
+            self._reply(src, cancelled)
 
     def _reply(self, dst: int, reply: RpcReply) -> None:
         """Send a reply; one that cannot be delivered is dropped and counted.
@@ -542,26 +563,53 @@ class AddressSpace:
     _CANCEL_GRACE_S = 5.0
 
     def call(self, dst_space: int, body: Any, timeout: float | None = None) -> Any:
-        """Synchronous RPC to another address space."""
+        """Synchronous RPC to another address space (``_rpc_steps`` inline)."""
         if dst_space == self.space_id:
             # Self-calls bypass the wire entirely (shared-memory fast path),
             # but still run the exact handler code.
-            result = self._handle_blocking_locally(body, timeout)
-            return result
+            return _run(self._local_steps(body, timeout))
         call = self._call_slot()
         self._begin_call(call, dst_space, body)
         try:
             if not call.event.wait(timeout):
-                # Ask the server to abandon the parked request, then give
-                # the reply (cancelled or real) a grace period to land.
-                self.endpoint.send(
-                    dst_space, encode_message_sg(RpcCancel(call.call_id))
-                )
-                call.event.wait(self._CANCEL_GRACE_S)
+                _run(self._abandon_steps(call, dst_space))
         finally:
             self._end_call(call)
-        # Unregistered: no reply can reach the slot any more, so its fields
-        # are this thread's to read and to clear for the next call.
+        return self._call_outcome(call, dst_space, timeout)
+
+    def _rpc_steps(self, dst_space: int, body: Any,
+                   timeout: float | None = None):
+        """The steps of one RPC.  A task cancelled while it waits abandons the
+        request as a timed-out caller does, then the cancellation propagates:
+        a withdrawn operation never lands later, one completed first stands."""
+        if dst_space == self.space_id:
+            return (yield from self._local_steps(body, timeout))
+        call = self._call_slot()
+        self._begin_call(call, dst_space, body)
+        try:
+            try:
+                woke = yield call.event, timeout
+            except GeneratorExit:
+                raise
+            except BaseException as exc:  # noqa: BLE001 - a cancelled task
+                yield from self._abandon_steps(call, dst_space)
+                raise exc
+            if not woke:
+                yield from self._abandon_steps(call, dst_space)
+        finally:
+            self._end_call(call)
+        return self._call_outcome(call, dst_space, timeout)
+
+    def _abandon_steps(self, call: _Call, dst_space: int):
+        """Ask the server to abandon a call that timed out or was cancelled,
+        then give the reply (cancelled or real) a grace period to land."""
+        self.endpoint.send(dst_space, encode_message_sg(RpcCancel(call.call_id)))
+        yield call.event, self._CANCEL_GRACE_S
+
+    @staticmethod
+    def _call_outcome(call: _Call, dst_space: int, timeout: float | None) -> Any:
+        """What an ended call came to.  Unregistered, no reply can reach the
+        slot any more: its fields are the caller's to read and to clear."""
         done, value, error = call.done, call.value, call.error
         call.value = call.error = None
         if not done:
@@ -574,16 +622,19 @@ class AddressSpace:
         return value
 
     def _call_slot(self) -> _Call:
-        """The calling thread's reusable completion slot."""
+        """The calling thread's reusable completion slot, re-armed."""
         tls = self._thread_call
         try:
             call = tls.slot
         except AttributeError:
             call = tls.slot = _Call()
+            return call
         if call.call_id is not None:
             # re-entered between begin and end (a finalizer or signal
             # handler calling out): the slot is taken, use a fresh one
             return _Call()
+        # The previous call has ended: no reply can set the event any more.
+        call.event.clear()
         return call
 
     def _begin_call(self, call: _Call, dst_space: int, body: Any) -> None:
@@ -592,7 +643,6 @@ class AddressSpace:
         with self._calls_lock:
             call.call_id = call_id
             call.done = False
-            call.event.clear()
             self._calls[call_id] = call
         try:
             self.endpoint.send(
@@ -620,7 +670,7 @@ class AddressSpace:
         call = _Call()
         if dst_space == self.space_id:
             try:
-                call.value = self._handle_blocking_locally(body, None)
+                call.value = _run(self._local_steps(body, None))
             except BaseException as exc:  # noqa: BLE001 - delivered at gather
                 call.error = exc
             call.done = True
@@ -686,21 +736,51 @@ class AddressSpace:
             raise AddressSpaceError(f"no handler for {type(body).__name__}")
         return handler(self, body, src_space, call_id)
 
-    def _handle_blocking_locally(self, body: Any, timeout: float | None) -> Any:
-        """Execute a request for a thread of this very space.
+    def _local_steps(self, body: Any, timeout: float | None):
+        """The steps of a request a caller makes of its own space.
 
         :meth:`put`, :meth:`get` and :meth:`consume` do not come this way —
-        they run their start function directly; a channel request handed to
-        :meth:`call` is served by its handler like anyone else's, and if it
-        parks, the caller sleeps on the waiter here.
+        they run their start function directly; a request handed to
+        :meth:`call` is served by its handler like anyone else's, and where
+        it must wait — a parked put or get, a name not yet registered — the
+        caller sleeps here.
         """
-        if isinstance(body, (LookupNameReq,)) and body.wait:
-            return self._local_lookup_wait(body, timeout)
-        if isinstance(body, JoinReq):
-            return self._local_join(body, timeout)
+        if body.__class__ is LookupNameReq and body.wait:
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while True:
+                with self._registry_lock:
+                    handle = self._names.get(body.name)
+                    if handle is not None:
+                        return handle
+                    # Registered under the registry lock, and set by
+                    # ``_h_register_name`` after it publishes the handle:
+                    # no check-then-sleep window.
+                    event = self._make_event()
+                    self._name_waiters.setdefault(body.name, []).append(
+                        (None, event))
+                try:
+                    left = None
+                    if deadline is not None:
+                        # Raised only here: a wait that merely timed out
+                        # loops back and still finds a name registered
+                        # while it slept.
+                        left = deadline - time.monotonic()
+                        if left <= 0:
+                            raise TimeoutError(
+                                f"channel name {body.name!r} never registered")
+                    yield event, left
+                finally:
+                    with self._registry_lock:
+                        waiters = self._name_waiters.get(body.name, [])
+                        if (None, event) in waiters:
+                            waiters.remove((None, event))
+        if body.__class__ is JoinReq:  # blocks (a task: ``ajoin``)
+            with self._threads_lock:
+                thread = self._threads.get(body.thread_name)
+            return None if thread is None else thread.join(timeout)
         result = self._handle(body, self.space_id, None)
         if result.__class__ is _Waiter:
-            return self._await_local(result, timeout)
+            return (yield from self._parked_steps(result, timeout))
         return result
 
     # -- channel management ------------------------------------------------
@@ -839,11 +919,15 @@ class AddressSpace:
 
     def _h_put(self, body: PutReq, src: int, call_id) -> _Waiter | None:
         # Store the received bytes themselves (a parked waiter keeps them
-        # unwrapped for its drain retries too).
+        # unwrapped for its drain retries too), looked up inline: this runs
+        # once per remote put.
+        payload = body.payload
         return self._put_start(
-            self._channel(body.channel_id), body.conn_id, body.timestamp,
-            _unframed(body.payload), body.size, body.refcount, body.block,
-            (src, call_id),
+            self._channels.get(body.channel_id)
+            or self._channel(body.channel_id),
+            body.conn_id, body.timestamp,
+            payload.data if payload.__class__ is Frame else payload,
+            body.size, body.refcount, body.block, (src, call_id),
         )
 
     def _h_get(self, body: GetReq, src: int, call_id) -> tuple | _Waiter:
@@ -988,7 +1072,7 @@ class AddressSpace:
         else:
             with self._parked_lock:
                 self._parked_index.pop(waiter.call_id, None)
-            self._reply_value(waiter.src_space, waiter.call_id, value)
+            self._reply(waiter.src_space, RpcReply(waiter.call_id, value=value))
 
     def _fail_waiter(self, channel: LocalChannel, waiter: _Waiter,
                      error: BaseException) -> None:
@@ -1007,7 +1091,7 @@ class AddressSpace:
         else:
             with self._parked_lock:
                 self._parked_index.pop(waiter.call_id, None)
-            self._reply_error(waiter.src_space, waiter.call_id, error)
+            self._reply(waiter.src_space, RpcReply(waiter.call_id, error=error))
 
     def _push(self, channel: LocalChannel, timestamp: int) -> None:
         """Eagerly forward a fresh item to consumer spaces (§9; lock held).
@@ -1067,33 +1151,25 @@ class AddressSpace:
         return make_event()
 
     # -- sleeping on a parked local operation -------------------------------
-    #
-    # A start function that parked hands back the waiter; the caller sleeps
-    # on its event — blocking here, awaiting in :mod:`repro.runtime.aio` —
-    # and then reads what the operation came to.
-    def _await_local(self, waiter: _Waiter, timeout: float | None) -> Any:
-        """Sleep until a drain completes this thread's parked operation."""
-        rec = _obs.recorder
-        if rec is None:
-            if waiter.event.wait(timeout):  # completed: the outcome is final
-                if waiter.error is not None:
-                    raise waiter.error
-                return waiter.result
-            return self._parked_outcome(waiter, False, None)
-        t0 = rec.now()
-        return self._parked_outcome(waiter, waiter.event.wait(timeout), t0)
-
-    def _parked_outcome(self, waiter: _Waiter, woke: bool,
-                        t0: int | None) -> Any:
-        """The result of a parked local operation whose sleep has ended.
+    def _parked_steps(self, waiter: _Waiter, timeout: float | None):
+        """The steps of sleeping on a parked local operation: one wait, then
+        what the operation came to.
 
         The draining thread removes the waiter from its wait set, fills the
         result/error slot and sets the event — all under the channel lock —
         so once the event fires the outcome is final.  On timeout the waiter
         is withdrawn under the lock; finding it already gone means a
-        completion won the race and must be honoured.  ``t0`` is when the
-        sleep began on the obs clock (``None``: not recording).
+        completion won the race and must be honoured.  A caller that stops
+        waiting — a task cancelled while parked — withdraws its operation
+        the same way before the cancellation propagates.
         """
+        rec = _obs.recorder
+        t0 = rec.now() if rec is not None else None
+        try:
+            woke = yield waiter.event, timeout
+        except BaseException:
+            self._withdraw(waiter)
+            raise
         channel = waiter.channel
         if t0 is not None and (rec := _obs.recorder) is not None:
             rec.complete(
@@ -1109,6 +1185,13 @@ class AddressSpace:
             raise waiter.error
         return waiter.result
 
+    def _withdraw(self, waiter: _Waiter) -> None:
+        """Take an abandoned operation out of its wait set, unless a drain
+        completed it first."""
+        with waiter.channel.lock:
+            if self._unpark(waiter):
+                waiter.event.set()  # releases an executor thread still waiting
+
     # -- name registry (registry space only) -----------------------------
     def _h_register_name(self, body: RegisterNameReq, src: int, cid) -> None:
         self._require_registry()
@@ -1120,11 +1203,11 @@ class AddressSpace:
                 )
             self._names[body.name] = handle
             waiters = self._name_waiters.pop(body.name, [])
-            local_events = self._local_name_events.pop(body.name, [])
-        for waiter_call, waiter_src in waiters:
-            self._reply_value(waiter_src, waiter_call, handle)
-        for event in local_events:
-            event.set()
+        for call_id, waiter in waiters:
+            if call_id is None:
+                waiter.set()  # a caller of this space
+            else:
+                self._reply(waiter, RpcReply(call_id, value=handle))
 
     def _h_lookup_name(self, body: LookupNameReq, src: int, call_id) -> Any:
         self._require_registry()
@@ -1136,54 +1219,6 @@ class AddressSpace:
                 raise NoSuchChannelError(f"no channel named {body.name!r}")
             self._name_waiters.setdefault(body.name, []).append((call_id, src))
         return _PARKED
-
-    def _local_lookup_start(self, body: LookupNameReq):
-        """Check the registry; returns ``(handle, None)`` or ``(None, event)``.
-
-        When the name is unknown, an event is registered in
-        ``_local_name_events`` under the registry lock — `_h_register_name`
-        sets it after publishing the handle, so there is no
-        check-then-sleep window.  The caller waits on the event (blocking
-        here, awaiting in the asyncio space) and re-checks.
-        """
-        with self._registry_lock:
-            handle = self._names.get(body.name)
-            if handle is not None:
-                return handle, None
-            event = self._make_event()
-            self._local_name_events.setdefault(body.name, []).append(event)
-        return None, event
-
-    def _local_lookup_withdraw(self, body: LookupNameReq, event: Any) -> None:
-        with self._registry_lock:
-            events = self._local_name_events.get(body.name)
-            if events is not None and event in events:
-                events.remove(event)
-                if not events:
-                    del self._local_name_events[body.name]
-
-    def _local_lookup_left(self, body: LookupNameReq, event: Any,
-                           deadline: float | None) -> float | None:
-        """How long a name wait may sleep (None: no deadline).  Both drivers'
-        lookup loops raise only here, so a wait that merely timed out loops
-        back and still finds a name registered while it slept."""
-        if deadline is None:
-            return None
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            self._local_lookup_withdraw(body, event)
-            raise TimeoutError(f"channel name {body.name!r} never registered")
-        return remaining
-
-    def _local_lookup_wait(self, body: LookupNameReq, timeout: float | None):
-        """Blocking lookup when the registry is this very space."""
-        deadline = (time.monotonic() + timeout) if timeout is not None else None
-        while True:
-            handle, event = self._local_lookup_start(body)
-            if handle is not None:
-                return handle
-            event.wait(self._local_lookup_left(body, event, deadline))
-            self._local_lookup_withdraw(body, event)
 
     def _require_registry(self) -> None:
         if not self.is_registry:
@@ -1213,12 +1248,6 @@ class AddressSpace:
                 (call_id, src)
             )
         return _PARKED
-
-    def _local_join(self, body: JoinReq, timeout: float | None) -> None:
-        with self._threads_lock:
-            thread = self._threads.get(body.thread_name)
-        if thread is not None:
-            thread.join(timeout)
 
     def _h_gc_summary(self, body: GcSummaryReq, src: int, cid) -> LocalGCSummary:
         return self.gc_summary(body.epoch)
@@ -1374,7 +1403,7 @@ class AddressSpace:
             self._threads.pop(thread.name, None)
             joins = self._pending_joins.pop(thread.name, [])
         for call_id, src in joins:
-            self._reply_value(src, call_id, None)
+            self._reply(src, RpcReply(call_id, value=None))
 
     def join_thread(
         self, space: int, name: str, timeout: float | None = None
@@ -1386,14 +1415,19 @@ class AddressSpace:
             return list(self._threads.values())
 
     # -- channel operations (facade entry points) --------------------------
-    def create_channel(
+    #
+    # Whatever may wait on another space is written once, as steps: a
+    # generator that yields each ``(event, timeout)`` it must sleep on and
+    # is sent back whether the event was set.  ``_blocking`` runs them here,
+    # the asyncio space's ``a*`` twins await them on the loop.
+    def _create_steps(
         self,
         name: str | None = None,
         capacity: int | None = None,
         home: int | None = None,
         copy_policy: CopyPolicy = CopyPolicy.SERIALIZE,
         push: bool = False,
-    ) -> ChannelHandle:
+    ):
         home = self.space_id if home is None else home
         if copy_policy is not CopyPolicy.SERIALIZE and home != self.space_id:
             raise StampedeError(
@@ -1402,47 +1436,39 @@ class AddressSpace:
             )
         if push and copy_policy is not CopyPolicy.SERIALIZE:
             raise StampedeError("eager push requires the SERIALIZE copy policy")
-        handle: ChannelHandle = self.call(
+        handle: ChannelHandle = yield from self._rpc_steps(
             home, CreateChannelReq(name, capacity, push)
         )
-        handle = ChannelHandle(
-            channel_id=handle.channel_id,
-            home_space=handle.home_space,
-            name=name,
-            capacity=capacity,
-            copy_policy=copy_policy,
-            push=push,
-        )
+        # the home knows name, capacity and push; the policy is the caller's
+        handle = replace(handle, copy_policy=copy_policy)
         if home == self.space_id:
             # record the policy on the local channel object
             self._channel(handle.channel_id).handle = handle
         if name is not None:
-            self.call(self.cluster.registry_space, RegisterNameReq(name, handle))
+            yield from self._rpc_steps(
+                self.cluster.registry_space, RegisterNameReq(name, handle)
+            )
             self.cluster._note_named_handle(handle)
         return handle
 
-    def lookup_channel(
+    def _lookup_steps(
         self, name: str, wait: bool = False, timeout: float | None = None
-    ) -> ChannelHandle:
+    ):
         handle = self.cluster._named_handle(name)
-        if handle is not None:
-            return handle
-        handle = self.call(
-            self.cluster.registry_space, LookupNameReq(name, wait), timeout=timeout
-        )
-        self.cluster._note_named_handle(handle)
+        if handle is None:
+            handle = yield from self._rpc_steps(
+                self.cluster.registry_space, LookupNameReq(name, wait), timeout
+            )
+            self.cluster._note_named_handle(handle)
         return handle
 
-    def destroy_channel(self, handle: ChannelHandle) -> None:
-        self.call(handle.home_space, DestroyChannelReq(handle.channel_id))
+    def _destroy_steps(self, handle: ChannelHandle):
+        return self._rpc_steps(
+            handle.home_space, DestroyChannelReq(handle.channel_id)
+        )
 
-    def attach(
-        self,
-        handle: ChannelHandle,
-        *,
-        is_input: bool,
-        thread: StampedeThread,
-    ) -> int:
+    def _attach_steps(self, handle: ChannelHandle, *, is_input: bool,
+                      thread: StampedeThread):
         if (
             handle.copy_policy is not CopyPolicy.SERIALIZE
             and handle.home_space != self.space_id
@@ -1454,18 +1480,34 @@ class AddressSpace:
             )
         conn_id = self._conn_ids.next()
         visibility = thread.visibility() if is_input else None
-        self.call(
-            handle.home_space,
-            AttachReq(handle.channel_id, conn_id, is_input, visibility),
-        )
+        # Owned before the home attaches it: a task cancelled mid-attach
+        # leaves a connection the home may have made, which the owner's exit
+        # detaches.  One the home refused is dropped.
         with self._conn_owner_lock:
             self._conn_owner[conn_id] = (handle, thread)
+        try:
+            yield from self._rpc_steps(
+                handle.home_space,
+                AttachReq(handle.channel_id, conn_id, is_input, visibility),
+            )
+        except Exception:
+            with self._conn_owner_lock:
+                self._conn_owner.pop(conn_id, None)
+            raise
         return conn_id
 
-    def detach(self, handle: ChannelHandle, conn_id: int) -> None:
+    def _detach_steps(self, handle: ChannelHandle, conn_id: int):
         with self._conn_owner_lock:
             self._conn_owner.pop(conn_id, None)
-        self.call(handle.home_space, DetachReq(handle.channel_id, conn_id))
+        return self._rpc_steps(
+            handle.home_space, DetachReq(handle.channel_id, conn_id)
+        )
+
+    create_channel = _blocking(_create_steps)
+    lookup_channel = _blocking(_lookup_steps)
+    destroy_channel = _blocking(_destroy_steps)
+    attach = _blocking(_attach_steps)
+    detach = _blocking(_detach_steps)
 
     def put(
         self,
@@ -1484,17 +1526,20 @@ class AddressSpace:
             waiter = self._put_start(channel, conn_id, timestamp, payload,
                                      size, refcount, block)
             if waiter is not None:
-                self._await_local(waiter, timeout)
+                _run(self._parked_steps(waiter, timeout))
             return
-        # The request may hold views of the putter's own buffers
-        # (``Parts``): ``call`` sends on this thread, and every medium has
-        # copied the bytes by the time its ``send`` returns.
-        self.call(
-            handle.home_space,
-            PutReq(handle.channel_id, conn_id, timestamp, _framed(payload),
-                   size, refcount, block),
-            timeout=timeout,
-        )
+        self.call(handle.home_space, self._put_req(
+            handle, conn_id, timestamp, payload, size, refcount, block),
+            timeout)
+
+    @staticmethod
+    def _put_req(handle: ChannelHandle, conn_id: int, timestamp: int,
+                 payload: Any, size: int, refcount: int, block: bool) -> PutReq:
+        """The remote half of put.  It may hold views of the putter's buffers
+        (``Parts``): an RPC sends it before it first waits, and every medium
+        has copied the bytes by the time its ``send`` returns."""
+        return PutReq(handle.channel_id, conn_id, timestamp, _framed(payload),
+                      size, refcount, block)
 
     def get(
         self,
@@ -1509,25 +1554,26 @@ class AddressSpace:
                        or self._channel(handle.channel_id))
             reply = self._get_start(channel, conn_id, request, block)
             if reply.__class__ is _Waiter:
-                reply = self._await_local(reply, timeout)
+                reply = _run(self._parked_steps(reply, timeout))
             return reply[:3]
-        payload, ts, size, cached = self.call(
-            handle.home_space,
-            GetReq(handle.channel_id, conn_id, request, block, handle.push),
-            timeout=timeout,
-        )
+        got = GetReq(handle.channel_id, conn_id, request, block, handle.push)
+        while got.__class__ is GetReq:  # again if the pushed payload is gone
+            got = self._got(handle, conn_id, block,
+                            self.call(handle.home_space, got, timeout))
+        return got
+
+    def _got(self, handle: ChannelHandle, conn_id: int, block: bool,
+             reply: tuple) -> tuple | GetReq:
+        """The remote half of get: a reply as the op returns it, a pushed
+        payload taken from the push cache — or, if the cache was purged since
+        the push (which arrives first), the request that fetches it again."""
+        payload, ts, size, cached = reply
         if cached:
             with self._push_cache_lock:
                 entry = self._push_cache.get((handle.channel_id, ts))
-            if entry is not None:
-                return (entry[0], ts, size)
-            # The push should have arrived first (per-link FIFO); if the
-            # cache was purged in between, re-fetch the payload explicitly.
-            payload, ts, size, _ = self.call(
-                handle.home_space,
-                GetReq(handle.channel_id, conn_id, ts, block, False),
-                timeout=timeout,
-            )
+            if entry is None:
+                return GetReq(handle.channel_id, conn_id, ts, block, False)
+            return (entry[0], ts, size)
         return (_unframed(payload), ts, size)
 
     def consume(
@@ -1538,10 +1584,8 @@ class AddressSpace:
                        or self._channel(handle.channel_id))
             self._consume_apply(channel, conn_id, timestamp, until)
         else:
-            self.call(
-                handle.home_space,
-                ConsumeReq(handle.channel_id, conn_id, timestamp, until),
-            )
+            self.call(handle.home_space,
+                      ConsumeReq(handle.channel_id, conn_id, timestamp, until))
 
     def _channel(self, channel_id: int) -> LocalChannel:
         """The local channel ``channel_id``, or NoSuchChannelError.  The local

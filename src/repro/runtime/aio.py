@@ -9,8 +9,8 @@ driver:
   address spaces are :class:`AioAddressSpace` instances and whose GC daemon
   is an asyncio task;
 * :class:`AioAddressSpace` — an :class:`~repro.runtime.address_space
-  .AddressSpace` with ``async`` variants of every blocking entry point
-  (``aput``/``aget``/``acall``/``alookup_channel``/...) plus
+  .AddressSpace` whose blocking entry points have ``async`` twins that await
+  the same steps (``aput``/``aget``/``acall``/``alookup_channel``/...) plus
   :meth:`~AioAddressSpace.spawn_task` to run an ``async def`` as a Stampede
   thread;
 * :class:`AioEvent` — the per-space end of the PR 3 sync-factory seam: a
@@ -29,9 +29,11 @@ because there is no second implementation.
 
 **Locks stay real.**  Runtime-internal locks (channel lock, registry lock,
 ...) are held only across short critical sections and never across an
-``await``, so they remain ``threading`` locks: cheap, STMSAN-guardable, and
-safe against the *other* threads that still exist in an asyncio cluster
-(GC executor rounds, dispatcher threads of multi-space clusters).  Only the
+``await`` — steps yield their waits outside them — so they remain
+``threading`` locks: cheap, STMSAN-guardable, and safe against the OS
+threads an asyncio cluster still runs: each space's dispatcher
+(``stampede-dispatch-N``), which serves requests and delivers replies, and
+the GC round that the loop hands to the default executor.  Only the
 *events* — the things a logical thread sleeps on — are virtualized.
 
 **Task-local thread identity.**  All tasks share one OS thread, so the
@@ -39,19 +41,22 @@ per-OS-thread StampedeThread binding would collide; tasks bind through a
 ``contextvars.ContextVar`` instead (see :func:`repro.runtime.threads
 .current_thread`).
 
-**Remote operations.**  An operation on a channel homed elsewhere runs the
-synchronous entry point on the default executor (the dispatcher reply path
-is unchanged); the expected asyncio regime — many sparse connections, one
-space — never leaves the local path.
+**Remote operations.**  An operation on a channel homed elsewhere, and
+every create / lookup / attach / detach / destroy, runs the blocking entry
+point's own steps (``AddressSpace._rpc_steps`` and those built on it),
+awaited on the loop by :meth:`AioAddressSpace._arun`.  A task cancelled
+mid-call sends ``RpcCancel`` and waits out the grace period as a timed-out
+caller does.  The default executor runs only what is handed over blocking:
+the join of an OS thread, a model checker's events, a GC round, shutdown.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import time
 from asyncio import _get_running_loop
-from typing import Any, Callable, Coroutine
+from functools import update_wrapper
+from typing import Any, Callable, Coroutine, Generator
 
 from repro.core.flags import GetWildcard, UNKNOWN_REFCOUNT
 from repro.core.time import VirtualTime
@@ -60,11 +65,11 @@ from repro.runtime import sync as _sync
 from repro.runtime.address_space import (
     AddressSpace,
     ChannelHandle,
-    JoinReq,
+    _Call,
     _Waiter,
 )
 from repro.runtime.cluster import Cluster
-from repro.runtime.messages import LookupNameReq
+from repro.runtime.messages import ConsumeReq, GetReq
 from repro.runtime.sync import OneSleeperEvent
 from repro.runtime.threads import StampedeThread, current_thread
 
@@ -154,6 +159,16 @@ class AioEvent:
         return self._flag  # a set that raced the timeout is honoured
 
 
+def _awaiting(steps: Callable) -> Callable:
+    """The awaitable twin of an entry point: awaits the same ``steps``
+    method with :meth:`AioAddressSpace._arun`."""
+
+    async def entry(self: "AioAddressSpace", *args: Any, **kwargs: Any) -> Any:
+        return await self._arun(steps(self, *args, **kwargs))
+
+    return update_wrapper(entry, steps)
+
+
 class AioAddressSpace(AddressSpace):
     """An address space whose blocking entry points have ``async`` twins.
 
@@ -178,102 +193,53 @@ class AioAddressSpace(AddressSpace):
             return _sync.make_event()
         return AioEvent(self.cluster.loop)
 
-    # -- async RPC client ----------------------------------------------
-    async def acall(
-        self, dst_space: int, body: Any, timeout: float | None = None
-    ) -> Any:
-        """Awaitable twin of :meth:`AddressSpace.call`."""
-        if dst_space == self.space_id:
-            return await self._ahandle_blocking_locally(body, timeout)
-        return await self._in_executor(self.call, dst_space, body, timeout)
+    def _call_slot(self) -> _Call:
+        # A fresh call on this space's event: a per-OS-thread slot would be
+        # shared by every task of the loop.
+        return _Call(self._make_event())
 
-    async def _in_executor(self, fn: Callable, *args: Any) -> Any:
-        return await self.loop.run_in_executor(None, lambda: fn(*args))
-
-    async def _ahandle_blocking_locally(
-        self, body: Any, timeout: float | None
-    ) -> Any:
-        """Awaitable twin of ``_handle_blocking_locally``."""
-        if isinstance(body, LookupNameReq) and body.wait:
-            return await self._alocal_lookup_wait(body, timeout)
-        if isinstance(body, JoinReq):
-            return await self._in_executor(self._local_join, body, timeout)
-        result = self._handle(body, self.space_id, None)
-        if result.__class__ is _Waiter:
-            return await self._await_parked(result, timeout)
-        return result
-
-    # -- sleeping on a parked local operation ---------------------------
-    #
-    # ``aput`` and ``aget`` await the common park themselves: no timeout, no
-    # recorder, an AioEvent — the event's loop future, awaited in their own
-    # frame, then the outcome the drain left in the waiter.  Everything else
-    # (a timeout, the ``block(put|get)`` span, a model-checker event) goes
-    # through ``_await_parked``.  On either path a task cancelled while
-    # parked withdraws its operation under the channel lock before
-    # ``CancelledError`` propagates; if a drain completed the operation
-    # first, that completion stands — as it does against a timeout — and
-    # ``CancelledError`` propagates all the same.
-    async def _await_parked(
-        self, waiter: _Waiter, timeout: float | None
-    ) -> Any:
-        """Awaitable twin of ``_await_local`` (same completion contract)."""
-        rec = _obs.recorder
-        t0 = rec.now() if rec is not None else None
-        event = waiter.event
-        wait_async = getattr(event, "wait_async", None)
+    # -- the awaiting driver -------------------------------------------
+    async def _arun(self, steps: Generator) -> Any:
+        """Await an entry point's steps on the loop (``_run``'s twin).  A
+        cancellation is thrown into the steps at their wait, so that they
+        withdraw what they were waiting for before it propagates."""
+        advance, arg = steps.send, None
         try:
-            if wait_async is not None:
-                woke = await wait_async(timeout)
-            else:  # model-checker factories: plain event, wait off-loop
-                woke = await self._in_executor(event.wait, timeout)
-        except asyncio.CancelledError:
-            self._withdraw(waiter)
-            raise
-        return self._parked_outcome(waiter, woke, t0)
-
-    def _withdraw(self, waiter: _Waiter) -> None:
-        """Take a cancelled task's operation out of its wait set, unless a
-        drain completed it first."""
-        with waiter.channel.lock:
-            if self._unpark(waiter):
-                waiter.event.set()  # releases an executor thread still waiting
-
-    async def _alocal_lookup_wait(
-        self, body: LookupNameReq, timeout: float | None
-    ) -> ChannelHandle:
-        deadline = (time.monotonic() + timeout) if timeout is not None else None
-        while True:
-            handle, event = self._local_lookup_start(body)
-            if handle is not None:
-                return handle
-            remaining = self._local_lookup_left(body, event, deadline)
-            wait_async = getattr(event, "wait_async", None)
-            if wait_async is not None:
-                await wait_async(remaining)
-            else:  # pragma: no cover - model-checker factories
-                await self._in_executor(event.wait, remaining)
-            self._local_lookup_withdraw(body, event)
+            while True:
+                try:
+                    event, timeout = advance(arg)
+                except StopIteration as done:
+                    return done.value
+                wait_async = getattr(event, "wait_async", None)
+                try:
+                    if wait_async is not None:
+                        arg = await wait_async(timeout)
+                    else:  # model-checker events: a blocking wait, off-loop
+                        arg = await self.loop.run_in_executor(
+                            None, event.wait, timeout)
+                    advance = steps.send
+                except asyncio.CancelledError as exc:
+                    advance, arg = steps.throw, exc
+        finally:
+            steps.close()  # a wait that raised: the steps clean up now
 
     # -- async facade entry points --------------------------------------
-    async def acreate_channel(self, *args: Any, **kwargs: Any) -> ChannelHandle:
-        return await self._in_executor(
-            lambda: self.create_channel(*args, **kwargs)
-        )
+    acall = _awaiting(AddressSpace._rpc_steps)
+    acreate_channel = _awaiting(AddressSpace._create_steps)
+    alookup_channel = _awaiting(AddressSpace._lookup_steps)
+    adestroy_channel = _awaiting(AddressSpace._destroy_steps)
+    aattach = _awaiting(AddressSpace._attach_steps)
+    adetach = _awaiting(AddressSpace._detach_steps)
 
-    async def alookup_channel(
-        self, name: str, wait: bool = False, timeout: float | None = None
-    ) -> ChannelHandle:
-        handle = self.cluster._named_handle(name)
-        if handle is not None:
-            return handle
-        handle = await self.acall(
-            self.cluster.registry_space, LookupNameReq(name, wait),
-            timeout=timeout,
-        )
-        self.cluster._note_named_handle(handle)
-        return handle
-
+    # ``aput`` and ``aget`` on a local channel await the common park
+    # themselves: no timeout, no recorder, an AioEvent — the event's loop
+    # future, awaited in their own frame, then the outcome the drain left
+    # in the waiter.  A timed or recorded park runs ``_parked_steps``.  On
+    # either path a task cancelled while parked withdraws its operation
+    # under the channel lock before ``CancelledError`` propagates; if a
+    # drain completed the operation first, that completion stands — as it
+    # does against a timeout — and ``CancelledError`` propagates all the
+    # same.
     async def aput(
         self,
         handle: ChannelHandle,
@@ -287,10 +253,10 @@ class AioAddressSpace(AddressSpace):
     ) -> None:
         """Awaitable twin of :meth:`AddressSpace.put`."""
         if handle.home_space != self.space_id:
-            return await self._in_executor(
-                self.put, handle, conn_id, timestamp, payload, size, refcount,
-                block, timeout,
-            )
+            return await self._arun(self._rpc_steps(
+                handle.home_space, self._put_req(
+                    handle, conn_id, timestamp, payload, size, refcount,
+                    block), timeout))
         channel = (self._channels.get(handle.channel_id)
                    or self._channel(handle.channel_id))
         waiter = self._put_start(channel, conn_id, timestamp, payload, size,
@@ -300,7 +266,7 @@ class AioAddressSpace(AddressSpace):
         event = waiter.event
         if (timeout is not None or _obs.recorder is not None
                 or event.__class__ is not AioEvent):
-            await self._await_parked(waiter, timeout)
+            await self._arun(self._parked_steps(waiter, timeout))
             return
         if not event._flag:
             future = event._future = self.cluster.loop.create_future()
@@ -322,10 +288,12 @@ class AioAddressSpace(AddressSpace):
         timeout: float | None = None,
     ) -> tuple[Any, int, int]:
         """Awaitable twin of :meth:`AddressSpace.get`."""
-        if handle.home_space != self.space_id:
-            return await self._in_executor(
-                self.get, handle, conn_id, request, block, timeout
-            )
+        if handle.home_space != self.space_id:  # as in ``get``
+            got = GetReq(handle.channel_id, conn_id, request, block, handle.push)
+            while got.__class__ is GetReq:
+                got = self._got(handle, conn_id, block, await self._arun(
+                    self._rpc_steps(handle.home_space, got, timeout)))
+            return got
         channel = (self._channels.get(handle.channel_id)
                    or self._channel(handle.channel_id))
         reply = self._get_start(channel, conn_id, request, block)
@@ -334,7 +302,7 @@ class AioAddressSpace(AddressSpace):
         waiter, event = reply, reply.event
         if (timeout is not None or _obs.recorder is not None
                 or event.__class__ is not AioEvent):
-            return (await self._await_parked(waiter, timeout))[:3]
+            return (await self._arun(self._parked_steps(waiter, timeout)))[:3]
         if not event._flag:  # as in ``aput``
             future = event._future = self.cluster.loop.create_future()
             if not event._flag:
@@ -356,25 +324,12 @@ class AioAddressSpace(AddressSpace):
     ) -> None:
         """Awaitable twin of :meth:`AddressSpace.consume`."""
         if handle.home_space != self.space_id:
-            return await self._in_executor(
-                self.consume, handle, conn_id, timestamp, until
-            )
+            return await self._arun(self._rpc_steps(
+                handle.home_space,
+                ConsumeReq(handle.channel_id, conn_id, timestamp, until)))
         channel = (self._channels.get(handle.channel_id)
                    or self._channel(handle.channel_id))
         self._consume_apply(channel, conn_id, timestamp, until)
-
-    async def aattach(
-        self, handle: ChannelHandle, *, is_input: bool, thread: StampedeThread
-    ) -> int:
-        return await self._in_executor(
-            lambda: self.attach(handle, is_input=is_input, thread=thread)
-        )
-
-    async def adetach(self, handle: ChannelHandle, conn_id: int) -> None:
-        await self._in_executor(self.detach, handle, conn_id)
-
-    async def adestroy_channel(self, handle: ChannelHandle) -> None:
-        await self._in_executor(self.destroy_channel, handle)
 
     # -- coroutine Stampede threads --------------------------------------
     def spawn_task(
@@ -425,7 +380,7 @@ class AioAddressSpace(AddressSpace):
         task = getattr(thread, "aio_task", None)
         if task is None:
             # An OS-thread Stampede thread: join it off-loop.
-            return await self._in_executor(thread.join, timeout)
+            return await self.loop.run_in_executor(None, thread.join, timeout)
         try:
             return await asyncio.wait_for(asyncio.shield(task), timeout)
         except asyncio.TimeoutError:
@@ -476,7 +431,6 @@ class AioCluster(Cluster):
         # The thread GcDaemon stays off; the loop drives GC instead.
         super().__init__(n_spaces, gc_period=None, **kwargs)
         self._gc_task: asyncio.Task | None = None
-        self._aio_gc_period = gc_period
         if gc_period is not None:
             self._gc_task = loop.create_task(
                 self._gc_loop(gc_period), name="stampede-aio-gc"

@@ -166,10 +166,7 @@ class AioOutputConnection(_AioConnection):
         if timestamp.__class__ is not int or timestamp < 0:
             validate_timestamp(timestamp)
         self.thread.check_put_timestamp(timestamp)
-        # Always the in-band (copied) form, also for a remote home: ``aput``
-        # sends from an executor thread, which may still be reading while a
-        # cancelled or timed-out ``await`` has already returned here.
-        stored, size = encode(value, self._policy)
+        stored, size = encode(value, self._policy, self._remote_home)
         rec = _obs.recorder
         t0 = rec.now() if rec is not None else 0
         await self._space.aput(

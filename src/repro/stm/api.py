@@ -187,8 +187,8 @@ class _ConnectionBase:
         # handle and channel id every op passes on, the channel's copy
         # policy, and whether a put must cross to another space — the one
         # case in which ``encode`` may hand out views of the caller's
-        # buffers (the calling thread's send has copied them before ``put``
-        # returns; see repro.core.payload).
+        # buffers (the caller's own send has copied them before ``put``
+        # returns or first awaits; see repro.core.payload).
         self._space = channel.space
         self._handle = channel.handle
         self._channel_id = channel.handle.channel_id

@@ -11,6 +11,9 @@ thread/task interop on one cluster.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import gc
+import sys
 import threading
 import time
 
@@ -18,8 +21,10 @@ import pytest
 
 from repro.core import INFINITY, STM_OLDEST
 from repro.errors import StampedeError
+from repro.runtime import Cluster
 from repro.runtime.aio import AioCluster, AioEvent
 from repro.runtime.threads import current_thread
+from repro.stm import STM
 from repro.stm.aio import AioSTM
 
 
@@ -437,6 +442,203 @@ class TestAsyncFacade:
                 me.exit()
 
         run(main())
+
+
+@contextlib.contextmanager
+def _counting_executor(loop: asyncio.AbstractEventLoop):
+    """Count the loop's ``run_in_executor`` calls while the block runs."""
+    calls = [0]
+    run_in_executor = loop.run_in_executor
+
+    def counting(*args):
+        calls[0] += 1
+        return run_in_executor(*args)
+
+    loop.run_in_executor = counting
+    try:
+        yield calls
+    finally:
+        del loop.run_in_executor
+
+
+def _executor_threads() -> list[str]:
+    """The default executor's worker threads (``asyncio_N``) now alive."""
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("asyncio_")]
+
+
+def _timed_out_remote_ops(cluster, stm, run_op):
+    """What a remote put on a full channel and a remote get of an absent
+    item raise when their ``timeout`` expires, and what stays parked at the
+    home; ``run_op`` runs (or awaits) one facade call."""
+
+    async def ops():
+        chan = await run_op(stm.create_channel, "timed", capacity=1, home=1)
+        out = await run_op(chan.attach_output)
+        inp = await run_op(chan.attach_input)
+        await run_op(out.put, 0, b"zero")
+        raised = []
+        for op, args in ((out.put, (1, b"one")), (inp.get, (7,))):
+            try:
+                await run_op(op, *args, timeout=0.05)
+            except Exception as exc:  # noqa: BLE001 - compared below
+                raised.append((type(exc), str(exc)))
+        parked = cluster.space(1)._channel(chan.channel_id).parked
+        await run_op(inp.detach)
+        await run_op(out.detach)
+        return raised, parked
+
+    return ops()
+
+
+class TestRemoteOpsAwaitOnTheLoop:
+    """A task's operations on another space are awaited on the loop: no
+    executor thread, and the sync op's timeout outcome."""
+
+    def test_timed_out_remote_ops_raise_what_the_sync_ops_raise(self):
+        async def blocking(fn, *args, **kwargs):
+            return fn(*args, **kwargs)
+
+        async def awaiting(fn, *args, **kwargs):
+            return await fn(*args, **kwargs)
+
+        with Cluster(n_spaces=2, gc_period=None) as cluster:
+            me = cluster.space(0).adopt_current_thread(virtual_time=0)
+            try:
+                # nothing suspends on the blocking facade: one send ends it
+                with pytest.raises(StopIteration) as done:
+                    _timed_out_remote_ops(
+                        cluster, STM(cluster.space(0)), blocking).send(None)
+                want, parked = done.value.value
+            finally:
+                me.exit()
+        assert [kind for kind, _ in want] == [TimeoutError, TimeoutError]
+        assert parked == []
+
+        async def main():
+            async with AioCluster(n_spaces=2, gc_period=None) as cluster:
+                me = cluster.space(0).adopt_current_task(virtual_time=0)
+                with _counting_executor(asyncio.get_running_loop()) as calls:
+                    got = await _timed_out_remote_ops(
+                        cluster, AioSTM(cluster.space(0)), awaiting)
+                me.exit()
+                return got, calls[0]
+
+        (got, parked), executor_calls = run(main())
+        assert got == want
+        assert parked == []
+        assert executor_calls == 0
+
+    def test_channel_life_and_remote_ops_use_no_executor_thread(self):
+        """Create, lookup, attach, put, get, consume, detach and destroy on
+        a channel homed in the other space of a ``gc_period=None`` cluster:
+        the loop's default executor is never asked for a thread."""
+
+        async def main():
+            async with AioCluster(n_spaces=2, gc_period=None) as cluster:
+                space = cluster.space(0)
+                me = space.adopt_current_task(virtual_time=0)
+                stm = AioSTM(space)
+                with _counting_executor(asyncio.get_running_loop()) as calls:
+                    # a lookup parked at the registry (space 0) from space 1
+                    lookup = asyncio.ensure_future(AioSTM(
+                        cluster.space(1)).lookup("no.executor", wait=True))
+                    while not space._name_waiters.get("no.executor"):
+                        await asyncio.sleep(0.001)
+                    chan = await stm.create_channel("no.executor", home=1)
+                    assert (await lookup).handle == chan.handle
+                    async with chan.attach_output() as out, \
+                            chan.attach_input() as inp:
+                        for ts in range(3):
+                            await out.put(ts, bytes(ts + 1))
+                            item = await inp.get(ts)
+                            assert item.value == bytes(ts + 1)
+                            await inp.consume(ts)
+                    await chan.destroy()
+                    threads = _executor_threads()
+                me.exit()
+                return calls[0], threads
+
+        executor_calls, threads = run(main())
+        assert executor_calls == 0
+        assert threads == []
+
+    def test_a_remote_name_wait_is_withdrawn_on_timeout_and_cancel(self):
+        """A ``lookup(wait=True)`` parked at the registry from another space
+        is withdrawn by the caller's ``RpcCancel`` and acknowledged, as a
+        parked put or get is: a timeout raises the cancellation (not the
+        unacknowledged-cancel error after the grace period), on both
+        drivers, and a cancelled task leaves no waiter at the registry."""
+        with Cluster(n_spaces=2, gc_period=None) as cluster:
+            with pytest.raises(TimeoutError, match="cancelled by caller"):
+                STM(cluster.space(1)).lookup("absent", wait=True, timeout=0.05)
+            assert not cluster.space(0)._name_waiters.get("absent")
+
+        async def main():
+            async with AioCluster(n_spaces=2, gc_period=None) as cluster:
+                registry = cluster.space(0)._name_waiters
+                stm = AioSTM(cluster.space(1))
+                with pytest.raises(TimeoutError, match="cancelled by caller"):
+                    await stm.lookup("absent", wait=True, timeout=0.05)
+                assert not registry.get("absent")
+                lookup = asyncio.ensure_future(stm.lookup("late", wait=True))
+                while not registry.get("late"):
+                    await asyncio.sleep(0.001)
+                lookup.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await lookup
+                assert not registry.get("late")
+
+        run(main())
+
+    #: the project's Python calls on the loop thread per remote put → get →
+    #: consume of a 64 B item (27 while every op ran on an executor thread)
+    REMOTE_CYCLE_CALLS = 106
+
+    @pytest.mark.usefixtures("bare_op_path")
+    def test_python_calls_of_one_remote_cycle_on_the_loop(self):
+        """``sys.setprofile`` ``call`` events in ``repro`` code, coroutine
+        resumes included, over 100 cycles on a channel homed in the other
+        space: the facade, the steps of three RPCs, the send and the home's
+        receive of each request (in-process delivery runs on the sender),
+        and each reply's wakeup.  The event loop's own calls are not
+        counted: how many it makes depends on when a wakeup lands.  A reply
+        that lands before its task awaits makes fewer calls; one more call
+        per cycle fails the pin."""
+        cycles = 100
+
+        async def main():
+            async with AioCluster(n_spaces=2, gc_period=None) as cluster:
+                space = cluster.space(0)
+                me = space.adopt_current_task(virtual_time=0)
+                chan = await AioSTM(space).create_channel("rcycle", home=1)
+                calls = [0]
+
+                def profile(frame, event, arg):
+                    if event == "call" and "/repro/" in frame.f_code.co_filename:
+                        calls[0] += 1
+
+                async with chan.attach_output() as out, \
+                        chan.attach_input() as inp:
+                    async def cycle(ts):
+                        await out.put(ts, bytes(64), refcount=1)
+                        await inp.get(ts)
+                        await inp.consume(ts)
+
+                    for ts in range(10):  # warm
+                        await cycle(ts)
+                    sys.setprofile(profile)
+                    try:
+                        for ts in range(10, 10 + cycles):
+                            await cycle(ts)
+                    finally:
+                        sys.setprofile(None)
+                me.exit()
+                return calls[0]
+
+        gc.collect()  # no earlier test's garbage collected while counting
+        calls = asyncio.run(main(), debug=False) / cycles
+        assert calls <= self.REMOTE_CYCLE_CALLS, calls
 
 
 class TestThreadTaskInterop:

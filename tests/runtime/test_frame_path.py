@@ -136,45 +136,55 @@ class TestReuseAfterPut:
                 assert _crc(item.value) == want
                 inp.consume(second)
 
-    def test_asyncio_cancelled_mid_send_keeps_the_copied_form(self):
-        """``aput`` to a remote home sends from an executor thread; the
-        cancelled ``await`` returns while that thread has not sent a byte.
-        The facade therefore encodes in-band, and what lands is the frame
-        as it was when ``put`` was called."""
+    def test_asyncio_put_cancelled_at_any_await(self):
+        """``aput`` to a remote home sends the caller's own buffers (a
+        ``Parts``, as a thread's put does) before its first ``await``.  A
+        task cancelled at a later ``await`` — its request parked at the full
+        home, or already landed there by a drain the task has not seen —
+        has its buffer back when ``CancelledError`` reaches it, and what
+        landed is the frame as it was when ``put`` was called, or
+        nothing."""
 
         async def main():
             async with AioCluster(n_spaces=2, gc_period=None) as cluster:
                 space = cluster.space(0)
                 task_thread = space.adopt_current_task(virtual_time=0)
-                chan = await AioSTM(space).create_channel("fp.aio", home=1)
+                chan = await AioSTM(space).create_channel(
+                    "fp.aio", home=1, capacity=1)
                 out = await chan.attach_output()
-                inp = await chan.attach_input()
-                sending, release = threading.Event(), threading.Event()
-                send = space.endpoint.send
-
-                def held_send(dst, data):
-                    sending.set()
-                    assert release.wait(30), "the test never released the send"
-                    send(dst, data)
-
-                frame = _frame(3)
-                want = _crc(frame)
-                space.endpoint.send = held_send
-                try:
-                    put = asyncio.ensure_future(out.put(0, frame, refcount=1))
-                    while not sending.is_set():
-                        await asyncio.sleep(0.005)
+                # attached through the home: its ops never suspend the task
+                at_home = await AioSTM(cluster.space(1)).channel(
+                    chan.handle).attach_input()
+                home = cluster.space(1)._channel(chan.channel_id)
+                landed = []
+                for k in range(12):
+                    first, second = 2 * k, 2 * k + 1
+                    await out.put(first, _frame(first), refcount=1)  # full
+                    frame = _frame(second)
+                    want = _crc(frame)
+                    put = asyncio.ensure_future(
+                        out.put(second, frame, refcount=1))
+                    await asyncio.sleep(0)  # sent: the put awaits its reply
+                    if k % 2:
+                        while not home.put_waiters:
+                            await asyncio.sleep(0.001)
+                        await at_home.get_consume(first)  # lands the put
                     put.cancel()
                     with pytest.raises(asyncio.CancelledError):
                         await put
-                    frame.pixels[:] = 0  # the caller has its buffer back
-                finally:
-                    space.endpoint.send = send
-                    release.set()
-                item = await inp.get(0, timeout=30)
-                assert _crc(item.value) == want
-                await inp.consume(0)
-                await inp.detach()
+                    frame.pixels[:] = k  # the caller has its buffer back
+                    if not k % 2:
+                        await at_home.get_consume(first)
+                    try:
+                        item = await at_home.get(second, block=False)
+                    except ChannelEmptyError:
+                        continue  # the cancel won: nothing was stored
+                    assert _crc(item.value) == want
+                    await at_home.consume(second)
+                    landed.append(k)
+                # parked and cancelled: withdrawn; landed first: stands
+                assert landed == [1, 3, 5, 7, 9, 11]
+                await at_home.detach()
                 await out.detach()
                 task_thread.exit()
 

@@ -141,8 +141,10 @@ class TestCallBudget:
 
     #: a remote put round trip, caller and home dispatcher together
     #: (64 while a 1-byte item crossed as an out-of-band ``Frame``, 60 while
-    #: the kernel's put called into the item index)
-    REMOTE_PUT_CALLS = 57
+    #: the kernel's put called into the item index, 57 while the put called
+    #: ``call`` and the dispatcher ``_serve_request``, ``_reply_value``,
+    #: ``_channel`` and ``_unframed``)
+    REMOTE_PUT_CALLS = 56
 
     def test_remote_put_round_trip(self, monkeypatch):
         """Python calls per put to a channel homed in the other space of a

@@ -10,15 +10,23 @@ drain completed the operation before the cancellation reached the task,
 that completion stands (as it does against a timeout) and
 ``CancelledError`` propagates all the same.
 
+A channel homed in another space gets the same rule: the task's request
+is parked at the home, and a cancelled task sends ``RpcCancel`` and waits
+for the home's answer before ``CancelledError`` propagates, so the home
+has either withdrawn the operation or completed it first.
+
 Each case runs on the three ways a task can sleep: the plain park (no
 timeout, no recorder), a park given ``timeout=`` and a park with a trace
-recorder armed.
+recorder armed; and with the channel homed in the task's space or in the
+other space of a two-space cluster.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,37 +37,55 @@ from repro.runtime.aio import AioCluster
 from repro.stm.aio import AioSTM
 
 PATHS = ["plain", "timeout", "recorder"]
+#: each sleep on a channel homed in the task's space, then (``remote-``) in
+#: the other space
+PARKS = PATHS + [f"remote-{path}" for path in PATHS]
 
 
-@pytest.fixture(params=PATHS)
-def sleep_kwargs(request, monkeypatch):
-    """The keyword arguments of the parked call, with the recorder armed or
-    disarmed whatever the environment (``STMOBS=1``) arms."""
-    recorder = obs_events.Recorder() if request.param == "recorder" else None
+@pytest.fixture(params=PARKS)
+def park(request, monkeypatch):
+    """The channel's home and the keyword arguments of the parked call, with
+    the recorder armed or disarmed whatever the environment (``STMOBS=1``)
+    arms."""
+    where, _, path = request.param.rpartition("-")
+    recorder = obs_events.Recorder() if path == "recorder" else None
     monkeypatch.setattr(obs_events, "recorder", recorder)
-    return {"timeout": 30.0} if request.param == "timeout" else {}
+    return (1 if where else 0), ({"timeout": 30.0} if path == "timeout" else {})
 
 
 @contextlib.asynccontextmanager
-async def _capacity_one():
-    """One task's output and input connections on a capacity-1 channel, and
-    the channel's home state.  Puts pass ``refcount=1``: a consume frees
-    the slot with no GC round."""
-    async with AioCluster(n_spaces=1, gc_period=None) as cluster:
+async def _capacity_one(home: int):
+    """One task's output and input connections on a capacity-1 channel
+    homed at ``home``, the channel's home state, and an output and input
+    connection of the same task attached through the home space, whose
+    operations run at the home without the task suspending.  Puts pass
+    ``refcount=1``: a consume frees the slot with no GC round."""
+    async with AioCluster(n_spaces=2, gc_period=None) as cluster:
         space = cluster.space(0)
         me = space.adopt_current_task(virtual_time=0)
         try:
-            chan = await AioSTM(space).create_channel(capacity=1)
-            async with chan.attach_output() as out, chan.attach_input() as inp:
-                yield out, inp, space._channel(chan.channel_id)
+            chan = await AioSTM(space).create_channel(capacity=1, home=home)
+            at_home = AioSTM(cluster.space(home)).channel(chan.handle)
+            async with chan.attach_output() as out, \
+                    chan.attach_input() as inp, \
+                    at_home.attach_output() as home_out, \
+                    at_home.attach_input() as home_inp:
+                yield SimpleNamespace(
+                    out=out, inp=inp, home_out=home_out, home_inp=home_inp,
+                    channel=cluster.space(home)._channel(chan.channel_id))
         finally:
             me.exit()
 
 
 async def _parked(coro, channel):
-    """Start ``coro`` as a task and let it run until it parks."""
+    """Start ``coro`` as a task and let it run until its operation is
+    parked at the channel's home."""
     task = asyncio.ensure_future(coro)
+    deadline = time.monotonic() + 30
     await asyncio.sleep(0)
+    while not channel.put_waiters and not channel.get_waiters:
+        assert not task.done() and time.monotonic() < deadline
+        await asyncio.sleep(0.001)  # a remote request is on its way
     assert not task.done()
     assert len(channel.put_waiters) + len(channel.get_waiters) == 1
     return task
@@ -68,9 +94,12 @@ async def _parked(coro, channel):
 # ----------------------------------------------------------------------
 # cancelled while parked: withdrawn
 # ----------------------------------------------------------------------
-def test_a_cancelled_parked_put_is_withdrawn(sleep_kwargs):
+def test_a_cancelled_parked_put_is_withdrawn(park):
+    home, sleep_kwargs = park
+
     async def main():
-        async with _capacity_one() as (out, inp, channel):
+        async with _capacity_one(home) as c:
+            out, inp, channel = c.out, c.inp, c.channel
             await out.put(0, b"zero", refcount=1)
             put = await _parked(
                 out.put(1, b"one", refcount=1, **sleep_kwargs), channel)
@@ -88,9 +117,12 @@ def test_a_cancelled_parked_put_is_withdrawn(sleep_kwargs):
     asyncio.run(main())
 
 
-def test_a_cancelled_parked_get_is_withdrawn(sleep_kwargs):
+def test_a_cancelled_parked_get_is_withdrawn(park):
+    home, sleep_kwargs = park
+
     async def main():
-        async with _capacity_one() as (out, inp, channel):
+        async with _capacity_one(home) as c:
+            out, inp, channel = c.out, c.inp, c.channel
             get = await _parked(inp.get(0, **sleep_kwargs), channel)
             get.cancel()
             with pytest.raises(asyncio.CancelledError):
@@ -106,12 +138,14 @@ def test_a_cancelled_parked_get_is_withdrawn(sleep_kwargs):
     asyncio.run(main())
 
 
-@pytest.mark.parametrize("op", ["put", "get"])
-def test_wait_for_around_a_parked_op_withdraws_it(op):
+@pytest.mark.parametrize("op, home", [("put", 0), ("get", 0), ("put", 1), ("get", 1)],
+                         ids=["put", "get", "remote-put", "remote-get"])
+def test_wait_for_around_a_parked_op_withdraws_it(op, home):
     """``asyncio.wait_for`` cancels the operation it times out."""
 
     async def main():
-        async with _capacity_one() as (out, inp, channel):
+        async with _capacity_one(home) as c:
+            out, inp, channel = c.out, c.inp, c.channel
             if op == "put":
                 await out.put(0, b"zero", refcount=1)
                 coro = out.put(1, b"one", refcount=1)
@@ -135,13 +169,16 @@ def test_wait_for_around_a_parked_op_withdraws_it(op):
 # ----------------------------------------------------------------------
 # completed by a drain before the cancellation reached the task: stands
 # ----------------------------------------------------------------------
-def test_a_put_completed_before_its_cancellation_stands(sleep_kwargs):
+def test_a_put_completed_before_its_cancellation_stands(park):
+    home, sleep_kwargs = park
+
     async def main():
-        async with _capacity_one() as (out, inp, channel):
+        async with _capacity_one(home) as c:
+            out, inp, channel = c.out, c.inp, c.channel
             await out.put(0, b"zero", refcount=1)
             put = await _parked(
                 out.put(1, b"one", refcount=1, **sleep_kwargs), channel)
-            await inp.get_consume(0)  # the drain lands item 1 ...
+            await c.home_inp.get_consume(0)  # the drain lands item 1 ...
             put.cancel()  # ... before the parked task runs again
             with pytest.raises(asyncio.CancelledError):
                 await put
@@ -150,12 +187,15 @@ def test_a_put_completed_before_its_cancellation_stands(sleep_kwargs):
     asyncio.run(main())
 
 
-def test_a_get_completed_before_its_cancellation_stands(sleep_kwargs):
+def test_a_get_completed_before_its_cancellation_stands(park):
+    home, sleep_kwargs = park
+
     async def main():
-        async with _capacity_one() as (out, inp, channel):
+        async with _capacity_one(home) as c:
+            out, inp, channel = c.out, c.inp, c.channel
             get = await _parked(inp.get(0, **sleep_kwargs), channel)
-            await out.put(0, b"zero", refcount=1)  # the drain completes it ...
-            get.cancel()  # ... before the parked task runs again
+            await c.home_out.put(0, b"zero", refcount=1)  # the drain ...
+            get.cancel()  # ... completes it before the parked task runs again
             with pytest.raises(asyncio.CancelledError):
                 await get
             # The get happened: item 0 is OPEN on the connection, seen.

@@ -308,3 +308,47 @@ def test_a_remote_frame_sized_put_frames_the_callers_object(threads):
         assert _exact(item.value, payload) and item.size == FRAME_BYTES
     stats = frame_stats.snapshot()
     assert stats["payload_bytes_copied"] / stats["payload_bytes_framed"] == 2.0
+
+
+def test_a_remote_frame_sized_asyncio_put_copies_what_a_threads_put_does():
+    """The asyncio facade's remote put sends from the task before its first
+    ``await``, so it frames the caller's own ``bytes`` as a thread's put
+    does and copies as much: 2 copies per payload byte for the put, 2 per
+    framed byte with the get."""
+    payload = bytes(range(256)) * (FRAME_BYTES // 256)
+
+    async def main():
+        async with AioCluster(n_spaces=2, gc_period=None) as cluster:
+            space = cluster.space(0)
+            me = space.adopt_current_task(virtual_time=0)
+            chan = await AioSTM(space).create_channel(
+                f"bp.aio.{next(_names)}", home=1)
+            out = await chan.attach_output()
+            inp = await chan.attach_input()
+            sent = []
+            send = space.endpoint.send
+
+            def recording_send(dst, segments):
+                sent.extend(segments)
+                return send(dst, segments)
+
+            frame_stats.reset()
+            space.endpoint.send = recording_send
+            try:
+                await out.put(0, payload, refcount=1)
+            finally:
+                space.endpoint.send = send
+            put_stats = frame_stats.snapshot()
+            item = await inp.get_consume(0)
+            await out.detach()
+            await inp.detach()
+            me.exit()
+            return sent, put_stats, item, frame_stats.snapshot()
+
+    sent, put_stats, item, stats = asyncio.run(main())
+    assert any(isinstance(seg, memoryview) and seg.obj is payload
+               for seg in sent)
+    assert put_stats["payload_bytes_framed"] == FRAME_BYTES
+    assert put_stats["payload_bytes_copied"] / FRAME_BYTES == 2.0
+    assert _exact(item.value, payload) and item.size == FRAME_BYTES
+    assert stats["payload_bytes_copied"] / stats["payload_bytes_framed"] == 2.0
