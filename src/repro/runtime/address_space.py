@@ -127,6 +127,15 @@ def _unframed(payload: Any) -> Any:
     return payload.data if payload.__class__ is Frame else payload
 
 
+def _withdraw(parked: dict[Any, list[tuple]], call_id: int) -> list[tuple]:
+    """Remove and return the ``(call_id, src)`` entries of one parked call."""
+    found = [(entries, entry) for entries in parked.values()
+             for entry in entries if entry[0] == call_id]
+    for entries, entry in found:
+        entries.remove(entry)
+    return [entry for _entries, entry in found]
+
+
 def _run(steps: Generator) -> Any:
     """Run an entry point's steps on the calling thread: block in each wait
     they yield, send back whether it ended set, return what they return."""
@@ -532,14 +541,14 @@ class AddressSpace:
                 if self._unpark(waiter):
                     self._reply(waiter.src_space, cancelled)
             return
-        # A name lookup parked at the registry is withdrawn the same way;
-        # found nowhere, the request completed and its reply won the race.
+        # A name lookup parked at the registry, or a join parked on a
+        # thread, is withdrawn the same way; found nowhere, the request
+        # completed and its reply won the race.
         with self._registry_lock:
-            parked = [(waiters, entry) for waiters in self._name_waiters.values()
-                      for entry in waiters if entry[0] == msg.call_id]
-            for waiters, entry in parked:
-                waiters.remove(entry)
-        for _waiters, (_call_id, src) in parked:
+            parked = _withdraw(self._name_waiters, msg.call_id)
+        with self._threads_lock:
+            parked += _withdraw(self._pending_joins, msg.call_id)
+        for _call_id, src in parked:
             self._reply(src, cancelled)
 
     def _reply(self, dst: int, reply: RpcReply) -> None:

@@ -8,6 +8,7 @@ order).
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.kiosk.blob_tracker import BlobTracker, connected_components
 from repro.kiosk.frames import Actor, SyntheticScene
+from tests._hypothesis import examples
 from tests.kiosk import _reference_blob_tracker as reference
 
 
@@ -208,6 +210,126 @@ class TestRecordsEqualTheOracle:
         assert self._assert_same(background, frames, min_area=10, adapt=0.2) >= 12
 
 
+def _outcome(tracker, ts, frame):
+    """A record, or the exception class: threshold 0 divides a score by 0."""
+    try:
+        return tracker.analyze(ts, frame)
+    except ZeroDivisionError as exc:
+        return type(exc)
+
+
+def _near(k):
+    """``k / 3`` in double, the float32 mean of a channel sum of ``k``, its
+    float32 neighbours and doubles a quarter ulp either side: thresholds at
+    which float32 rounding, of the mean or of the threshold, decides."""
+    third = np.float32(k) / np.float32(3)
+    quarter = float(np.spacing(third)) / 4
+    return [
+        k / 3,
+        float(third),
+        float(third) - quarter,
+        float(third) + quarter,
+        float(np.nextafter(third, np.float32(-np.inf))),
+        float(np.nextafter(third, np.float32(np.inf))),
+    ]
+
+
+#: 0 passes every difference; at 25 + 1/3 the threshold's own float32
+#: rounding decides (a sum of 76 stays quiet); from 255 up no pixel passes.
+THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, 25.0, 25 + 1 / 3, 255.0]),
+    st.integers(0, 3 * 255).flatmap(lambda k: st.sampled_from(_near(k))),
+    st.floats(255.0, 1e4),
+)
+
+
+def _even_split(sums):
+    """Channel differences summing to ``sums``, at most one apart."""
+    d0 = sums // 3
+    d1 = (sums - d0) // 2
+    return np.stack([d0, d1, sums - d0 - d1], axis=-1)
+
+
+def _scene(seed, shape, threshold):
+    """A uint8 background, three uint8 frames and one int16 frame.  Quiet
+    pixels differ from the background by channel sums 0..7; up to three
+    rectangular blobs by sums within 2 of ``3 * threshold``, split over the
+    channels at random or evenly, and signed to stay in 0..255 where they
+    can."""
+    rng = np.random.default_rng(seed)
+    h, w = shape
+    background = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    near = int(np.clip(round(3 * min(threshold, 255.0)), 0, 765))
+    frames = []
+    for _ in range(3):
+        sums = rng.integers(0, 8, size=(h, w))
+        for _ in range(int(rng.integers(0, 4))):
+            y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+            y1, x1 = y0 + int(rng.integers(1, h + 1)), x0 + int(rng.integers(1, w + 1))
+            block = sums[y0:y1, x0:x1]
+            block[...] = np.clip(near + rng.integers(-2, 3, size=block.shape), 0, 765)
+        if rng.integers(2):  # split at random
+            d0 = rng.integers(np.maximum(0, sums - 510), np.minimum(255, sums) + 1)
+            rest = sums - d0
+            d1 = rng.integers(np.maximum(0, rest - 255), np.minimum(255, rest) + 1)
+            diffs = np.stack([d0, d1, rest - d1], axis=2)
+        else:
+            diffs = _even_split(sums)
+        base = background.astype(np.int16)
+        frame = np.where(base + diffs <= 255, base + diffs, base - diffs)
+        frames.append(np.clip(frame, 0, 255).astype(np.uint8))
+    wide = frames[1].astype(np.int16)
+    wide[: h // 2] += rng.integers(-400, 400, size=wide[: h // 2].shape, dtype=np.int16)
+    frames.insert(2, wide)  # a default tracker's float path, between uint8 frames
+    return background, frames
+
+
+class TestIntegerPathEqualsTheOracle:
+    """The uint8 differencing of a default tracker against the float32
+    oracle, at thresholds where float32 rounding decides a pixel; an
+    adapting tracker and an int16 frame take the float path."""
+
+    @given(
+        threshold=THRESHOLDS,
+        min_area=st.integers(1, 40),
+        shape=st.tuples(st.integers(1, 24), st.integers(1, 32)),
+        seed=st.integers(0, 2**32 - 1),
+        adapt=st.sampled_from([None, 0.2]),
+    )
+    @settings(max_examples=examples(150), deadline=None)
+    def test_records_equal_the_oracle(self, threshold, min_area, shape, seed, adapt):
+        background, frames = _scene(seed, shape, threshold)
+        ours = BlobTracker(background, threshold, min_area, adapt)
+        theirs = reference.BlobTracker(background, threshold, min_area, adapt)
+        for ts, frame in enumerate(frames):
+            assert _outcome(ours, ts, frame) == _outcome(theirs, ts, frame), ts
+        np.testing.assert_array_equal(ours._background, theirs._background)
+
+    def test_every_sum_at_every_rounding_threshold(self):
+        """One row holding every channel sum 0..765 in ascending order, split
+        evenly: the active pixels are one run from the least sum that passes,
+        which must be the oracle's at each of ``_near``'s thresholds."""
+        background = np.zeros((1, 3 * 255 + 1, 3), dtype=np.uint8)
+        frame = _even_split(np.arange(3 * 255 + 1))[None].astype(np.uint8)
+        for k in range(3 * 255 + 1):
+            for threshold in _near(k):
+                ours = BlobTracker(background, threshold, min_area=1)
+                theirs = reference.BlobTracker(background, threshold, min_area=1)
+                assert _outcome(ours, 0, frame) == _outcome(theirs, 0, frame), (
+                    k, threshold)
+
+    def test_the_threshold_is_compared_in_float32(self):
+        """76 / 3 exceeds 25 + 1/3 in exact arithmetic, but the comparison
+        rounds the threshold to float32, where it equals the mean of a
+        channel sum of 76: that pixel stays quiet and one of 77 passes."""
+        background = np.zeros((1, 2, 3), dtype=np.uint8)
+        frame = np.array([[[26, 25, 25], [26, 26, 25]]], dtype=np.uint8)
+        ours = BlobTracker(background, 25 + 1 / 3, min_area=1).analyze(0, frame)
+        assert [(r.x0, r.x1) for r in ours.regions] == [(1, 2)]
+        assert ours == reference.BlobTracker(
+            background, 25 + 1 / 3, min_area=1).analyze(0, frame)
+
+
 def _calls_of(fn):
     """Python and C function calls made while ``fn`` runs (no clock)."""
     calls = 0
@@ -256,6 +378,14 @@ class TestBlobTracker:
         assert "(240, 320, 3)" in str(excinfo.value)
         assert tracker.frames_processed == 0
 
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 4, 1), (4, 4, 4)])
+    @pytest.mark.parametrize("adapt", [None, 0.5])
+    def test_background_of_other_than_three_channels_is_rejected(self, shape, adapt):
+        """The float path sums channels 0-2 and divides by 3, the integer
+        path reads pixels as three bytes; the oracle averages them all."""
+        with pytest.raises(ValueError, match=r"\(H, W, 3\)"):
+            BlobTracker(np.zeros(shape, dtype=np.uint8), adapt=adapt)
+
     def test_detects_actor(self, scene):
         tracker = BlobTracker(scene.background)
         record = tracker.analyze(0, scene.render(0))
@@ -302,6 +432,27 @@ class TestBlobTracker:
             tracker.analyze(t, base)
         record = tracker.analyze(5, base)
         assert not record.detected
+
+    def test_working_set(self, scene):
+        """A default tracker owns 0.77 MB of arrays (2.23 MB of float32
+        scratch before the integer path), and a warm ``analyze`` of a
+        two-blob frame allocates well under one frame-sized plane."""
+        tracker = BlobTracker(scene.background)
+        owned = {}
+        for value in vars(tracker).values():
+            if isinstance(value, np.ndarray):
+                base = value if value.base is None else value.base
+                owned[id(base)] = base.nbytes
+        assert sum(owned.values()) <= 1_000_000
+        frame = scene.render(50)
+        assert len(tracker.analyze(0, frame).regions) == 2
+        tracemalloc.start()
+        try:
+            tracker.analyze(1, frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_frames_processed_counter(self, scene):
         tracker = BlobTracker(scene.background)

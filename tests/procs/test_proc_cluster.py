@@ -19,6 +19,7 @@ from repro.obs.metrics import REGISTRY
 from repro.runtime.procs import ProcCluster
 from repro.runtime.sync import clear_factories, install_factories
 from repro.stm import STM
+from tests.runtime._remote_join import assert_join_cancel_is_withdrawn
 
 
 def _wire_bytes(medium: str, direction: str):
@@ -144,6 +145,15 @@ class TestDataPlane:
             out.detach()
             inp.detach()
             me.exit()
+
+
+class TestRemoteJoin:
+    def test_timed_out_join_withdraws_its_parked_request(self, monkeypatch):
+        """As on threads (``tests/runtime/test_cluster.py``): the child's
+        dispatcher answers the cancel, and its thread's exit only the
+        second join."""
+        with ProcCluster(n_spaces=2, gc_period=None) as cluster:
+            assert_join_cancel_is_withdrawn(cluster, monkeypatch)
 
 
 class TestLifecycle:

@@ -24,6 +24,7 @@ from repro.runtime.messages import (
     RpcRequest,
 )
 from repro.transport.serialization import decode_message
+from tests.runtime._remote_join import assert_join_cancel_is_withdrawn
 
 
 @pytest.fixture
@@ -216,6 +217,12 @@ class TestSpawn:
         handle = cluster.space(0).spawn(_remote_probe, on_space=1)
         time.sleep(0.2)
         handle.join(timeout=5)  # immediate: thread long gone
+
+    def test_timed_out_join_withdraws_its_parked_request(self, monkeypatch):
+        """The cancel of a timed-out join is answered with ``TimeoutError``
+        at once, and the thread's exit later answers only the second join."""
+        with Cluster(n_spaces=2, gc_period=None) as cluster:
+            assert_join_cancel_is_withdrawn(cluster, monkeypatch)
 
 
 #: spawn RPC pickles args, so mutations to passed lists would be lost —
