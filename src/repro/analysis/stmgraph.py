@@ -17,9 +17,12 @@ The pass runs in three phases:
    ``with attach(...) as conn:`` aliasing and attaches on channel-valued
    *parameters*), put/get/consume/consume_until/detach operations with
    blocking flags and literal/parameter timestamps, spawn edges
-   (``space.spawn(fn, ...)``, ``threading.Thread(target=fn)``), held-lock
-   context, and call sites with the connection/channel/int arguments they
-   forward.
+   (``space.spawn(fn, ...)``, ``spawn_task``, a ``spawn(fn, ...)`` handed
+   in, ``threading.Thread(target=fn)``; a module function passed among a
+   spawn's arguments, or drawn from a literal stage table the spawn loops
+   over, is spawned too), held-lock context, and call sites with the
+   connection/channel/int arguments they forward.  Channel expressions may
+   be awaited: ``await (await stm.lookup(NAME)).attach_input()``.
 
 2. **Linking.**  Summaries are propagated through the call graph: a helper
    that consumes its connection parameter discharges the caller's
@@ -75,7 +78,7 @@ _PUT = {"put", "spd_channel_put_item"}
 _DETACH = {"detach", "spd_detach_channel"}
 _CHANNEL_MAKERS = {"create_channel"}
 _CHANNEL_FINDERS = {"lookup", "lookup_channel"}
-_SPAWNERS = {"spawn"}
+_SPAWNERS = {"spawn", "spawn_task"}
 #: get-request wildcard spellings that mark a ``.get`` as an STM get (and
 #: not, say, ``dict.get``) when the receiver is otherwise ambiguous.
 _WILDCARDS = {
@@ -205,10 +208,15 @@ class _FuncWalker:
         consts: dict[str, object],
         parent: "_FuncWalker | None" = None,
         sleep_aliases: tuple[set[str], set[str]] | None = None,
+        tables: dict[str, list[ast.expr]] | None = None,
     ) -> None:
         self.summary = summary
         self.consts = consts
         self.parent = parent
+        #: module-level literal tuples/lists, and the module's functions
+        self.tables = tables or {}
+        #: loop variables bound to names drawn from a literal table
+        self.loop_names = _loop_names(body, self.tables)
         #: ({module aliases of time}, {bare names bound to time.sleep})
         self.sleep_aliases = sleep_aliases or (set(), set())
         #: (body, qualname, summary-factory args) of nested functions
@@ -273,6 +281,8 @@ class _FuncWalker:
 
     def _resolve_channel_expr(self, expr: ast.expr) -> object:
         """Channel key, ("param", idx), or None for a channel-valued expr."""
+        while isinstance(expr, ast.Await):
+            expr = expr.value
         if isinstance(expr, ast.Name):
             if expr.id in self.summary.channels:
                 return self.summary.channels[expr.id]
@@ -514,7 +524,10 @@ class _FuncWalker:
 
         # -- spawn edges ---------------------------------------------------
         spawn_target = None
-        if isinstance(func, ast.Attribute) and func.attr in _SPAWNERS:
+        if (
+            (isinstance(func, ast.Attribute) and func.attr in _SPAWNERS)
+            or (isinstance(func, ast.Name) and func.id in _SPAWNERS)
+        ):
             if node.args and isinstance(node.args[0], ast.Name):
                 spawn_target = node.args[0].id
         elif (
@@ -526,6 +539,10 @@ class _FuncWalker:
                     spawn_target = kw.value.id
         if spawn_target is not None:
             self.summary.spawns.append((spawn_target, node.lineno))
+            # a trampoline's stage: ``spawn(run, (stage, cfg))``
+            for arg in node.args[1:]:
+                for name in self._function_names(arg):
+                    self.summary.spawns.append((name, node.lineno))
             self._recognize_call_names(node)
             return
 
@@ -622,6 +639,23 @@ class _FuncWalker:
                         self._recognized.add(id(arg))
             self.summary.calls.append(site)
 
+    def _function_names(self, expr: ast.expr) -> list[str]:
+        """Module functions ``expr`` names: directly, inside a literal
+        tuple/list, or as a loop variable drawn from a literal table."""
+        if isinstance(expr, (ast.Tuple, ast.List)):
+            return [n for elt in expr.elts for n in self._function_names(elt)]
+        if not isinstance(expr, ast.Name):
+            return []
+        names = {expr.id}
+        walker: _FuncWalker | None = self
+        while walker is not None:
+            if expr.id in walker.loop_names:
+                names = walker.loop_names[expr.id]
+                break
+            walker = walker.parent
+        functions = self.tables.get("<functions>", ())
+        return sorted(name for name in names if name in functions)
+
     def _emit(self, target: tuple | None, kind: str, node: ast.Call,
               path: _Path, blocking: bool, ts_literal: int | None = None,
               ts_param: int | None = None) -> bool:
@@ -687,6 +721,52 @@ def _sleep_aliases(tree: ast.Module) -> tuple[set[str], set[str]]:
     return time_mods, sleep_names
 
 
+def _module_tables(tree: ast.Module) -> dict[str, list]:
+    """Module-level literal tuples/lists by name, plus ``"<functions>"``:
+    the names of the module's functions."""
+    tables: dict[str, list] = {"<functions>": [
+        stmt.name for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and isinstance(
+            stmt.value, (ast.Tuple, ast.List)
+        ):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    tables[target.id] = stmt.value.elts
+    return tables
+
+
+def _loop_names(body: list[ast.stmt], tables: dict[str, list]) -> dict[str, set[str]]:
+    """``for a, b in TABLE`` (statement or comprehension) over a literal
+    table of tuples: each target name -> the names in its column."""
+    bound: dict[str, set[str]] = {}
+    loops = [
+        node for stmt in body for node in ast.walk(stmt)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+    ]
+    for loop in loops:
+        rows = loop.iter
+        if isinstance(rows, ast.Name):
+            rows = tables.get(rows.id)
+        elif isinstance(rows, (ast.Tuple, ast.List)):
+            rows = rows.elts
+        else:
+            rows = None
+        if not rows:
+            continue
+        targets = loop.target.elts if isinstance(loop.target, ast.Tuple) else [loop.target]
+        for row in rows:
+            cells = row.elts if isinstance(row, (ast.Tuple, ast.List)) else [row]
+            if len(cells) != len(targets):
+                continue
+            for target, cell in zip(targets, cells):
+                if isinstance(target, ast.Name) and isinstance(cell, ast.Name):
+                    bound.setdefault(target.id, set()).add(cell.id)
+    return bound
+
+
 def _module_constants(tree: ast.Module) -> dict[str, object]:
     consts: dict[str, object] = {}
     for stmt in tree.body:
@@ -702,6 +782,7 @@ def _collect_scopes(src: SourceFile) -> list[tuple[_FuncWalker, _Summary]]:
     nested closures (each closure walker keeps a reference to its parent
     so ops on captured connections are attributed to the defining scope)."""
     consts = _module_constants(src.tree)
+    tables = _module_tables(src.tree)
     sleep_aliases = _sleep_aliases(src.tree)
     out: list[tuple[_FuncWalker, _Summary]] = []
 
@@ -713,7 +794,7 @@ def _collect_scopes(src: SourceFile) -> list[tuple[_FuncWalker, _Summary]]:
             name=qualname.rsplit(".", 1)[-1], line=line, params=params,
             is_async=is_async,
         )
-        walker = _FuncWalker(body, summary, consts, parent, sleep_aliases)
+        walker = _FuncWalker(body, summary, consts, parent, sleep_aliases, tables)
         out.append((walker, summary))
         for nbody, nqual, nparams, nline, nasync in walker.nested:
             walk(nbody, nqual, nparams, nline, walker, nasync)

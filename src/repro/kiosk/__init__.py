@@ -1,78 +1,38 @@
-"""The Smart Kiosk application (paper §2): synthetic multi-modal pipeline on STM."""
+"""The Smart Kiosk application (paper §2): synthetic multi-modal pipeline on STM.
+
+The kiosk is the stages of :mod:`repro.kiosk.procfleet`, run by
+:func:`run_fleet` (threads or processes), :mod:`repro.kiosk.aiofleet` or
+:mod:`repro.kiosk.simfleet`; the other modules are the analyses they run.
+"""
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.kiosk.audio": (
-        "AUDIO_RATE",
-        "AudioChunk",
-        "AudioRecord",
-        "SAMPLES_PER_FRAME",
-        "SpeechDetector",
-        "SyntheticMicrophone",
-    ),
-    "repro.kiosk.blob_tracker": ("BlobTracker", "connected_components"),
-    "repro.kiosk.color_tracker": ("ColorTracker", "back_project", "color_histogram"),
+    "repro.kiosk.audio": ("SpeechDetector", "SyntheticMicrophone"),
+    "repro.kiosk.blob_tracker": ("BlobTracker",),
+    "repro.kiosk.color_tracker": ("ColorTracker",),
     "repro.kiosk.decision": ("DecisionModule", "GuiModule"),
-    "repro.kiosk.gesture": (
-        "GestureEvent",
-        "GestureRecognizer",
-        "classify_trajectory",
-        "run_gesture_stage",
-    ),
-    "repro.kiosk.frames": (
-        "FRAME_HEIGHT",
-        "FRAME_WIDTH",
-        "Actor",
-        "SyntheticScene",
-        "frame_bytes",
-    ),
-    "repro.kiosk.hifi_tracker": ("HifiTracker", "normalized_cross_correlation"),
-    "repro.kiosk.pipeline": ("PipelineConfig", "PipelineResult", "run_pipeline"),
+    "repro.kiosk.gesture": ("GestureRecognizer",),
+    "repro.kiosk.frames": ("Actor", "SyntheticScene"),
+    "repro.kiosk.hifi_tracker": ("HifiTracker",),
     "repro.kiosk.procfleet": ("FleetConfig", "FleetResult", "run_fleet"),
-    "repro.kiosk.records": (
-        "DecisionRecord",
-        "GuiEvent",
-        "Region",
-        "TrackRecord",
-        "VideoFrame",
-    ),
+    "repro.kiosk.records": ("TrackRecord", "VideoFrame"),
 })
 
 __all__ = [
-    "AUDIO_RATE",
     "Actor",
-    "AudioChunk",
-    "AudioRecord",
     "BlobTracker",
     "ColorTracker",
     "DecisionModule",
-    "DecisionRecord",
-    "FRAME_HEIGHT",
     "FleetConfig",
     "FleetResult",
-    "FRAME_WIDTH",
-    "GestureEvent",
     "GestureRecognizer",
-    "GuiEvent",
     "GuiModule",
     "HifiTracker",
-    "PipelineConfig",
-    "PipelineResult",
-    "Region",
-    "SAMPLES_PER_FRAME",
     "SpeechDetector",
     "SyntheticMicrophone",
     "SyntheticScene",
     "TrackRecord",
     "VideoFrame",
-    "back_project",
-    "classify_trajectory",
-    "color_histogram",
-    "connected_components",
-    "frame_bytes",
-    "normalized_cross_correlation",
     "run_fleet",
-    "run_gesture_stage",
-    "run_pipeline",
 ]

@@ -11,8 +11,8 @@ import asyncio
 import time
 
 from repro.kiosk.procfleet import (
-    FleetConfig, FleetResult, TRACK_CHANNEL, VIDEO_CHANNEL, fleet_decision,
-    fleet_digitizer, fleet_tracker, run_stage,
+    LAUNCHED, FleetConfig, FleetResult, fleet_channels, fleet_decision,
+    run_stage, thread_name,
 )
 from repro.runtime.aio import AioCluster
 from repro.runtime.threads import current_thread, require_current_thread
@@ -21,40 +21,62 @@ from repro.stm.aio import AioSTM
 __all__ = ["run_aio_fleet"]
 
 
+async def _run(stage, stm: AioSTM, me, config: FleetConfig, spawned: list):
+    """``stage`` as a task of ``me``; the tasks it spawns join ``spawned``."""
+
+    def spawn(child, on_space: int, virtual_time) -> None:
+        spawned.append(me.space.cluster.space(on_space).spawn_task(
+            _spawned_stage, (child, config), name=thread_name(child),
+            virtual_time=virtual_time,
+        ))
+
+    return await run_stage(stage, stm, me, config, spawn)
+
+
+async def _join(spawned: list) -> list:
+    return await asyncio.gather(
+        *(task.space.ajoin(task, timeout=30.0) for task in spawned),
+        return_exceptions=True,
+    )
+
+
 async def _spawned_stage(stage, config: FleetConfig):
-    """Task body: ``stage`` on this space's awaitable facade."""
-    return await run_stage(stage, AioSTM.here(), require_current_thread(), config)
+    """Task body: ``stage`` on this space; awaits the tasks it spawned (a
+    failed one has ended the run already, and the driver names it)."""
+    spawned: list = []
+    try:
+        return await _run(
+            stage, AioSTM.here(), require_current_thread(), config, spawned
+        )
+    finally:
+        await _join(spawned)
 
 
 async def run_aio_fleet(
     cluster: AioCluster, config: FleetConfig | None = None
 ) -> FleetResult:
-    """Run the fleet as asyncio tasks on ``cluster`` and report, as
-    :func:`repro.kiosk.procfleet.run_fleet` does (decision + GUI here)."""
+    """Run the kiosk as asyncio tasks on ``cluster`` and report, as
+    :func:`repro.kiosk.procfleet.run_fleet` does (decision + GUI here).
+    The digitizer paces on the wall clock, so ``fps`` must be None."""
     config = config or FleetConfig()
+    if config.fps is not None:
+        raise ValueError("a paced digitizer would block the event loop")
     space = cluster.space(0)
     was_adopted = current_thread()
     me = space.adopt_current_task()
     t0 = time.perf_counter()
     stm = AioSTM(space)
-    await stm.create_channel(
-        VIDEO_CHANNEL, config.frame_channel_capacity, config.digitizer_space
-    )
-    await stm.create_channel(TRACK_CHANNEL, home=config.tracker_space)
-    stages = [
-        cluster.space(on).spawn_task(_spawned_stage, (stage, config), name=name)
-        for stage, on, name in (
-            (fleet_digitizer, config.digitizer_space, "aio-fleet-digitizer"),
-            (fleet_tracker, config.tracker_space, "aio-fleet-tracker"),
-        )
+    for name, capacity, home in fleet_channels(config):
+        await stm.create_channel(name, capacity, home)
+    spawned = [
+        cluster.space(getattr(config, placed)).spawn_task(
+            _spawned_stage, (stage, config), name=thread_name(stage))
+        for stage, placed in LAUNCHED
     ]
     try:
-        result = await run_stage(fleet_decision, stm, me, config)
+        result = await _run(fleet_decision, stm, me, config, spawned)
     finally:
-        joined = await asyncio.gather(
-            *(stage.space.ajoin(stage, timeout=30.0) for stage in stages),
-            return_exceptions=True,
-        )
+        joined = await _join(spawned)
         if me is not was_adopted:
             me.exit()
     for outcome in joined:

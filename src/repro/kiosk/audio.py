@@ -113,7 +113,6 @@ class SpeechDetector:
         self.zcr_max = zcr_max
         self.calibration = calibration
         self._noise_energies: list[float] = []
-        self.chunks_processed = 0
 
     @staticmethod
     def features(samples: np.ndarray) -> tuple[float, float]:
@@ -132,7 +131,6 @@ class SpeechDetector:
         else:
             floor = float(np.median(self._noise_energies))
             speech = energy > self.energy_factor * floor and zcr < self.zcr_max
-        self.chunks_processed += 1
         return AudioRecord(
             timestamp=chunk.timestamp,
             speech=speech,

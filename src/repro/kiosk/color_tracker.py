@@ -67,7 +67,6 @@ class ColorTracker:
         self.bins = bins
         self.accept_score = accept_score
         self.window = window
-        self.frames_processed = 0
 
     def score_region(self, frame: np.ndarray, region: Region) -> float:
         """Mean back-projection of the model inside ``region``."""
@@ -114,6 +113,16 @@ class ColorTracker:
         score = float(bp[y0:y1, x0:x1].mean()) if (x1 > x0 and y1 > y0) else 0.0
         return cx, cy, score
 
+    def _window(self, frame: np.ndarray, cx: float, cy: float, area: int) -> Region:
+        """The tracking window around ``(cx, cy)``, clipped to the frame."""
+        win = self.window
+        return Region(
+            x0=max(int(cx) - win, 0), y0=max(int(cy) - win, 0),
+            x1=min(int(cx) + win, frame.shape[1]),
+            y1=min(int(cy) + win, frame.shape[0]),
+            cx=cx, cy=cy, area=area,
+        )
+
     def analyze(
         self,
         timestamp: int,
@@ -135,38 +144,15 @@ class ColorTracker:
                 if score < self.accept_score:
                     continue
                 cx, cy, refined = self.localize(frame, (cand.cx, cand.cy))
-                win = self.window
-                regions.append(
-                    Region(
-                        x0=max(int(cx) - win, 0),
-                        y0=max(int(cy) - win, 0),
-                        x1=min(int(cx) + win, frame.shape[1]),
-                        y1=min(int(cy) + win, frame.shape[0]),
-                        cx=cx,
-                        cy=cy,
-                        area=cand.area,
-                    )
-                )
+                regions.append(self._window(frame, cx, cy, cand.area))
                 scores.append(max(score, refined))
         else:
             bp = back_project(frame, self.model, self.bins)
             peak = np.unravel_index(int(np.argmax(bp)), bp.shape)
             cx, cy, score = self.localize(frame, (float(peak[1]), float(peak[0])))
             if score >= self.accept_score:
-                win = self.window
-                regions.append(
-                    Region(
-                        x0=max(int(cx) - win, 0),
-                        y0=max(int(cy) - win, 0),
-                        x1=min(int(cx) + win, frame.shape[1]),
-                        y1=min(int(cy) + win, frame.shape[0]),
-                        cx=cx,
-                        cy=cy,
-                        area=(2 * win) ** 2,
-                    )
-                )
+                regions.append(self._window(frame, cx, cy, (2 * self.window) ** 2))
                 scores.append(score)
-        self.frames_processed += 1
         return TrackRecord(
             timestamp=timestamp, tracker="color", regions=regions, scores=scores
         )

@@ -3,13 +3,13 @@
     "...a gesture recognition module may need to analyze a sliding window
     over a video stream."
 
-This is the third distinctive STM access pattern (after LATEST_UNSEEN
-skipping and specific-timestamp re-analysis): the recognizer keeps the last
-``window`` columns of the track channel *alive* by consuming only the
-trailing edge — ``consume_until(t - window)`` — while repeatedly getting the
-leading edge.  The window's items stay retrievable purely through STM's
-timestamp addressing and GC contract; no application-side ring buffer
-exists.
+A stage can keep the last ``window`` columns of the track channel *alive*
+by consuming only the recognizer's :attr:`~GestureRecognizer.trailing_edge`
+(STM's third access pattern, after LATEST_UNSEEN skipping and
+specific-timestamp re-analysis).  The recognizer keeps the window's
+positions itself, though, and open items pin the global GC horizon (§4.2),
+so the kiosk's gesture stage (:func:`repro.kiosk.procfleet.fleet_gesture`)
+consumes each record once fed.
 
 The classifier itself is deliberately simple (this is a systems paper): a
 trajectory is a **wave** when the horizontal velocity alternates sign with
@@ -23,13 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import INFINITY, STM_OLDEST_UNSEEN
 from repro.kiosk.records import TrackRecord
-from repro.runtime import current_thread
-from repro.stm.api import InputConnection
 
-__all__ = ["GestureEvent", "classify_trajectory", "GestureRecognizer",
-           "run_gesture_stage"]
+__all__ = ["GestureEvent", "classify_trajectory", "GestureRecognizer"]
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,6 @@ class GestureRecognizer:
         self.window = window
         self.min_records = min_records
         self._history: dict[int, tuple[float, float]] = {}
-        self.events: list[GestureEvent] = []
 
     def feed(self, record: TrackRecord) -> GestureEvent | None:
         """Add one tracking record; returns a gesture event when one fires."""
@@ -107,14 +102,12 @@ class GestureRecognizer:
         xs = [p[1][0] for p in points]
         ys = [p[1][1] for p in points]
         label, confidence = classify_trajectory(xs, ys)
-        event = GestureEvent(
+        return GestureEvent(
             timestamp=record.timestamp,
             gesture=label,
             span=len(points),
             confidence=confidence,
         )
-        self.events.append(event)
-        return event
 
     @property
     def trailing_edge(self) -> int | None:
@@ -122,37 +115,3 @@ class GestureRecognizer:
         if not self._history:
             return None
         return min(self._history)
-
-
-def run_gesture_stage(
-    inp: InputConnection,
-    recognizer: GestureRecognizer,
-    *,
-    stop_on_none: bool = True,
-) -> list[GestureEvent]:
-    """Run the recognizer as an STM pipeline stage until end-of-stream.
-
-    The sliding window is maintained with STM semantics: each record is
-    fetched in order with OLDEST_UNSEEN (a gesture needs the full
-    trajectory, not just the freshest sample); records that fell out of the
-    window are
-    released with ``consume_until`` so the GC horizon trails the window by
-    exactly ``recognizer.window`` frames.  The thread parks its virtual time
-    at INFINITY (it only inherits timestamps).
-    """
-    me = current_thread()
-    me.set_virtual_time(INFINITY)
-    events: list[GestureEvent] = []
-    while True:
-        item = inp.get(STM_OLDEST_UNSEEN)
-        if stop_on_none and item.value is None:
-            inp.consume_until(item.timestamp)
-            break
-        event = recognizer.feed(item.value)
-        if event is not None:
-            events.append(event)
-        # release only what slid out of the window (§1's pattern):
-        edge = recognizer.trailing_edge
-        if edge is not None and edge > 0:
-            inp.consume_until(edge - 1)
-    return events

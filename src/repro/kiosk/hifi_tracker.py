@@ -111,7 +111,6 @@ class HifiTracker:
         self.template: np.ndarray | None = None
         self.last_position: tuple[float, float] | None = None
         self._margin = search_margin
-        self.frames_processed = 0
 
     @property
     def acquired(self) -> bool:
@@ -169,7 +168,6 @@ class HifiTracker:
             else:
                 self._margin = min(self._margin + self.search_growth,
                                    self.max_margin)
-        self.frames_processed += 1
         return TrackRecord(
             timestamp=timestamp, tracker="hifi", regions=regions, scores=scores
         )

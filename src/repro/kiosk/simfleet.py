@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import types
 
+from repro.core import INFINITY
+from repro.core.flags import UNKNOWN_REFCOUNT
 from repro.errors import StampedeError
 from repro.kiosk.procfleet import (
-    FleetConfig, FleetResult, FleetStageError, TRACK_CHANNEL, VIDEO_CHANNEL,
-    fleet_decision, fleet_digitizer, fleet_tracker,
+    LAUNCHED, FleetConfig, FleetResult, FleetStageError, fleet_channels,
+    fleet_decision, thread_name,
 )
 from repro.kiosk.records import VideoFrame
 from repro.sim import SimStampede
@@ -23,6 +25,8 @@ __all__ = ["run_sim_fleet"]
 
 #: nominal wire size of a track/decision record in the simulated cluster.
 RECORD_BYTES = 256
+#: simulated period of the GC that reclaims frames (none carries a refcount).
+GC_PERIOD_US = 1000.0
 
 
 class _SimSTM:
@@ -51,7 +55,7 @@ class _SimSTM:
         return _SimSTM(self._thread, self._channels, self._conn[0], conn_id)
 
     @types.coroutine
-    def put(self, timestamp: int, value, *, refcount: int):
+    def put(self, timestamp: int, value, *, refcount: int = UNKNOWN_REFCOUNT):
         nbytes = (value.pixels.nbytes if isinstance(value, VideoFrame)
                   else 1 if value is None else RECORD_BYTES)
         yield from self._thread.put(
@@ -59,13 +63,13 @@ class _SimSTM:
         )
 
     @types.coroutine
-    def get(self, timestamp: int):
+    def get(self, timestamp):
         value, ts, size = yield from self._thread.get(self._conn, timestamp)
         return Item(value=value, timestamp=ts, size=size)
 
     @types.coroutine
-    def consume(self, timestamp: int):
-        yield from self._thread.consume(self._conn, timestamp)
+    def consume_until(self, timestamp: int):
+        yield from self._thread.consume(self._conn, timestamp, until=True)
 
     @types.coroutine
     def detach(self):
@@ -75,43 +79,62 @@ class _SimSTM:
 def run_sim_fleet(
     config: FleetConfig | None = None, sim: SimStampede | None = None
 ) -> FleetResult:
-    """Run the fleet inside a simulated cluster and report.
+    """Run the kiosk inside a simulated cluster and report.
 
-    The decision stage runs on space 0, digitizer and tracker on their
-    configured spaces; pass ``sim`` to control topology and costs.
-    ``wall_seconds`` is *simulated* time.
+    The decision stage runs on space 0, the others on their configured
+    spaces; pass ``sim`` to control topology and costs.  ``wall_seconds``
+    is *simulated* time.  The digitizer paces on the wall clock, so
+    ``fps`` must be None.
     """
     config = config or FleetConfig()
-    sim = sim or SimStampede(
-        n_spaces=max(1, config.digitizer_space, config.tracker_space) + 1
-    )
+    if config.fps is not None:
+        raise ValueError("a paced digitizer would wait on the wall clock")
+    sim = sim or SimStampede(n_spaces=1 + max(
+        1, config.digitizer_space, config.tracker_space, config.hifi_space
+    ))
     channels = {
-        VIDEO_CHANNEL: sim.create_channel(
-            config.digitizer_space, config.frame_channel_capacity, VIDEO_CHANNEL
-        ),
-        TRACK_CHANNEL: sim.create_channel(config.tracker_space, name=TRACK_CHANNEL),
+        name: sim.create_channel(home, capacity, name)
+        for name, capacity, home in fleet_channels(config)
     }
-    tasks = {
-        stage: sim.spawn(
-            lambda t, stage=stage: stage(_SimSTM(t, channels), t, config),
-            space=space, virtual_time=0, name=name,
+    tasks = {}
+
+    def spawn(stage, space: int, virtual_time) -> None:
+        tasks[stage] = sim.spawn(
+            lambda t: stage(_SimSTM(t, channels), t, config, spawn),
+            space=space, virtual_time=virtual_time, name=thread_name(stage),
         )
-        for stage, space, name in (
-            (fleet_digitizer, config.digitizer_space, "sim-fleet-digitizer"),
-            (fleet_tracker, config.tracker_space, "sim-fleet-tracker"),
-            (fleet_decision, 0, "sim-fleet-decision"),
-        )
-    }
+
+    @types.coroutine
+    def decide(t):
+        result = yield from fleet_decision(_SimSTM(t, channels), t, config, spawn)
+        result.wall_seconds = t.now / 1e6  # *simulated* seconds
+        return result
+
+    for stage, placed in LAUNCHED:
+        spawn(stage, getattr(config, placed), 0)
+    decision = tasks[fleet_decision] = sim.spawn(
+        decide, name=thread_name(fleet_decision))
+
+    def collector(t):
+        while not decision.done:
+            yield ("delay", GC_PERIOD_US)
+            if not sim.gc_once_instant().collected and all(
+                task.waiting_on for task in sim.engine.pending_tasks
+                if task is not t.handle
+            ):
+                return  # nothing to free and every stage parked: a deadlock
+
+    sim.spawn(collector, virtual_time=INFINITY, name="sim-fleet-gc")
     try:
-        elapsed_us = sim.run()
+        sim.run()
     except Exception as exc:
         for task in filter(lambda task: not task.done, tasks.values()):
             # Run the teardown of a stage left parked (GC cannot: it yields).
             try:
-                task.gen.throw(GeneratorExit)
+                task.gen.throw(StampedeError("the simulated fleet failed"))
                 while True:
                     task.gen.send(None)
-            except (GeneratorExit, StopIteration, StampedeError):
+            except (StopIteration, StampedeError):
                 pass
         for stage, task in tasks.items():
             if task.error is exc:
@@ -119,6 +142,4 @@ def run_sim_fleet(
                     f"kiosk fleet stage {stage.__name__} failed"
                 ) from exc
         raise
-    result = tasks[fleet_decision].result
-    result.wall_seconds = elapsed_us / 1e6  # *simulated* seconds
-    return result
+    return decision.result

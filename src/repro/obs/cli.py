@@ -41,13 +41,11 @@ import sys
 
 from repro.obs import events as obs_events
 from repro.obs.export import (
-    lag_report,
     lag_report_from_doc,
     render_lag_report,
     render_trace_summary,
     summarize_trace,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.obs.metrics import REGISTRY
 
@@ -59,75 +57,38 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
-def _cmd_kiosk(args: argparse.Namespace) -> int:
+def _run_kiosk(args: argparse.Namespace, on_cluster=lambda cluster: None):
+    """The kiosk of ``--frames`` frames, on a ProcCluster (``--procs``) or a
+    thread Cluster; ``on_cluster`` sees the cluster before the run."""
     # Imported lazily: the CLI must stay usable for trace inspection even
     # where numpy (pulled in by the kiosk stages) is unavailable.
-    if args.procs:
-        return _kiosk_procs(args)
-    from repro.kiosk import PipelineConfig, run_pipeline
-    from repro.runtime import Cluster
-
-    if args.spaces == 3:
-        config = PipelineConfig(
-            n_frames=args.frames, fps=args.fps,
-            digitizer_space=0, lofi_space=1, hifi_space=1,
-            decision_space=2, gui_space=2,
-        )
-    else:
-        config = PipelineConfig(n_frames=args.frames, fps=args.fps)
-    with obs_events.trace(capacity=args.capacity) as rec:
-        with Cluster(n_spaces=args.spaces, gc_period=0.02) as cluster:
-            result = run_pipeline(cluster, config)
-    doc = write_chrome_trace(args.trace, rec)
-    problems = validate_chrome_trace(doc)
-    if problems:  # pragma: no cover - would be a bug in the exporter
-        print("exported trace failed schema validation:", file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        print(json.dumps({
-            "trace": str(args.trace),
-            "frames_digitized": result.frames_digitized,
-            "summary": summarize_trace(doc),
-            "lag": lag_report(rec, fps=args.fps),
-            "metrics": REGISTRY.snapshot(),
-        }, indent=2, default=str))
-        return 0
-    print(f"kiosk run: {result.frames_digitized} frames digitized, "
-          f"{result.frames_analyzed_lofi} analyzed, "
-          f"{len(result.decisions)} decisions, "
-          f"{result.wall_seconds:.2f} s wall")
-    print(f"trace written to {args.trace} "
-          f"(open in https://ui.perfetto.dev or chrome://tracing)")
-    print()
-    print(render_trace_summary(summarize_trace(doc)))
-    print()
-    print(render_lag_report(lag_report(rec, fps=args.fps)))
-    return 0
-
-
-def _kiosk_procs(args: argparse.Namespace) -> int:
-    """The kiosk fleet on a 3-space ProcCluster, harvested and merged."""
     from repro.kiosk.procfleet import FleetConfig, run_fleet
-    from repro.runtime.procs import ProcCluster
+    from repro.runtime import Cluster, ProcCluster
 
+    spaces = args.spaces or (3 if args.procs else 1)
+    placement = {} if spaces == 3 else dict(
+        digitizer_space=0, tracker_space=0, hifi_space=0)
+    config = FleetConfig(n_frames=args.frames, fps=args.fps,
+                         frame_channel_capacity=None, **placement)
+    runtime = ProcCluster if args.procs else Cluster
     was_armed = obs_events.armed()
     obs_events.enable(capacity=args.capacity)
     try:
-        with ProcCluster(n_spaces=3, gc_period=0.02) as cluster:
-            result = run_fleet(
-                cluster, FleetConfig(n_frames=args.frames),
-                collect_telemetry=True,
-            )
+        with runtime(n_spaces=spaces, gc_period=0.02) as cluster:
+            on_cluster(cluster)
+            return run_fleet(cluster, config, collect_telemetry=True)
     finally:
         if not was_armed:
             obs_events.disable()
+
+
+def _cmd_kiosk(args: argparse.Namespace) -> int:
+    result = _run_kiosk(args)
     telemetry = result.telemetry
     doc = telemetry.write_chrome_trace(args.trace)
     problems = validate_chrome_trace(doc)
     if problems:  # pragma: no cover - would be a bug in the merger
-        print("merged trace failed schema validation:", file=sys.stderr)
+        print("exported trace failed schema validation:", file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         return 1
@@ -137,18 +98,21 @@ def _kiosk_procs(args: argparse.Namespace) -> int:
         print(json.dumps({
             "trace": str(args.trace),
             "processes": len(telemetry.processes),
+            "frames_digitized": result.frames_digitized,
             "frames_tracked": result.frames_tracked,
             "summary": summary,
             "lag": lag,
             "metrics": telemetry.metrics_snapshot(),
         }, indent=2, default=str))
         return 0
-    print(f"kiosk fleet run across {len(telemetry.processes)} processes: "
-          f"{result.frames_tracked} frames tracked, "
+    print(f"kiosk run across {len(telemetry.processes)} process(es): "
+          f"{result.frames_digitized} frames digitized, "
+          f"{result.frames_tracked} analyzed, "
+          f"{len(result.decisions)} decisions, "
           f"{result.wall_seconds:.2f} s wall")
-    print(f"merged cluster trace written to {args.trace} "
+    print(f"trace written to {args.trace} "
           f"({summary['flows']} cross-process flows; open in "
-          f"https://ui.perfetto.dev)")
+          f"https://ui.perfetto.dev or chrome://tracing)")
     print()
     print(render_trace_summary(summary))
     print()
@@ -209,37 +173,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     sys.stdout.flush()
     try:
         if args.frames > 0:
-            if args.procs:
-                from repro.kiosk.procfleet import FleetConfig, run_fleet
-                from repro.runtime.procs import ProcCluster
+            def live(cluster) -> None:
+                harvest = getattr(cluster, "harvest_telemetry", None)
+                if harvest is not None:
+                    source_holder["fn"] = lambda: harvest().metrics_dump()
 
-                was_armed = obs_events.armed()
-                obs_events.enable(capacity=args.capacity)
-                try:
-                    with ProcCluster(n_spaces=3, gc_period=0.02) as cluster:
-                        source_holder["fn"] = (
-                            lambda: cluster.harvest_telemetry().metrics_dump()
-                        )
-                        result = run_fleet(
-                            cluster, FleetConfig(n_frames=args.frames),
-                            collect_telemetry=True,
-                        )
-                        source_holder["fn"] = result.telemetry.metrics_dump
-                finally:
-                    if not was_armed:
-                        obs_events.disable()
-                print(f"fleet run done: {result.frames_tracked} frames "
-                      f"tracked across 3 processes")
-            else:
-                from repro.kiosk import PipelineConfig, run_pipeline
-                from repro.runtime import Cluster
-
-                with Cluster(n_spaces=args.spaces, gc_period=0.02) as cluster:
-                    result = run_pipeline(
-                        cluster, PipelineConfig(n_frames=args.frames)
-                    )
-                print(f"kiosk run done: {result.frames_digitized} frames "
-                      f"digitized")
+            result = _run_kiosk(args, live)
+            source_holder["fn"] = result.telemetry.metrics_dump
+            print(f"kiosk run done: {result.frames_digitized} frames "
+                  f"digitized, {result.frames_tracked} analyzed")
         if args.linger > 0:
             _time.sleep(args.linger)
         elif args.frames <= 0:
@@ -292,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     kiosk = sub.add_parser("kiosk", help="run the kiosk pipeline traced")
     kiosk.add_argument("--frames", type=int, default=60)
     kiosk.add_argument("--fps", type=float, default=120.0)
-    kiosk.add_argument("--spaces", type=int, default=1, choices=[1, 3])
+    kiosk.add_argument("--spaces", type=int, default=None, choices=[1, 3],
+                       help="1 or 3 (the default with --procs)")
     kiosk.add_argument("--trace", default="kiosk_trace.json",
                        help="output Chrome trace path (default %(default)s)")
     kiosk.add_argument("--capacity", type=int,
@@ -300,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-thread ring capacity in events")
     kiosk.add_argument("--format", choices=["text", "json"], default="text")
     kiosk.add_argument("--procs", action="store_true",
-                       help="run the fleet on a 3-space ProcCluster and "
-                            "write the harvested, merged cluster trace")
+                       help="run each address space as its own OS process "
+                            "and write the harvested, merged cluster trace")
     kiosk.set_defaults(fn=_cmd_kiosk)
 
     report = sub.add_parser("report", help="summarize a captured trace")
@@ -327,15 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind port (default: ephemeral, printed)")
     serve.add_argument("--frames", type=int, default=60,
                        help="kiosk workload length; 0 = serve idle forever")
-    serve.add_argument("--spaces", type=int, default=1, choices=[1, 3])
+    serve.add_argument("--spaces", type=int, default=None, choices=[1, 3])
     serve.add_argument("--procs", action="store_true",
-                       help="drive a 3-space ProcCluster; /metrics serves "
-                            "the live cluster-merged harvest")
+                       help="drive a ProcCluster; /metrics serves the live "
+                            "cluster-merged harvest")
     serve.add_argument("--capacity", type=int,
                        default=obs_events.DEFAULT_CAPACITY)
     serve.add_argument("--linger", type=float, default=0.0,
                        help="keep serving this many seconds after the run")
-    serve.set_defaults(fn=_cmd_serve)
+    serve.set_defaults(fn=_cmd_serve, fps=None)
 
     top = sub.add_parser(
         "top", help="stmtop: live metrics view from a serve endpoint"

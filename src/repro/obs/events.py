@@ -24,7 +24,7 @@ context manager, which also writes the Chrome trace on exit::
 
     from repro.obs import trace
     with trace("out.json"):
-        run_pipeline(cluster)
+        run_fleet(cluster)
 """
 
 from __future__ import annotations

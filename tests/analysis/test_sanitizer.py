@@ -156,13 +156,14 @@ def test_open_items_are_never_poisoned(stmsan):
 
 def test_kiosk_smoke_pipeline_zero_dynamic_findings(stmsan):
     """Acceptance: the kiosk pipeline runs clean under the sanitizer."""
-    from repro.kiosk.pipeline import PipelineConfig, run_pipeline
+    from repro.kiosk.procfleet import FleetConfig, run_fleet
     from repro.runtime import Cluster
 
     with Cluster(n_spaces=2, gc_period=0.02) as cluster:
-        result = run_pipeline(
+        result = run_fleet(
             cluster,
-            PipelineConfig(n_frames=12, fps=480.0, lofi_space=1),
+            FleetConfig(n_frames=12, digitizer_space=0, tracker_space=1,
+                        hifi_space=1, frame_channel_capacity=None),
         )
     assert result is not None
     findings = sanitizer.findings()

@@ -3,8 +3,8 @@
 The seeded graph corpus reuses the ``# VIOLATION: STM###`` marker idiom
 from test_static_passes; each STM5xx rule must fire exactly on its
 marked line and stay silent on the clean idioms.  The golden-topology
-test pins the extracted kiosk pipeline graph to the documented §2
-structure (digitizer -> video -> {lofi, hifi} -> decision -> gui).
+test pins the extracted kiosk graph to the documented §2 structure
+(digitizer -> video -> {low-fi, hi-fi} -> decision + GUI).
 """
 
 from __future__ import annotations
@@ -75,12 +75,12 @@ def test_inline_suppression_waives_a_graph_rule(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# golden topology: the kiosk pipeline of DESIGN.md §2
+# golden topology: the kiosk of DESIGN.md §2, as its fleet stages
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def kiosk_graph():
     sources = load_sources(
-        [str(REPO / "src/repro/kiosk/pipeline.py")], root=REPO
+        [str(REPO / "src/repro/kiosk/procfleet.py")], root=REPO
     )
     return extract_graph(sources)
 
@@ -98,25 +98,24 @@ def test_kiosk_graph_is_finding_free(kiosk_graph):
 
 def test_kiosk_channels(kiosk_graph):
     assert set(kiosk_graph.channels) == {
-        "kiosk.video",
-        "kiosk.lofi",
-        "kiosk.hifi",
-        "kiosk.audio",
-        "kiosk.decision",
+        "kiosk.fleet.video",
+        "kiosk.fleet.tracks",
+        "kiosk.fleet.hifi",
+        "kiosk.fleet.audio",
+        "kiosk.fleet.gestures",
     }
 
 
 def test_kiosk_stage_threads(kiosk_graph):
     labels = {t.label for t in kiosk_graph.threads.values()}
     assert {
-        "run_pipeline",
-        "digitizer",
-        "lofi",
-        "hifi",
-        "decision",
-        "gui",
-        "microphone",
-        "gesture",
+        "run_fleet",
+        "fleet_digitizer",
+        "fleet_tracker",
+        "fleet_hifi_tracker",
+        "fleet_microphone",
+        "fleet_gesture",
+        "fleet_decision",
     } <= labels
 
 
@@ -125,20 +124,21 @@ def test_kiosk_dataflow_matches_documented_structure(kiosk_graph):
     puts = {(_label(g, e.src), e.dst) for e in g.edges if e.kind == "put"}
     gets = {(e.src, _label(g, e.dst)) for e in g.edges if e.kind == "get"}
     assert puts == {
-        ("digitizer", "kiosk.video"),
-        ("lofi", "kiosk.lofi"),
-        ("hifi", "kiosk.hifi"),
-        ("microphone", "kiosk.audio"),
-        ("decision", "kiosk.decision"),
+        ("fleet_digitizer", "kiosk.fleet.video"),
+        ("fleet_tracker", "kiosk.fleet.tracks"),
+        ("fleet_hifi_tracker", "kiosk.fleet.hifi"),
+        ("fleet_microphone", "kiosk.fleet.audio"),
+        ("fleet_gesture", "kiosk.fleet.gestures"),
     }
     assert gets == {
-        ("kiosk.video", "lofi"),
-        ("kiosk.video", "hifi"),
-        ("kiosk.lofi", "decision"),
-        ("kiosk.lofi", "gesture"),
-        ("kiosk.hifi", "decision"),
-        ("kiosk.audio", "decision"),
-        ("kiosk.decision", "gui"),
+        ("kiosk.fleet.video", "fleet_tracker"),
+        ("kiosk.fleet.video", "fleet_hifi_tracker"),
+        ("kiosk.fleet.tracks", "fleet_hifi_tracker"),
+        ("kiosk.fleet.tracks", "fleet_gesture"),
+        ("kiosk.fleet.tracks", "fleet_decision"),
+        ("kiosk.fleet.hifi", "fleet_decision"),
+        ("kiosk.fleet.audio", "fleet_decision"),
+        ("kiosk.fleet.gestures", "fleet_decision"),
     }
 
 
@@ -150,30 +150,73 @@ def test_kiosk_spawn_edges(kiosk_graph):
         if e.kind == "spawn"
     }
     assert {
-        ("run_pipeline", "digitizer"),
-        ("run_pipeline", "lofi"),
-        ("run_pipeline", "decision"),
-        ("run_pipeline", "gui"),
-        ("run_pipeline", "microphone"),
-        ("run_pipeline", "gesture"),
-        ("lofi", "hifi"),  # the hifi tracker is spawned on demand
+        # through the launcher's stage table
+        ("run_fleet", "fleet_digitizer"),
+        ("run_fleet", "fleet_tracker"),
+        ("run_fleet", "fleet_microphone"),
+        ("run_fleet", "fleet_gesture"),
+        # the hi-fi tracker is spawned on demand, through the spawn it is given
+        ("fleet_tracker", "fleet_hifi_tracker"),
     } <= spawns
 
 
 def test_kiosk_main_chain_and_placement_seed(kiosk_graph):
     chain = kiosk_graph.main_chain()
-    assert chain[0] == "digitizer"
-    assert chain[-1] == "gui"
+    assert chain[0] == "fleet_digitizer"
+    assert chain[-1] == "fleet_decision"
     assert len(chain) == 4
     model = kiosk_graph.placement_model()
     assert [s.name for s in model.stages] == chain
 
 
+def test_awaited_lookups_and_stage_tables_resolve(tmp_path):
+    """The async fleet idiom: a channel found by an awaited lookup, and
+    stages spawned through a trampoline from a module-level table."""
+    source = tmp_path / "fleet.py"
+    source.write_text(
+        "CHAN = 'w.chan'\n"
+        "async def producer(stm, spawn):\n"
+        "    out = await (await stm.lookup(CHAN, wait=True)).attach_output()\n"
+        "    await out.put(0, 'x')\n"
+        "    spawn(helper, 1)\n"
+        "    await out.detach()\n"
+        "async def consumer(stm, spawn):\n"
+        "    inp = await (await stm.lookup(CHAN, wait=True)).attach_input()\n"
+        "    await inp.get(0)\n"
+        "    await inp.consume(0)\n"
+        "    await inp.detach()\n"
+        "async def helper(stm, spawn):\n"
+        "    pass\n"
+        "def trampoline(stage):\n"
+        "    pass\n"
+        "TABLE = ((producer, 1), (consumer, 2))\n"
+        "def launch(space):\n"
+        "    return [space.spawn(trampoline, (stage,), on_space=on)\n"
+        "            for stage, on in TABLE]\n"
+    )
+    g = extract_graph(load_sources([str(source)], root=tmp_path))
+    assert set(g.channels) == {"w.chan"}
+    assert {(_label(g, e.src), e.dst) for e in g.edges if e.kind == "put"} == {
+        ("producer", "w.chan")
+    }
+    assert {(e.src, _label(g, e.dst)) for e in g.edges if e.kind == "get"} == {
+        ("w.chan", "consumer")
+    }
+    spawns = {(_label(g, e.src), _label(g, e.dst))
+              for e in g.edges if e.kind == "spawn"}
+    assert spawns == {
+        ("launch", "trampoline"),
+        ("launch", "producer"),
+        ("launch", "consumer"),
+        ("producer", "helper"),
+    }
+
+
 def test_dot_export_renders_nodes_and_edges(kiosk_graph):
     dot = kiosk_graph.to_dot()
     assert dot.startswith("digraph stm {")
-    assert '"kiosk.video" [shape=ellipse' in dot
-    assert '-> "kiosk.video" [label="put"' in dot
+    assert '"kiosk.fleet.video" [shape=ellipse' in dot
+    assert '-> "kiosk.fleet.video" [label="put"' in dot
     assert dot.rstrip().endswith("}")
 
 

@@ -4,11 +4,14 @@ import math
 
 import pytest
 
-from repro.core import INFINITY
-from repro.kiosk.gesture import (
-    GestureRecognizer,
-    classify_trajectory,
-    run_gesture_stage,
+from repro.core import INFINITY, STM_OLDEST_UNSEEN
+from repro.kiosk.gesture import GestureRecognizer, classify_trajectory
+from repro.kiosk.procfleet import (
+    GESTURE_CHANNEL,
+    TRACK_CHANNEL,
+    FleetConfig,
+    _spawned_stage,
+    fleet_gesture,
 )
 from repro.kiosk.records import Region, TrackRecord
 from repro.runtime import Cluster
@@ -95,34 +98,35 @@ class TestRecognizer:
 
 
 class TestGestureStageOnSTM:
-    def test_stage_consumes_trailing_edge_only(self):
-        """The §1 sliding-window pattern: the GC horizon trails the window."""
+    def test_stage_recognizes_a_wave_over_stm(self):
+        """The kiosk's gesture stage: one item per track column, the
+        gesture ending there or None, each inheriting its timestamp."""
+        n = 20
         with Cluster(n_spaces=1, gc_period=None) as cluster:
             boot = cluster.space(0).adopt_current_thread(virtual_time=0)
             stm = STM(cluster.space(0))
-            chan = stm.create_channel("tracks")
-            out = chan.attach_output()
-            events = {}
-
-            def stage():
-                inp = chan.attach_input()
-                recognizer = GestureRecognizer(window=6, min_records=4)
-                events["list"] = run_gesture_stage(inp, recognizer)
-                inp.detach()
-
-            handle = cluster.space(0).spawn(stage, virtual_time=0)
-            n = 20
+            out = stm.create_channel(TRACK_CHANNEL).attach_output()
+            inp = stm.create_channel(GESTURE_CHANNEL).attach_input()
+            handle = cluster.space(0).spawn(
+                _spawned_stage, (fleet_gesture, FleetConfig(n_frames=n)),
+                virtual_time=0,
+            )
             for ts in range(n):
                 boot.set_virtual_time(ts)
                 x = 100 + (6 if ts % 2 else 0)  # waving
                 out.put(ts, track(ts, x, 50))
             boot.set_virtual_time(n)
             out.put(n, None)
+            items = [inp.get(STM_OLDEST_UNSEEN) for _ in range(n + 1)]
             handle.join(30)
             boot.set_virtual_time(INFINITY)
             out.detach()
-            assert any(e.gesture == "wave" for e in events["list"])
+            inp.detach()
             boot.exit()
+        assert [item.timestamp for item in items] == list(range(n + 1))
+        events = [(item.timestamp, item.value) for item in items if item.value]
+        assert all(event.timestamp == ts for ts, event in events)
+        assert any(event.gesture == "wave" for _, event in events)
 
     def test_stage_keeps_window_alive_in_channel(self):
         """While the stage is mid-stream, items inside its window survive

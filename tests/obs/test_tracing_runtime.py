@@ -190,14 +190,15 @@ class TestClusterReportIntegration:
 class TestKioskTracing:
     def test_kiosk_trace_flag_end_to_end(self, tmp_path):
         pytest.importorskip("numpy")
-        from repro.kiosk import PipelineConfig, run_pipeline
+        from repro.kiosk import FleetConfig, run_fleet
 
         out = tmp_path / "kiosk.json"
         with obs_events.trace(out) as rec:
             with Cluster(n_spaces=1, gc_period=0.02) as cluster:
-                result = run_pipeline(
-                    cluster, PipelineConfig(n_frames=12, fps=200.0)
-                )
+                result = run_fleet(cluster, FleetConfig(
+                    n_frames=12, fps=200.0, frame_channel_capacity=None,
+                    digitizer_space=0, tracker_space=0, hifi_space=0,
+                ))
         assert result.frames_digitized == 12
         doc = json.loads(out.read_text())
         assert validate_chrome_trace(doc) == []
