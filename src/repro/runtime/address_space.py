@@ -12,6 +12,8 @@ paper runs one per SMP).  It owns:
   registry operations (on the registry space).  Messages that only
   *complete* something — RPC replies, eager cache pushes — never reach it:
   the thread that delivers them finishes them (:meth:`AddressSpace._receive`).
+  An asyncio space (:mod:`repro.runtime.aio`) starts no such thread: its
+  event loop serves the requests.
 
 Location transparency (§4): a thread operating on a channel homed in its own
 space runs the operation directly under the channel lock — the one lock a
@@ -455,8 +457,8 @@ class AddressSpace:
         stream lock) or is a socket reader, so this branch never sends,
         never blocks and takes only the leaf locks ``_calls_lock`` /
         ``_push_cache_lock``.  A message that asks for work — request,
-        cancel, shutdown — is queued for the dispatcher in arrival order,
-        which per peer is send order; it is never served on the deliverer's
+        cancel, shutdown — is queued for the dispatcher (an asyncio space:
+        its loop) in per-peer send order, never served on the deliverer's
         thread, however cheap (the caller's one sleep per RPC is also what
         lets the two sides of a busy pair alternate).  Must not raise.
         """
@@ -492,10 +494,12 @@ class AddressSpace:
             msg = take()
             if msg is _CLOSED or not self._serve(msg):
                 break
-        # Fail any calls still outstanding so client threads don't hang.  A
-        # transport-level failure (peer process crashed, heartbeat lapsed)
-        # is surfaced as such so callers can distinguish it from an orderly
-        # shutdown.
+        self._fail_calls()
+
+    def _fail_calls(self) -> None:
+        """The endpoint closed or failed: fail the calls outstanding, so that
+        their callers do not hang, with a transport failure (peer crashed,
+        heartbeat lapsed) told apart from an orderly shutdown."""
         failure = getattr(self.endpoint, "failure", None)
         with self._calls_lock:
             for call in self._calls.values():
@@ -676,7 +680,7 @@ class AddressSpace:
         GC daemon's epoch pattern).  Self-calls execute inline, so only
         non-blocking request bodies should be scattered.
         """
-        call = _Call()
+        call = _Call(self._make_event())
         if dst_space == self.space_id:
             try:
                 call.value = _run(self._local_steps(body, None))
@@ -688,38 +692,32 @@ class AddressSpace:
             self._begin_call(call, dst_space, body)
         return call
 
-    def gather(
-        self, pending: list[_Call], timeout: float | None = None
-    ) -> list[Any]:
+    def _gather_steps(self, pending: list[_Call], timeout: float | None = None):
         """Collect :meth:`call_async` results, in scatter order.
 
         ``timeout`` bounds the *total* wait across all replies.  The first
-        error encountered is raised (after unregistering the remaining
-        outstanding calls so late replies are dropped).
+        error encountered is raised; every call is unregistered first, so
+        late replies are dropped.
         """
         deadline = (time.monotonic() + timeout) if timeout is not None else None
         results: list[Any] = []
-        error: BaseException | None = None
-        for call in pending:
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            done = call.event.wait(remaining)
-            if call.call_id is not None:
-                self._end_call(call)
-            if error is not None:
-                continue  # keep unregistering the rest
-            if not done:
-                error = TimeoutError(
-                    f"gather timed out after {timeout}s with replies outstanding"
-                )
-            elif call.error is not None:
-                error = call.error
-            else:
+        try:
+            for call in pending:
+                remaining = None
+                if deadline is not None:
+                    remaining = max(0.0, deadline - time.monotonic())
+                if not (yield call.event, remaining):
+                    raise TimeoutError(f"gather timed out after {timeout}s")
+                if call.error is not None:
+                    raise call.error
                 results.append(call.value)
-        if error is not None:
-            raise error
+        finally:
+            for call in pending:
+                if call.call_id is not None:
+                    self._end_call(call)
         return results
+
+    gather = _blocking(_gather_steps)
 
     def _complete_call(self, reply: RpcReply) -> None:
         # Matched and delivered in one critical section: a thread's slot is
@@ -1198,8 +1196,7 @@ class AddressSpace:
         """Take an abandoned operation out of its wait set, unless a drain
         completed it first."""
         with waiter.channel.lock:
-            if self._unpark(waiter):
-                waiter.event.set()  # releases an executor thread still waiting
+            self._unpark(waiter)
 
     # -- name registry (registry space only) -----------------------------
     def _h_register_name(self, body: RegisterNameReq, src: int, cid) -> None:
@@ -1407,6 +1404,8 @@ class AddressSpace:
                 try:
                     self.detach(handle, conn_id)
                 except StampedeError:
+                    # also a task's exit on its loop, which cannot wait for
+                    # a remote home: the request went out, the loop serves it
                     pass
         with self._threads_lock:
             self._threads.pop(thread.name, None)

@@ -5,15 +5,14 @@ policy, not part of the STM semantics — so the same channel kernel can be
 driven by coroutines instead of OS threads.  This module provides that
 driver:
 
-* :class:`AioCluster` — a :class:`~repro.runtime.cluster.Cluster` whose
-  address spaces are :class:`AioAddressSpace` instances and whose GC daemon
-  is an asyncio task;
+* :class:`AioCluster` — a :class:`~repro.runtime.cluster.Cluster` of
+  :class:`AioAddressSpace` instances, run on its event loop's thread alone;
 * :class:`AioAddressSpace` — an :class:`~repro.runtime.address_space
   .AddressSpace` whose blocking entry points have ``async`` twins that await
   the same steps (``aput``/``aget``/``acall``/``alookup_channel``/...) plus
   :meth:`~AioAddressSpace.spawn_task` to run an ``async def`` as a Stampede
   thread;
-* :class:`AioEvent` — the per-space end of the PR 3 sync-factory seam: a
+* :class:`AioEvent` — what everything in an asyncio space sleeps on: a
   flag plus one loop future, made only when a task awaits (or a
   one-sleeper thread event, made only when an OS thread parks here), set
   from either side.
@@ -22,47 +21,42 @@ Design notes
 ------------
 
 **Exactly one kernel.**  The async paths run the thread runtime's start
-functions (``_put_start``/``_get_start``/``_consume_apply``) and substitute
-an ``await`` for the blocking event wait.  Put/get/consume semantics — §4.2
-visibility rules, wildcards, GC horizons — cannot diverge between drivers
-because there is no second implementation.
+functions (``_put_start``/``_get_start``/``_consume_apply``) and entry-point
+steps (``_rpc_steps`` and those built on it, GC rounds included) and
+substitute an ``await`` for the blocking event wait (:func:`_arun`), so
+semantics cannot diverge between drivers.  A task cancelled mid-call sends
+``RpcCancel`` and waits out the grace period as a timed-out caller does.
 
-**Locks stay real.**  Runtime-internal locks (channel lock, registry lock,
-...) are held only across short critical sections and never across an
-``await`` — steps yield their waits outside them — so they remain
-``threading`` locks: cheap, STMSAN-guardable, and safe against the OS
-threads an asyncio cluster still runs: each space's dispatcher
-(``stampede-dispatch-N``), which serves requests and delivers replies, and
-the GC round that the loop hands to the default executor.  Only the
-*events* — the things a logical thread sleeps on — are virtualized.
+**One OS thread.**  A request that reaches a space is scheduled on the loop
+(FIFO, so per-peer arrival order holds) and served there, never on the
+deliverer's stack; replies and cache pushes complete where they land, as
+on every driver (DESIGN.md section 5e).  Only the loop serves, so a
+blocking call on its thread would wait for ever: :meth:`AioEvent.wait`
+refuses it.  The default executor runs only what a caller hands over
+blocking: the join of an OS thread.
 
-**Task-local thread identity.**  All tasks share one OS thread, so the
-per-OS-thread StampedeThread binding would collide; tasks bind through a
-``contextvars.ContextVar`` instead (see :func:`repro.runtime.threads
+**Locks stay real.**  Runtime-internal locks are held only across short
+critical sections, never across an ``await``, so they remain ``threading``
+locks, safe against OS threads a program ``spawn``s into an asyncio space.
+Only the events are virtualized, and tasks bind their StampedeThread
+through a ``contextvars.ContextVar`` (:func:`repro.runtime.threads
 .current_thread`).
-
-**Remote operations.**  An operation on a channel homed elsewhere, and
-every create / lookup / attach / detach / destroy, runs the blocking entry
-point's own steps (``AddressSpace._rpc_steps`` and those built on it),
-awaited on the loop by :meth:`AioAddressSpace._arun`.  A task cancelled
-mid-call sends ``RpcCancel`` and waits out the grace period as a timed-out
-caller does.  The default executor runs only what is handed over blocking:
-the join of an OS thread, a model checker's events, a GC round, shutdown.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 from asyncio import _get_running_loop
 from functools import update_wrapper
 from typing import Any, Callable, Coroutine, Generator
 
 from repro.core.flags import GetWildcard, UNKNOWN_REFCOUNT
 from repro.core.time import VirtualTime
+from repro.errors import StampedeError
 from repro.obs import events as _obs
 from repro.runtime import sync as _sync
 from repro.runtime.address_space import (
+    _CLOSED,
     AddressSpace,
     ChannelHandle,
     _Call,
@@ -82,7 +76,7 @@ def _resolve(future: asyncio.Future) -> None:
 
 
 class AioEvent:
-    """The event a parked operation sleeps on in an asyncio space.
+    """The event a parked operation or a call sleeps on in an asyncio space.
 
     One flag, which is the event's state, plus at most one sleeper: the
     loop future of the task that awaits (:meth:`wait_async`, or published
@@ -92,10 +86,8 @@ class AioEvent:
     actually sleeps, and the flag is re-checked after publishing them, so a
     ``set()`` from another thread landing in between is seen.  ``set()``
     writes the flag first and then wakes whichever sleeper it finds: a
-    future inline when the setter runs on the loop (a task's put draining a
-    task's get), through ``call_soon_threadsafe`` when a real thread (GC
-    round, dispatcher) completes the waiter.  Every waiter is fresh per
-    park, so there is no ``clear()``.
+    future inline on the loop, through ``call_soon_threadsafe`` from an OS
+    thread.  Every event is fresh per wait, so there is no ``clear()``.
     """
 
     __slots__ = ("_flag", "_future", "_loop", "_sleeper")
@@ -129,9 +121,14 @@ class AioEvent:
         return self._flag
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Blocking wait, for an OS thread parked in an asyncio space."""
+        """Blocking wait, for an OS thread parked in an asyncio space;
+        refused on the loop's thread, which alone could set it."""
         if self._flag:
             return True
+        if _get_running_loop() is self._loop:
+            raise StampedeError(
+                "a blocking STM call on the event loop's thread waits for "
+                "ever: await its twin (aput, aget, acall, agc_once, ...)")
         sleeper = self._sleeper
         if sleeper is None:
             sleeper = self._sleeper = OneSleeperEvent()
@@ -159,69 +156,90 @@ class AioEvent:
         return self._flag  # a set that raced the timeout is honoured
 
 
+async def _arun(steps: Generator) -> Any:
+    """Await an entry point's steps on the loop (``_run``'s twin).  Before
+    sleeping on an event, the task lets the loop make one pass, which
+    serves a request the steps sent to a space of this loop and sets the
+    event with its reply.  A cancellation is thrown into the steps at their
+    wait, so that they withdraw what they were waiting for first."""
+    advance, arg = steps.send, None
+    try:
+        while True:
+            try:
+                event, timeout = advance(arg)
+            except StopIteration as done:
+                return done.value
+            try:
+                if not event._flag:
+                    await asyncio.sleep(0)  # one pass of the loop
+                arg = event._flag or await event.wait_async(timeout)
+                advance = steps.send
+            except asyncio.CancelledError as exc:
+                advance, arg = steps.throw, exc
+    finally:
+        steps.close()  # a wait that raised: the steps clean up now
+
+
 def _awaiting(steps: Callable) -> Callable:
     """The awaitable twin of an entry point: awaits the same ``steps``
-    method with :meth:`AioAddressSpace._arun`."""
+    method with :func:`_arun`."""
 
     async def entry(self: "AioAddressSpace", *args: Any, **kwargs: Any) -> Any:
-        return await self._arun(steps(self, *args, **kwargs))
+        return await _arun(steps(self, *args, **kwargs))
 
     return update_wrapper(entry, steps)
 
 
+class _LoopInbox:
+    """An asyncio space's request queue: its loop.  ``put`` runs on the
+    delivering thread (``AddressSpace._receive``), which may hold its
+    channel and stream locks, so the request is scheduled, never served
+    inline; the endpoint's close fails the calls outstanding."""
+
+    __slots__ = ("space",)
+
+    def __init__(self, space: "AioAddressSpace"):
+        self.space = space
+
+    def put(self, msg: Any) -> None:
+        space = self.space
+        if msg is _CLOSED:
+            return space._fail_calls()
+        loop = space.cluster.loop
+        if _get_running_loop() is loop:
+            loop.call_soon(space._serve, msg)
+        else:
+            try:
+                loop.call_soon_threadsafe(space._serve, msg)
+            except RuntimeError:
+                pass  # the loop has closed, and nothing is served any more
+
+
 class AioAddressSpace(AddressSpace):
     """An address space whose blocking entry points have ``async`` twins.
-
-    The sync API (``put``/``get``/``spawn``/...) keeps working — threads
-    and tasks can share one cluster — but threads of *this* space park on
-    :class:`AioEvent` waiters so either kind of caller can sleep on them.
+    The sync API keeps working off the loop's thread — threads and tasks can
+    share one cluster — and both kinds of caller sleep on :class:`AioEvent`.
     """
 
+    # The loop is read through the cluster, not stored: a 30th instance
+    # attribute would demote every ``self.x`` of the class to a dict lookup.
     cluster: "AioCluster"
 
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        # Read through the cluster, not stored: a 30th instance attribute
-        # would demote every ``self.x`` of the class to a dict lookup.
-        return self.cluster.loop
+    def start(self) -> None:
+        """Serve on the loop: no thread starts."""
+        self._requests = _LoopInbox(self)
+        self.endpoint.deliver_to(self._receive)
 
-    # -- the event seam -------------------------------------------------
-    def _make_event(self) -> Any:
-        # The factory global and the cluster's loop read directly: this runs
-        # on every park.
-        if _sync._event_factory is not None:  # model checker: its events
-            return _sync.make_event()
+    def stop(self) -> None:
+        self.endpoint.close()
+
+    def _make_event(self) -> AioEvent:
         return AioEvent(self.cluster.loop)
 
     def _call_slot(self) -> _Call:
         # A fresh call on this space's event: a per-OS-thread slot would be
         # shared by every task of the loop.
         return _Call(self._make_event())
-
-    # -- the awaiting driver -------------------------------------------
-    async def _arun(self, steps: Generator) -> Any:
-        """Await an entry point's steps on the loop (``_run``'s twin).  A
-        cancellation is thrown into the steps at their wait, so that they
-        withdraw what they were waiting for before it propagates."""
-        advance, arg = steps.send, None
-        try:
-            while True:
-                try:
-                    event, timeout = advance(arg)
-                except StopIteration as done:
-                    return done.value
-                wait_async = getattr(event, "wait_async", None)
-                try:
-                    if wait_async is not None:
-                        arg = await wait_async(timeout)
-                    else:  # model-checker events: a blocking wait, off-loop
-                        arg = await self.loop.run_in_executor(
-                            None, event.wait, timeout)
-                    advance = steps.send
-                except asyncio.CancelledError as exc:
-                    advance, arg = steps.throw, exc
-        finally:
-            steps.close()  # a wait that raised: the steps clean up now
 
     # -- async facade entry points --------------------------------------
     acall = _awaiting(AddressSpace._rpc_steps)
@@ -231,15 +249,12 @@ class AioAddressSpace(AddressSpace):
     aattach = _awaiting(AddressSpace._attach_steps)
     adetach = _awaiting(AddressSpace._detach_steps)
 
-    # ``aput`` and ``aget`` on a local channel await the common park
-    # themselves: no timeout, no recorder, an AioEvent — the event's loop
-    # future, awaited in their own frame, then the outcome the drain left
-    # in the waiter.  A timed or recorded park runs ``_parked_steps``.  On
-    # either path a task cancelled while parked withdraws its operation
-    # under the channel lock before ``CancelledError`` propagates; if a
-    # drain completed the operation first, that completion stands — as it
-    # does against a timeout — and ``CancelledError`` propagates all the
-    # same.
+    # ``aput`` and ``aget`` on a local channel await an untimed, unrecorded
+    # park themselves: the event's loop future, in their own frame, then
+    # the outcome the drain left in the waiter; other parks run
+    # ``_parked_steps``.  A task cancelled while parked withdraws its op
+    # under the channel lock, unless a drain completed it first, which
+    # stands as it does against a timeout; ``CancelledError`` propagates.
     async def aput(
         self,
         handle: ChannelHandle,
@@ -253,7 +268,7 @@ class AioAddressSpace(AddressSpace):
     ) -> None:
         """Awaitable twin of :meth:`AddressSpace.put`."""
         if handle.home_space != self.space_id:
-            return await self._arun(self._rpc_steps(
+            return await _arun(self._rpc_steps(
                 handle.home_space, self._put_req(
                     handle, conn_id, timestamp, payload, size, refcount,
                     block), timeout))
@@ -264,9 +279,8 @@ class AioAddressSpace(AddressSpace):
         if waiter is None:
             return
         event = waiter.event
-        if (timeout is not None or _obs.recorder is not None
-                or event.__class__ is not AioEvent):
-            await self._arun(self._parked_steps(waiter, timeout))
+        if timeout is not None or _obs.recorder is not None:
+            await _arun(self._parked_steps(waiter, timeout))
             return
         if not event._flag:
             future = event._future = self.cluster.loop.create_future()
@@ -291,7 +305,7 @@ class AioAddressSpace(AddressSpace):
         if handle.home_space != self.space_id:  # as in ``get``
             got = GetReq(handle.channel_id, conn_id, request, block, handle.push)
             while got.__class__ is GetReq:
-                got = self._got(handle, conn_id, block, await self._arun(
+                got = self._got(handle, conn_id, block, await _arun(
                     self._rpc_steps(handle.home_space, got, timeout)))
             return got
         channel = (self._channels.get(handle.channel_id)
@@ -300,9 +314,8 @@ class AioAddressSpace(AddressSpace):
         if reply.__class__ is not _Waiter:
             return reply[:3]
         waiter, event = reply, reply.event
-        if (timeout is not None or _obs.recorder is not None
-                or event.__class__ is not AioEvent):
-            return (await self._arun(self._parked_steps(waiter, timeout)))[:3]
+        if timeout is not None or _obs.recorder is not None:
+            return (await _arun(self._parked_steps(waiter, timeout)))[:3]
         if not event._flag:  # as in ``aput``
             future = event._future = self.cluster.loop.create_future()
             if not event._flag:
@@ -324,7 +337,7 @@ class AioAddressSpace(AddressSpace):
     ) -> None:
         """Awaitable twin of :meth:`AddressSpace.consume`."""
         if handle.home_space != self.space_id:
-            return await self._arun(self._rpc_steps(
+            return await _arun(self._rpc_steps(
                 handle.home_space,
                 ConsumeReq(handle.channel_id, conn_id, timestamp, until)))
         channel = (self._channels.get(handle.channel_id)
@@ -352,7 +365,7 @@ class AioAddressSpace(AddressSpace):
         if virtual_time is None:
             virtual_time = parent.visibility() if parent is not None else 0
         thread = self._register_thread(name, "aio", virtual_time, parent)
-        task = self.loop.create_task(
+        task = self.cluster.loop.create_task(
             self._run_task(thread, coro_fn, args, kwargs or {}), name=thread.name
         )
         thread.aio_task = task
@@ -378,9 +391,9 @@ class AioAddressSpace(AddressSpace):
     ) -> Any:
         """Await a task-thread's completion; re-raises its exception."""
         task = getattr(thread, "aio_task", None)
-        if task is None:
-            # An OS-thread Stampede thread: join it off-loop.
-            return await self.loop.run_in_executor(None, thread.join, timeout)
+        if task is None:  # an OS thread: joined off-loop
+            return await self.cluster.loop.run_in_executor(
+                None, thread.join, timeout)
         try:
             return await asyncio.wait_for(asyncio.shield(task), timeout)
         except asyncio.TimeoutError:
@@ -406,13 +419,12 @@ class AioAddressSpace(AddressSpace):
 
 
 class AioCluster(Cluster):
-    """A Stampede cluster driven by an asyncio event loop.
+    """A Stampede cluster on an asyncio event loop's thread alone.
 
     Must be constructed while the loop is running (``async with`` it, or
-    build it inside ``asyncio.run``).  The periodic GC daemon is an asyncio
-    task that off-loads each scatter/gather round to the default executor,
-    so GC never stalls the loop; ``gc_once()`` keeps working synchronously
-    for tests.
+    build it inside ``asyncio.run``).  Its spaces serve each other on the
+    loop, where a task awaits the periodic GC rounds; :meth:`agc_once`
+    awaits one.  A model checker's event factory is refused.
     """
 
     space_factory = AioAddressSpace
@@ -425,52 +437,38 @@ class AioCluster(Cluster):
         loop: asyncio.AbstractEventLoop | None = None,
         **kwargs: Any,
     ):
-        if loop is None:
-            loop = asyncio.get_running_loop()
-        self.loop = loop
+        if _sync._event_factory is not None:
+            raise StampedeError(
+                "cannot start AioCluster while a model-checker event factory "
+                "is installed: asyncio spaces park on AioEvent")
+        self.loop = loop = loop or asyncio.get_running_loop()
         # The thread GcDaemon stays off; the loop drives GC instead.
         super().__init__(n_spaces, gc_period=None, **kwargs)
-        self._gc_task: asyncio.Task | None = None
-        if gc_period is not None:
-            self._gc_task = loop.create_task(
-                self._gc_loop(gc_period), name="stampede-aio-gc"
-            )
+        self._gc_task = None if gc_period is None else loop.create_task(
+            self._gc_loop(gc_period), name="stampede-aio-gc")
 
     async def _gc_loop(self, period: float) -> None:
-        while not self._shut_down:
+        while True:
             await asyncio.sleep(period)
             if self._shut_down:
                 return
             try:
-                await self.loop.run_in_executor(None, self.gc_once)
-            except concurrent.futures.CancelledError:  # pragma: no cover
-                return
+                await self.agc_once()
             except Exception:  # pragma: no cover - GC must keep trying
-                if self._shut_down:
-                    return
+                pass
 
     def space(self, space_id: int) -> AioAddressSpace:
         return self._spaces[space_id]  # narrowed return type
 
     async def agc_once(self) -> Any:
-        """One GC round without blocking the loop."""
-        return await self.loop.run_in_executor(None, self.gc_once)
+        """One GC round, awaited on the loop."""
+        return await _arun(self._gc_rounds._round_steps())
 
     async def ashutdown(self) -> None:
         if self._gc_task is not None:
             self._gc_task.cancel()
-            try:
-                await self._gc_task
-            except asyncio.CancelledError:
-                pass
-            self._gc_task = None
-        await self.loop.run_in_executor(None, self.shutdown)
-
-    def shutdown(self) -> None:
-        if self._gc_task is not None and not self.loop.is_closed():
-            self._gc_task.cancel()
-            self._gc_task = None
-        super().shutdown()
+            await asyncio.wait([self._gc_task])  # the round withdraws
+        self.shutdown()
 
     async def __aenter__(self) -> "AioCluster":
         return self

@@ -28,7 +28,44 @@ from repro.transport.media import CLF_MTU, MEMORY_CHANNEL, Medium
 __all__ = ["Cluster"]
 
 
-class Cluster:
+class _SpaceHost:
+    """What an address space asks of its cluster: ``n_spaces``,
+    ``registry_space`` and the named-handle cache, all a process cluster's
+    child hosts its space with.  The clusters add the GC (:meth:`_start_gc`).
+    """
+
+    def __init__(self, n_spaces: int, registry_space: int):
+        self.n_spaces = n_spaces
+        self.registry_space = registry_space
+        self._named_handles: dict[str, ChannelHandle] = {}
+        self._named_lock = threading.Lock()
+
+    def _note_named_handle(self, handle: ChannelHandle) -> None:
+        if handle.name is None:
+            return
+        with self._named_lock:
+            self._named_handles[handle.name] = handle
+
+    def _named_handle(self, name: str) -> ChannelHandle | None:
+        with self._named_lock:
+            return self._named_handles.get(name)
+
+    def _start_gc(self, gc_period: float | None) -> None:
+        """Start the periodic GC daemon, unless ``gc_period`` is None.
+        :meth:`gc_once` runs its rounds on it, or on one daemon kept for
+        them: a daemon's rounds take turns, a fresh daemon's would not."""
+        self.gc_daemon: GcDaemon | None = None
+        if gc_period is not None:
+            self.gc_daemon = GcDaemon(self, period=gc_period)
+            self.gc_daemon.start()
+        self._gc_rounds = self.gc_daemon or GcDaemon(self, period=1.0)
+
+    def gc_once(self):
+        """Run one synchronous GC round (mainly for tests and examples)."""
+        return self._gc_rounds.run_once()
+
+
+class Cluster(_SpaceHost):
     """A running Stampede cluster of address spaces.
 
     Parameters
@@ -49,7 +86,8 @@ class Cluster:
         Start the per-space dispatcher threads (default True).  A
         single-space cluster serves every operation inline on the calling
         thread, so the model checker runs with ``dispatchers=False`` to
-        keep the thread set fully under its control.
+        keep the thread set fully under its control.  An asyncio cluster's
+        spaces start no thread either way: they serve on the loop.
     """
 
     #: address-space class this cluster instantiates — the seam the asyncio
@@ -71,8 +109,7 @@ class Cluster:
             raise ValueError(
                 f"registry_space {registry_space} out of range [0, {n_spaces})"
             )
-        self.n_spaces = n_spaces
-        self.registry_space = registry_space
+        super().__init__(n_spaces, registry_space)
         self.network = ClfNetwork(
             ClusterTopology(n_spaces, spaces_per_node, inter_node), mtu
         )
@@ -80,17 +117,10 @@ class Cluster:
             self.space_factory(self, i, self.network.endpoint(i))
             for i in range(n_spaces)
         ]
-        self._named_handles: dict[str, ChannelHandle] = {}
-        self._named_lock = threading.Lock()
         if dispatchers:
             for space in self._spaces:
                 space.start()
-        self.gc_daemon: GcDaemon | None = None
-        self._fallback_gc_daemon: GcDaemon | None = None
-        self._fallback_gc_lock = threading.Lock()
-        if gc_period is not None:
-            self.gc_daemon = GcDaemon(self, period=gc_period)
-            self.gc_daemon.start()
+        self._start_gc(gc_period)
         self._shut_down = False
 
     # ------------------------------------------------------------------
@@ -100,31 +130,6 @@ class Cluster:
     @property
     def spaces(self) -> list[AddressSpace]:
         return list(self._spaces)
-
-    def gc_once(self):
-        """Run one synchronous GC round (mainly for tests and examples)."""
-        # Reuse one fallback daemon when the periodic one is disabled:
-        # GcDaemon._lock serializes whole rounds, and a fresh daemon per
-        # call would defeat that (two concurrent gc_once rounds would
-        # interleave their scatter/gather phases).
-        daemon = self.gc_daemon
-        if daemon is None:
-            with self._fallback_gc_lock:
-                daemon = self._fallback_gc_daemon
-                if daemon is None:
-                    daemon = self._fallback_gc_daemon = GcDaemon(self, period=1.0)
-        return daemon.run_once()
-
-    # -- named-handle cache: avoids re-asking the registry for every lookup.
-    def _note_named_handle(self, handle: ChannelHandle) -> None:
-        if handle.name is None:
-            return
-        with self._named_lock:
-            self._named_handles[handle.name] = handle
-
-    def _named_handle(self, name: str) -> ChannelHandle | None:
-        with self._named_lock:
-            return self._named_handles.get(name)
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:

@@ -22,6 +22,9 @@ at or below the put's timestamp, so some summary always reports a value
 <= any timestamp that might still materialize.  (See the discussion in
 :mod:`repro.runtime.messages`.)
 
+A round is written once, as steps that the daemon thread and ``gc_once()``
+run blocking and an asyncio cluster awaits on its loop.
+
 Progress requires application discipline: threads must consume items and
 advance their virtual times (§4.2); a thread sitting on a finite virtual
 time forever pins the horizon, which :meth:`GcDaemon.stats` makes visible.
@@ -43,6 +46,7 @@ from repro.core.gc_state import merge_summaries
 from repro.core.time import INFINITY, VirtualTime
 from repro.obs import events as _obs
 from repro.obs.metrics import DEFAULT_SECONDS_BUCKETS, REGISTRY
+from repro.runtime.address_space import _run
 from repro.runtime.messages import GcApplyReq, GcSummaryReq
 from repro.runtime.sync import make_lock
 
@@ -65,7 +69,9 @@ class GcDaemon:
 
     Runs as a daemon thread next to the coordinator space.  ``period`` is
     the recomputation interval in seconds; :meth:`run_once` is public so
-    tests and simulations can drive collection deterministically.
+    tests and simulations can drive collection deterministically.  Its
+    rounds take turns, whoever runs them: this thread, ``gc_once()`` or an
+    asyncio cluster's loop.
     """
 
     def __init__(self, cluster, period: float = 0.05):
@@ -78,6 +84,9 @@ class GcDaemon:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._lock = make_lock("GcDaemon.lock")
+        #: the events of rounds waiting for their turn, in arrival order;
+        #: None while no round runs.  Guarded by ``_lock``.
+        self._turns: deque | None = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -107,10 +116,15 @@ class GcDaemon:
     # ------------------------------------------------------------------
     def run_once(self) -> VirtualTime:
         """One full GC round; returns the horizon that was broadcast."""
-        with self._lock:
+        return _run(self._round_steps())
+
+    def _round_steps(self):
+        """One GC round, as steps: its turn, then the scatter/gathers."""
+        coordinator = self.cluster.space(self.cluster.registry_space)
+        yield from self._turn_steps(coordinator)
+        try:
             self._epoch += 1
             epoch = self._epoch
-            coordinator = self.cluster.space(self.cluster.registry_space)
             rec = _obs.recorder
             t_epoch = rec.now() if rec is not None else 0
             wall0 = time.perf_counter()
@@ -120,10 +134,7 @@ class GcDaemon:
                 coordinator.call_async(space_id, GcSummaryReq(epoch))
                 for space_id in range(self.cluster.n_spaces)
             ]
-            # The blocking gather runs under self._lock on purpose: the lock
-            # serializes whole GC rounds, and the dispatcher threads that
-            # serve the replies never take it.
-            summaries = coordinator.gather(pending, timeout=10.0)  # stm-ok: STM103
+            summaries = yield from coordinator._gather_steps(pending, 10.0)
             if rec is not None:
                 rec.complete(
                     "gc", "gc.scatter", t_epoch, coordinator.space_id,
@@ -131,7 +142,8 @@ class GcDaemon:
                 )
             horizon = merge_summaries(summaries)
             t_collect = rec.now() if rec is not None else 0
-            collected = self._broadcast(coordinator, epoch, horizon)
+            collected = yield from self._broadcast_steps(
+                coordinator, epoch, horizon)
             self.stats.epochs += 1
             self.stats.last_horizon = horizon
             self.stats.total_collected += collected
@@ -153,8 +165,38 @@ class GcDaemon:
                     epoch=epoch, horizon=str(horizon), collected=collected,
                 )
             return horizon
+        finally:
+            self._pass_turn()
 
-    def _broadcast(self, coordinator, epoch: int, horizon: VirtualTime) -> int:
+    def _turn_steps(self, coordinator):
+        """Wait until no other round runs.  Rounds take turns in arrival
+        order, and one waits holding no lock: a task awaits it on the loop."""
+        with self._lock:
+            if self._turns is None:
+                self._turns = deque()
+                return
+            event = coordinator._make_event()
+            self._turns.append(event)
+        try:
+            yield event, None
+        except BaseException:  # a cancelled task: its place, or its turn
+            with self._lock:
+                waiting = event in self._turns
+                if waiting:
+                    self._turns.remove(event)
+            if not waiting:
+                self._pass_turn()
+            raise
+
+    def _pass_turn(self) -> None:
+        with self._lock:
+            if not self._turns:
+                self._turns = None
+                return
+            event = self._turns.popleft()
+        event.set()
+
+    def _broadcast_steps(self, coordinator, epoch: int, horizon: VirtualTime):
         """Apply the horizon on every space (scatter/gather over CLF).
 
         Gathering before returning keeps ``run_once`` deterministic for
@@ -168,4 +210,4 @@ class GcDaemon:
             coordinator.call_async(space_id, GcApplyReq(epoch, horizon))
             for space_id in range(self.cluster.n_spaces)
         ]
-        return sum(coordinator.gather(pending, timeout=10.0))
+        return sum((yield from coordinator._gather_steps(pending, 10.0)))

@@ -58,8 +58,8 @@ from typing import TYPE_CHECKING
 from repro.analysis import sanitizer
 from repro.errors import StampedeError, TransportClosedError, TransportError
 from repro.obs import events as _obs_events
-from repro.runtime.address_space import AddressSpace, ChannelHandle
-from repro.runtime.gc_daemon import GcDaemon
+from repro.runtime.address_space import AddressSpace
+from repro.runtime.cluster import _SpaceHost
 from repro.runtime.messages import (
     ClockProbeReq,
     EndpointStatsReq,
@@ -94,32 +94,6 @@ class _ChildSpec:
     obs_capacity: int | None = None
     #: "" (off), "1" (sanitizer), or "race" (sanitizer + race detector).
     san_mode: str = ""
-
-
-class _SpaceHost:
-    """The child-side stand-in for the cluster object.
-
-    :class:`AddressSpace` touches its cluster only for ``n_spaces``,
-    ``registry_space`` and the named-handle cache; a child process needs
-    nothing more — cluster-wide state (registry, GC coordination) lives at
-    space 0 and is reached over RPC like from any other space.
-    """
-
-    def __init__(self, n_spaces: int, registry_space: int):
-        self.n_spaces = n_spaces
-        self.registry_space = registry_space
-        self._named_handles: dict[str, ChannelHandle] = {}
-        self._named_lock = threading.Lock()
-
-    def _note_named_handle(self, handle: ChannelHandle) -> None:
-        if handle.name is None:
-            return
-        with self._named_lock:
-            self._named_handles[handle.name] = handle
-
-    def _named_handle(self, name: str) -> ChannelHandle | None:
-        with self._named_lock:
-            return self._named_handles.get(name)
 
 
 def _space_main(spec: _ChildSpec) -> None:
@@ -163,7 +137,7 @@ def _space_main(spec: _ChildSpec) -> None:
         endpoint.close()
 
 
-class ProcCluster:
+class ProcCluster(_SpaceHost):
     """A running Stampede cluster of address-space *processes*.
 
     Drop-in for the thread runtime's :class:`~repro.runtime.cluster.Cluster`
@@ -210,8 +184,7 @@ class ProcCluster:
                 "cannot start ProcCluster while model-checker sync factories "
                 "are installed: cooperative locks do not cross processes"
             )
-        self.n_spaces = n_spaces
-        self.registry_space = 0
+        super().__init__(n_spaces, registry_space=0)
         self.heartbeat_timeout = heartbeat_timeout
         self.session = f"{os.getpid():x}{os.urandom(3).hex()}"
         self.topology = ClusterTopology(
@@ -225,8 +198,6 @@ class ProcCluster:
         self._failed = threading.Event()
         self._failed_lock = threading.Lock()
         self._shut_down = False
-        self._named_handles: dict[str, ChannelHandle] = {}
-        self._named_lock = threading.Lock()
         # Rings first: attach (in connect_mesh, everywhere) requires the
         # segment to exist, and creating them before any process runs is the
         # simplest ordering that guarantees it.
@@ -298,10 +269,7 @@ class ProcCluster:
             raise self._start_failure
         self._space = AddressSpace(self, self.registry_space, self.endpoint)
         self._space.start()
-        self.gc_daemon: GcDaemon | None = None
-        if gc_period is not None:
-            self.gc_daemon = GcDaemon(self, period=gc_period)
-            self.gc_daemon.start()
+        self._start_gc(gc_period)
         self._supervisor_started = time.monotonic()
         self._supervisor = threading.Thread(
             target=self._supervise, name="stm-supervisor", daemon=True
@@ -320,16 +288,6 @@ class ProcCluster:
             )
         return self._space
 
-    def _note_named_handle(self, handle: ChannelHandle) -> None:
-        if handle.name is None:
-            return
-        with self._named_lock:
-            self._named_handles[handle.name] = handle
-
-    def _named_handle(self, name: str) -> ChannelHandle | None:
-        with self._named_lock:
-            return self._named_handles.get(name)
-
     # ==================================================================
     # conveniences
     # ==================================================================
@@ -340,13 +298,6 @@ class ProcCluster:
             fn, args, kwargs, name=name, virtual_time=virtual_time,
             on_space=on_space,
         )
-
-    def gc_once(self):
-        """Run one synchronous GC round across all processes."""
-        daemon = self.gc_daemon
-        if daemon is None:
-            daemon = self.gc_daemon = GcDaemon(self, period=1.0)
-        return daemon.run_once()
 
     def endpoint_stats(self, space_id: int, reset_frames: bool = False) -> dict:
         """Transport counters of any space (children answered over RPC)."""

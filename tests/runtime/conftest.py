@@ -27,8 +27,7 @@ def bare_op_path(monkeypatch):
     detector), no trace recorder and no reclaim hook.  For the tests that
     count the Python calls of an operation: ``STMOBS=1`` / ``STMSAN`` add
     their own calls to every op.  The primitive factories stay the
-    defaults: an installed event factory makes an asyncio space park on the
-    model checker's events instead of its own."""
+    defaults."""
     monkeypatch.setattr(sanitizer, "_enabled", False)
     monkeypatch.setattr(obs_events, "recorder", None)
     monkeypatch.setattr(channel_state, "_reclaim_hook", None)

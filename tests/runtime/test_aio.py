@@ -23,6 +23,8 @@ from repro.core import INFINITY, STM_OLDEST
 from repro.errors import StampedeError
 from repro.runtime import Cluster
 from repro.runtime.aio import AioCluster, AioEvent
+from repro.runtime.gc_daemon import GcDaemon
+from repro.runtime.sync import clear_factories, install_factories
 from repro.runtime.threads import current_thread
 from repro.stm import STM
 from repro.stm.aio import AioSTM
@@ -591,54 +593,223 @@ class TestRemoteOpsAwaitOnTheLoop:
 
         run(main())
 
-    #: the project's Python calls on the loop thread per remote put → get →
-    #: consume of a 64 B item (27 while every op ran on an executor thread)
-    REMOTE_CYCLE_CALLS = 106
+    #: ``repro`` calls on every thread per remote put → get → consume of a
+    #: 64 B item on ``AioCluster(2)``: 173 while each space served on a
+    #: dispatcher thread, 164 since they serve on the loop.
+    REMOTE_CYCLE_CALLS = 164
+    #: the same cycle on ``Cluster(2)``
+    THREADS_REMOTE_CYCLE_CALLS = 146
 
     @pytest.mark.usefixtures("bare_op_path")
-    def test_python_calls_of_one_remote_cycle_on_the_loop(self):
-        """``sys.setprofile`` ``call`` events in ``repro`` code, coroutine
-        resumes included, over 100 cycles on a channel homed in the other
-        space: the facade, the steps of three RPCs, the send and the home's
-        receive of each request (in-process delivery runs on the sender),
-        and each reply's wakeup.  The event loop's own calls are not
-        counted: how many it makes depends on when a wakeup lands.  A reply
-        that lands before its task awaits makes fewer calls; one more call
-        per cycle fails the pin."""
-        cycles = 100
+    def test_python_calls_of_one_remote_cycle_on_every_thread(self):
+        """``call`` events in ``repro`` code, coroutine resumes included,
+        over 100 cycles on a channel homed in the other space, counted on
+        every thread, as the thread driver's cycle is: the facade, the steps
+        of three RPCs, the send and the home's receive of each request
+        (in-process delivery runs on the sender), its serving and each
+        reply's wakeup.  The event loop's own calls are not counted: how
+        many it makes depends on when a wakeup lands.  A call that strays
+        into a neighbouring cycle (a dispatcher thread's last) is tolerated,
+        one more call per cycle on either driver is not.  The asyncio cycle
+        makes more calls than the thread one: every await level counts its
+        resume as a call, and a task's RPC has three (the facade, the
+        space's entry point, the steps' driver) beside the steps' generator.
+        """
+        aio = _repro_calls_per_cycle(_aio_remote_cycles)
+        threads = _repro_calls_per_cycle(_threads_remote_cycles)
+        assert aio < self.REMOTE_CYCLE_CALLS + 1, aio
+        assert threads < self.THREADS_REMOTE_CYCLE_CALLS + 1, threads
+
+
+#: the cycles the remote-cycle counts average over, after 10 warm ones
+_CYCLES = 100
+
+
+def _repro_calls_per_cycle(run_cycles) -> float:
+    """``call`` events in ``repro`` code per cycle on every thread while
+    ``run_cycles`` holds its counting window open: the profile function is
+    installed on this thread and, before ``run_cycles`` builds its cluster,
+    for every thread started after, each thread counting into a cell of
+    its own."""
+    window = [False]
+    cells: dict[int, list[int]] = {}
+    get_ident = threading.get_ident
+
+    def profile(frame, event, arg):
+        if window[0] and event == "call" and "/repro/" in frame.f_code.co_filename:
+            cell = cells.get(get_ident())
+            if cell is None:
+                cell = cells[get_ident()] = [0]
+            cell[0] += 1
+
+    gc.collect()  # no earlier test's garbage collected while counting
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        run_cycles(window)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return sum(cell[0] for cell in cells.values()) / _CYCLES
+
+
+def _aio_remote_cycles(window: list) -> None:
+    async def main():
+        async with AioCluster(n_spaces=2, gc_period=None) as cluster:
+            space = cluster.space(0)
+            me = space.adopt_current_task(virtual_time=0)
+            chan = await AioSTM(space).create_channel("rcycle", home=1)
+            async with chan.attach_output() as out, chan.attach_input() as inp:
+                for ts in range(10 + _CYCLES):
+                    window[0] = ts >= 10
+                    await out.put(ts, bytes(64), refcount=1)
+                    await inp.get(ts)
+                    await inp.consume(ts)
+                window[0] = False
+            me.exit()
+
+    asyncio.run(main(), debug=False)  # debug mode adds calls
+
+
+def _threads_remote_cycles(window: list) -> None:
+    with Cluster(n_spaces=2, gc_period=None) as cluster:
+        space = cluster.space(0)
+        me = space.adopt_current_thread(virtual_time=0)
+        chan = STM(space).create_channel("rcycle", home=1)
+        with chan.attach_output() as out, chan.attach_input() as inp:
+            for ts in range(10 + _CYCLES):
+                window[0] = ts >= 10
+                out.put(ts, bytes(64), refcount=1)
+                inp.get(ts)
+                inp.consume(ts)
+            window[0] = False
+        me.exit()
+
+
+class TestOneOsThread:
+    """An asyncio cluster runs on its loop's thread alone: its spaces serve
+    each other there and its GC rounds are awaited there."""
+
+    @pytest.mark.parametrize("gc_period", [None, 0.01])
+    @pytest.mark.parametrize("n_spaces", [1, 2, 4])
+    def test_no_thread_starts_whatever_the_size_and_gc(self, n_spaces, gc_period):
+        """The threads alive before the cluster is built are all there are
+        after a put → get → consume on the farthest space, after awaited GC
+        rounds (periodic ones too, when on) and after ``ashutdown``."""
+
+        async def main():
+            before = set(threading.enumerate())
+
+            def new_threads() -> list[str]:
+                return sorted(t.name for t in set(threading.enumerate())
+                              - before)
+
+            async with AioCluster(n_spaces=n_spaces, gc_period=gc_period) as cluster:
+                space = cluster.space(0)
+                me = space.adopt_current_task(virtual_time=0)
+                chan = await AioSTM(space).create_channel(home=n_spaces - 1)
+                async with chan.attach_output() as out, \
+                        chan.attach_input() as inp:
+                    await out.put(0, b"x")
+                    assert (await inp.get(0)).value == b"x"
+                    await inp.consume(0)
+                assert new_threads() == []
+                rounds = cluster._gc_rounds.stats
+                deadline = time.monotonic() + 10
+                while gc_period is not None and rounds.epochs < 2:
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(gc_period)
+                me.set_virtual_time(INFINITY)
+                assert await cluster.agc_once() is INFINITY
+                assert new_threads() == []
+                me.exit()
+            assert new_threads() == []
+
+        run(main())
+
+    def test_a_blocking_call_on_the_loop_thread_raises(self):
+        """Only the loop serves an asyncio cluster, so a blocking call made
+        on its thread would wait for ever: ``gc_once()`` and a remote sync
+        ``put`` raise, naming the awaitable to use, and the loop goes on
+        serving — the aborted GC round has passed its turn on."""
 
         async def main():
             async with AioCluster(n_spaces=2, gc_period=None) as cluster:
                 space = cluster.space(0)
                 me = space.adopt_current_task(virtual_time=0)
-                chan = await AioSTM(space).create_channel("rcycle", home=1)
-                calls = [0]
-
-                def profile(frame, event, arg):
-                    if event == "call" and "/repro/" in frame.f_code.co_filename:
-                        calls[0] += 1
-
-                async with chan.attach_output() as out, \
-                        chan.attach_input() as inp:
-                    async def cycle(ts):
-                        await out.put(ts, bytes(64), refcount=1)
-                        await inp.get(ts)
-                        await inp.consume(ts)
-
-                    for ts in range(10):  # warm
-                        await cycle(ts)
-                    sys.setprofile(profile)
-                    try:
-                        for ts in range(10, 10 + cycles):
-                            await cycle(ts)
-                    finally:
-                        sys.setprofile(None)
+                chan = await AioSTM(space).create_channel(home=1)
+                async with chan.attach_output() as out:
+                    with pytest.raises(StampedeError, match="agc_once"):
+                        cluster.gc_once()
+                    with pytest.raises(StampedeError, match="aput"):
+                        space.put(chan.handle, out.conn_id, 0, b"x", 1)
+                    me.set_virtual_time(INFINITY)
+                    assert await asyncio.wait_for(
+                        cluster.agc_once(), 10) is INFINITY
                 me.exit()
-                return calls[0]
 
-        gc.collect()  # no earlier test's garbage collected while counting
-        calls = asyncio.run(main(), debug=False) / cycles
-        assert calls <= self.REMOTE_CYCLE_CALLS, calls
+        run(main())
+
+    def test_gc_rounds_take_turns(self, monkeypatch):
+        """Rounds awaited on the loop and one run from an OS thread never
+        interleave: no round starts while another waits for its replies, so
+        each broadcasts under its own epoch.  A round cancelled while
+        waiting for its turn gives up its place, and one cancelled as the
+        turn is handed to it passes the turn on."""
+        broadcast_epochs_current = []
+        real_broadcast = GcDaemon._broadcast_steps
+
+        def broadcast(self, coordinator, epoch, horizon):
+            broadcast_epochs_current.append(epoch == self._epoch)
+            return (yield from real_broadcast(self, coordinator, epoch, horizon))
+
+        monkeypatch.setattr(GcDaemon, "_broadcast_steps", broadcast)
+        handed = []
+        real_pass = GcDaemon._pass_turn
+
+        def pass_turn(self):
+            real_pass(self)
+            if len(handed) == 1:  # the first hand-over: cancel its taker
+                handed[0].cancel()
+            handed.append(None)
+
+        monkeypatch.setattr(GcDaemon, "_pass_turn", pass_turn)
+
+        async def main():
+            async with AioCluster(n_spaces=3, gc_period=None) as cluster:
+                rounds = [asyncio.ensure_future(cluster.agc_once())
+                          for _ in range(5)]
+                handed.append(rounds[1])
+                await asyncio.sleep(0)  # one round runs, four wait their turn
+                rounds[3].cancel()
+                done = await asyncio.wait_for(asyncio.gather(
+                    *rounds, asyncio.get_running_loop().run_in_executor(
+                        None, cluster.gc_once),
+                    return_exceptions=True), 30)
+                return [type(r) if isinstance(r, BaseException) else r
+                        for r in done]
+
+        outcomes = run(main())
+        cancelled = asyncio.CancelledError
+        assert outcomes == [INFINITY, cancelled, INFINITY, cancelled,
+                            INFINITY, INFINITY]
+        assert broadcast_epochs_current == [True] * 4
+
+    def test_refuses_a_model_checker_event_factory(self):
+        """As ``ProcCluster`` refuses model-checker factories
+        (``test_refuses_model_checker_sync_factories``): an asyncio space
+        parks on ``AioEvent`` alone.  A lock factory alone is allowed
+        (``test_parked_path.py``)."""
+
+        async def build():
+            AioCluster(n_spaces=2)
+
+        install_factories(lambda name: threading.Lock(), threading.Event)
+        try:
+            with pytest.raises(StampedeError, match="event factory"):
+                run(build())
+        finally:
+            clear_factories()
 
 
 class TestThreadTaskInterop:

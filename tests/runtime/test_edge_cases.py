@@ -187,6 +187,8 @@ class _LateRegistration:
     """An injected name-wait event: the name is registered while the waiter
     sleeps, but the sleep runs past the timeout and reports one."""
 
+    _flag = False  # what the asyncio driver reads of an AioEvent's state
+
     def __init__(self, space, name):
         self.space, self.name = space, name
 

@@ -72,7 +72,8 @@ async def _capacity_one(home: int):
                     at_home.attach_input() as home_inp:
                 yield SimpleNamespace(
                     out=out, inp=inp, home_out=home_out, home_inp=home_inp,
-                    channel=cluster.space(home)._channel(chan.channel_id))
+                    channel=cluster.space(home)._channel(chan.channel_id),
+                    channel_home=cluster.space(home))
         finally:
             me.exit()
 
@@ -202,5 +203,112 @@ def test_a_get_completed_before_its_cancellation_stands(park):
             with pytest.raises(ChannelEmptyError):
                 await inp.get(STM_LATEST_UNSEEN, block=False)
             await inp.consume(0)
+
+    asyncio.run(main())
+
+
+# ----------------------------------------------------------------------
+# the reply-vs-cancel race on the loop
+# ----------------------------------------------------------------------
+# A task cancelled while its operation is parked in the other space sends
+# ``RpcCancel``, which the loop serves in its turn.  The home's state
+# change that completes the operation lands either before that cancel is
+# served (the home's reply goes out first: the operation stands) or after
+# it (withdrawn: the state change completes nothing and sends no reply).
+# Both orders are made on the one loop, and each test checks it got the
+# order it names.
+ORDERS = ["reply-first", "cancel-first"]
+
+
+async def _cancel_in_order(task, order: str, parked) -> None:
+    """Cancel ``task``; return once its ``RpcCancel`` has been sent but not
+    served (``reply-first``) or once it has been served (``cancel-first``).
+    ``parked()`` tells whether the operation is still parked at its home."""
+    task.cancel()
+    await asyncio.sleep(0)  # the task sends its RpcCancel
+    if order == "reply-first":
+        assert parked(), "the cancel was served before the home's reply"
+        return
+    deadline = time.monotonic() + 30
+    while parked():
+        assert time.monotonic() < deadline
+        await asyncio.sleep(0)
+
+
+def _home_sent(c) -> int:
+    """Messages the channel's home space has sent so far."""
+    return c.channel_home.endpoint.stats.messages_sent
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_remote_put_on_a_full_channel_in_either_order(order):
+    async def main():
+        async with _capacity_one(1) as c:
+            out, inp, channel = c.out, c.inp, c.channel
+            await out.put(0, b"zero", refcount=1)
+            put = await _parked(out.put(1, b"one", refcount=1), channel)
+            await _cancel_in_order(put, order, lambda: channel.put_waiters)
+            sent = _home_sent(c)
+            await c.home_inp.get_consume(0)  # frees the slot
+            with pytest.raises(asyncio.CancelledError):
+                await put
+            if order == "reply-first":  # landed, and answered
+                assert _home_sent(c) == sent + 1
+                assert (await inp.get_consume(1, block=False)).value == b"one"
+            else:  # withdrawn: nothing lands, nobody is answered
+                assert _home_sent(c) == sent
+                with pytest.raises(ChannelEmptyError):
+                    await inp.get(1, block=False)
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_remote_get_in_either_order(order):
+    async def main():
+        async with _capacity_one(1) as c:
+            out, inp, channel = c.out, c.inp, c.channel
+            get = await _parked(inp.get(0), channel)
+            await _cancel_in_order(get, order, lambda: channel.get_waiters)
+            sent = _home_sent(c)
+            await c.home_out.put(0, b"zero", refcount=1)
+            with pytest.raises(asyncio.CancelledError):
+                await get
+            if order == "reply-first":  # the get happened: item 0 is seen
+                assert _home_sent(c) == sent + 1
+                with pytest.raises(ChannelEmptyError):
+                    await inp.get(STM_LATEST_UNSEEN, block=False)
+            else:  # withdrawn: item 0 is still unseen on the connection
+                assert _home_sent(c) == sent
+                item = await inp.get(STM_LATEST_UNSEEN, block=False)
+                assert (item.timestamp, item.value) == (0, b"zero")
+            await inp.consume(0)
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_parked_remote_lookup_in_either_order(order):
+    """A ``lookup(wait=True)`` from space 1, parked at the registry (space
+    0), against the registration that answers it."""
+
+    async def main():
+        async with AioCluster(n_spaces=2, gc_period=None) as cluster:
+            registry = cluster.space(0)
+            waiting = registry._name_waiters
+            lookup = asyncio.ensure_future(
+                AioSTM(cluster.space(1)).lookup("raced", wait=True))
+            deadline = time.monotonic() + 30
+            while not waiting.get("raced"):
+                assert time.monotonic() < deadline
+                await asyncio.sleep(0.001)
+            await _cancel_in_order(lookup, order, lambda: waiting.get("raced"))
+            sent = registry.endpoint.stats.messages_sent
+            await AioSTM(registry).create_channel("raced")
+            with pytest.raises(asyncio.CancelledError):
+                await lookup
+            assert not waiting.get("raced")
+            answered = 1 if order == "reply-first" else 0
+            assert registry.endpoint.stats.messages_sent == sent + answered
 
     asyncio.run(main())
